@@ -1,18 +1,14 @@
 // Experiment S — substrate scaling sweep. Not a paper artifact: this bench
-// pins the simulation substrate itself (pooled 4-ary event heap, sparse
-// link state, bucketed broadcast fan-out) against k, where the pre-rework
-// substrate allocated Theta(k^2) link vectors up front and scheduled one
-// engine event per broadcast recipient.
+// pins the simulation substrate itself (pooled 4-ary event heap, lazy
+// per-sender link rows, bucketed broadcast fan-out) against k, where the
+// pre-rework substrate allocated Theta(k^2) link vectors up front and
+// scheduled one engine event per broadcast recipient.
 //
-// Regenerated series:
-//   (a) k-sweep {64, 256, 1024, 4096, 16384, 65536}: Algorithm 2
-//       (crash_multi) under a silent-prefix crash plan and FixedLatency
-//       (the bucketing-maximal schedule), recording Q/T/M plus
-//       substrate-side metrics: engine
-//       events, active directed links (vs the dense k^2), wall clock, and
-//       peak RSS.
-//   (b) sparse-vs-dense A/B at the small end of the sweep: identical Q/T/M
-//       by the equivalence suite; the delta is events and wall clock only.
+// Regenerated series: the k-sweep {64, 256, 1024, 4096, 16384, 65536} of
+// Algorithm 2 (crash_multi) under a silent-prefix crash plan and
+// FixedLatency (the bucketing-maximal schedule), recording Q/T/M plus
+// substrate-side metrics: engine events, active directed links (vs the
+// dense k^2), wall clock, peak RSS and the modeled memory breakdown.
 //
 // ASYNCDR_SCALE_MAX_K caps the sweep (CI perf-smoke sets 256 and diffs the
 // fresh subset against the committed full baseline via --subset).
@@ -45,8 +41,7 @@ struct ScalePoint {
   std::string rss_mechanism;   ///< how rss_mb was obtained (see obs/mem.hpp)
 };
 
-Scenario scale_scenario(std::size_t k, std::uint64_t seed,
-                        sim::Network::LinkMode mode) {
+Scenario scale_scenario(std::size_t k, std::uint64_t seed) {
   Scenario s;
   // n is deliberately modest: wall clock is dominated by protocol-side
   // payload work (k^2 block transfers of n/k bits each), and this sweep
@@ -59,16 +54,12 @@ Scenario scale_scenario(std::size_t k, std::uint64_t seed,
   // FixedLatency collapses every broadcast's arrivals onto one instant —
   // the schedule where bucketed fan-out matters most.
   s.latency = fixed_latency(1.0);
-  s.instrument = [mode](dr::World& world) {
-    world.network().set_link_mode(mode);
-  };
   return s;
 }
 
-ScalePoint run_point(std::size_t k, std::uint64_t seed,
-                     sim::Network::LinkMode mode) {
+ScalePoint run_point(std::size_t k, std::uint64_t seed) {
   ScalePoint point;
-  Scenario s = scale_scenario(k, seed, mode);
+  Scenario s = scale_scenario(k, seed);
   s.post_run = [&point](dr::World& world, const dr::RunReport&) {
     point.active_links =
         static_cast<double>(world.network().active_links());
@@ -104,43 +95,33 @@ std::size_t max_k_cap() {
 
 /// One sweep point as the campaign sees it.
 struct GridEntry {
-  std::string section;
   std::string label;
   std::size_t k = 0;
   std::uint64_t seed = 0;
-  sim::Network::LinkMode mode = sim::Network::LinkMode::kSparse;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   banner("S — substrate scaling sweep (not a paper artifact)",
-         "large-k runs within the default event budget; sparse links + "
-         "bucketed broadcast vs the dense reference");
+         "large-k runs within the default event budget; lazy link rows + "
+         "bucketed broadcast");
   BenchJson bj("scale");
   const std::size_t cap = max_k_cap();
 
-  // The sweep grid, in mandatory execution order. S2 runs first: the A/B
-  // wall-clock comparison is meaningless if the sparse run inherits the
-  // allocator state the big S1 points leave behind.
+  // The sweep grid, in execution order.
   std::vector<GridEntry> grid;
-  if (64 <= cap) {
-    grid.push_back({"S2", "sparse", 64, 564, sim::Network::LinkMode::kSparse});
-    grid.push_back({"S2", "dense", 64, 564, sim::Network::LinkMode::kDense});
-  }
   for (std::size_t k : {64u, 256u, 1024u, 4096u, 16384u, 65536u}) {
     if (k > cap) continue;
-    grid.push_back({"S1", "k=" + std::to_string(k), k, 500 + k,
-                    sim::Network::LinkMode::kSparse});
+    grid.push_back({"k=" + std::to_string(k), k, 500 + k});
   }
 
   // The sweep runs over the campaign substrate for its telemetry (event
   // stream, summary, progress line), pinned to ONE worker: per-point RSS
   // accounting (RssTracker bracket: clear_refs reset when the kernel allows
   // it, VmHWM baseline delta otherwise — the mechanism is recorded in the
-  // bench JSON) and the allocator-state ordering above only mean something
-  // when points execute serially in grid order — a single worker drains the
-  // cursor 0..total-1.
+  // bench JSON) only means something when points execute serially in grid
+  // order — a single worker drains the cursor 0..total-1.
   std::vector<ScalePoint> points(grid.size());
   if (!grid.empty()) {
     campaign::CampaignOptions copts;
@@ -154,12 +135,12 @@ int main(int argc, char** argv) {
     camp.run([&](std::size_t i, std::uint64_t seed) {
       obs::RssTracker rss;
       rss.begin();
-      points[i] = run_point(grid[i].k, seed, grid[i].mode);
+      points[i] = run_point(grid[i].k, seed);
       points[i].rss_mb =
           static_cast<double>(rss.peak_delta_bytes()) / (1024.0 * 1024.0);
       points[i].rss_mechanism = rss.mechanism_name();
       campaign::RunOutcome out;
-      out.label = grid[i].section + "/" + grid[i].label;
+      out.label = "S1/" + grid[i].label;
       out.status = points[i].report.ok() ? obs::RunStatus::kOk
                                          : obs::RunStatus::kFailed;
       if (!points[i].report.ok()) {
@@ -171,37 +152,12 @@ int main(int argc, char** argv) {
     camp.finish();
   }
 
-  const auto point_for = [&](const std::string& section,
-                             const std::string& label) -> const ScalePoint* {
+  const auto point_for = [&](const std::string& label) -> const ScalePoint* {
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (grid[i].section == section && grid[i].label == label) {
-        return &points[i];
-      }
+      if (grid[i].label == label) return &points[i];
     }
     return nullptr;
   };
-
-  section("S2: sparse vs dense A/B, k=64 (identical Q/T/M; events differ)");
-  {
-    Table table({"mode", "Q", "T", "M", "events", "wall ms", "ok"});
-    for (const bool dense : {false, true}) {
-      const char* label = dense ? "dense" : "sparse";
-      const ScalePoint* point = point_for("S2", label);
-      if (point == nullptr) break;
-      const RepeatStats stats = as_stats(*point);
-      table.add(label, mean_cell(stats.q), mean_cell(stats.t),
-                mean_cell(stats.m), point->report.events, point->wall_ms,
-                point->report.ok());
-      bj.record("S2", label, stats);
-      bj.record_value("S2-substrate", label, "events",
-                      static_cast<double>(point->report.events));
-    }
-    table.print();
-    std::printf("shape: byte-identical complexities (the A/B equivalence\n"
-                "suite pins full traces); the dense mode schedules one\n"
-                "event per broadcast recipient, the sparse mode one per\n"
-                "arrival-time bucket.\n");
-  }
 
   section("S1: crash_multi k-sweep, n=8192, beta=0.125, silent prefix");
   {
@@ -213,7 +169,7 @@ int main(int argc, char** argv) {
         continue;
       }
       const std::string label = "k=" + std::to_string(k);
-      const ScalePoint* point = point_for("S1", label);
+      const ScalePoint* point = point_for(label);
       if (point == nullptr) continue;
       const RepeatStats stats = as_stats(*point);
       table.add(k, mean_cell(stats.q), mean_cell(stats.t), mean_cell(stats.m),

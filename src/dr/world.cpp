@@ -548,8 +548,7 @@ StallReport World::build_stall_report(bool budget_exhausted) const {
     }
     stall.stuck_peers.push_back(std::move(p));
   }
-  // The network enumerates busy links itself: in sparse mode that walks
-  // O(active links), not the k^2 scan the dense layout needed.
+  // The network enumerates busy links itself, skipping idle senders.
   for (const sim::Network::BusyLink& l : net_.busy_links()) {
     stall.busy_links.push_back({l.from, l.to, l.in_flight});
   }

@@ -97,9 +97,7 @@ void RunMetricsCollector::finalize(const dr::RunReport& report) {
   registry_.gauge("run_ok").set(report.ok() ? 1 : 0);
   registry_.gauge("source_bits_served_total")
       .set(static_cast<double>(world_->source().total_bits_served()));
-  // The substrate's actual link-state footprint: directed links that ever
-  // carried traffic. Under the sparse layout this is what was allocated
-  // (the dense equivalent would be k*k regardless of traffic).
+  // Directed links that ever carried traffic (at most k*k).
   registry_.gauge("net_active_links")
       .set(static_cast<double>(world_->network().active_links()));
   for (const dr::RunReport::PhaseBreakdown& ph : report.phases) {

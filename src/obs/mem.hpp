@@ -2,9 +2,9 @@
 //
 // A `MemRegistry` owns named `MemPool`s (one per subsystem: engine heap,
 // network links, payload bank, journal, trace, ...). Instrumented code
-// reports bytes either through explicit add/sub (sites that own raw
-// buffers) or through `CountingAllocator`, a stateful allocator adapter
-// for the containers that dominate RSS.
+// reports bytes through explicit add/sub (sites that own raw buffers) or
+// through `settle_component` (subsystems that compute their own footprint
+// from container capacities).
 //
 // The contract that makes the numbers usable as a regression gate:
 //
@@ -162,52 +162,6 @@ inline void settle_component(MemPool* pool, std::uint64_t& recorded,
   }
   recorded = now;
 }
-
-/// Stateful allocator charging every allocate/deallocate to a MemPool.
-///
-/// Holds a pointer to a *slot* (`MemPool* const*`) rather than the pool
-/// itself so the pool can be wired after the owning container is
-/// constructed: empty libstdc++ containers allocate nothing, so no bytes
-/// are missed, and containers copied from a prototype (e.g. a
-/// vector-of-maps fill constructor) propagate the slot automatically.
-template <typename T>
-class CountingAllocator {
- public:
-  using value_type = T;
-
-  explicit CountingAllocator(MemPool* const* slot) noexcept : slot_(slot) {}
-  template <typename U>
-  CountingAllocator(const CountingAllocator<U>& other) noexcept  // NOLINT
-      : slot_(other.slot()) {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    T* p = std::allocator<T>{}.allocate(n);
-    if (MemPool* pool = *slot_) {
-      pool->add(modeled_alloc_bytes(
-          static_cast<std::uint64_t>(n) * sizeof(T)));
-    }
-    return p;
-  }
-
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (MemPool* pool = *slot_) {
-      pool->sub(modeled_alloc_bytes(
-          static_cast<std::uint64_t>(n) * sizeof(T)));
-    }
-    std::allocator<T>{}.deallocate(p, n);
-  }
-
-  [[nodiscard]] MemPool* const* slot() const noexcept { return slot_; }
-
-  template <typename U>
-  [[nodiscard]] bool operator==(const CountingAllocator<U>& other) const
-      noexcept {
-    return slot_ == other.slot();
-  }
-
- private:
-  MemPool* const* slot_;
-};
 
 /// Epoch-sampled memory timeline: one column per pool (fixed at world
 /// construction so every sample has the same width), one row per sample.

@@ -25,7 +25,9 @@ dr::RunReport run_scenario(const Scenario& scenario) {
   ASYNCDR_EXPECTS_MSG(scenario.honest != nullptr,
                       "scenario needs an honest-peer factory");
   const dr::Config& cfg = scenario.cfg;
-  BitVec input = scenario.input.value_or(random_input(cfg.n, cfg.seed));
+  // value_or would evaluate random_input even when an input is given.
+  BitVec input =
+      scenario.input ? *scenario.input : random_input(cfg.n, cfg.seed);
   dr::World world(cfg, std::move(input));
 
   if (scenario.latency) {

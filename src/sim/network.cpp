@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 
 #include "common/check.hpp"
 
@@ -30,7 +29,7 @@ Network::Network(Engine& engine, std::size_t k, std::size_t message_size_bits)
       receivers_(k, nullptr),
       crashed_(k, false),
       revived_at_(k, -1.0),
-      sparse_links_(k, SenderLinks(LinkAlloc(&links_pool_))),
+      links_(k),
       sent_units_(k, 0),
       sent_payloads_(k, 0),
       last_send_at_(k, -1.0),
@@ -62,41 +61,36 @@ Network::~Network() {
   }
 }
 
-void Network::set_link_mode(LinkMode mode) {
-  ASYNCDR_EXPECTS_MSG(next_message_id_ == 0 && total_in_flight_ == 0,
-                      "link mode must be chosen before any traffic");
-  if (mode == mode_) return;
-  mode_ = mode;
-  if (mode == LinkMode::kDense) {
-    sparse_links_.clear();
-    sparse_links_.shrink_to_fit();
-    dense_links_.assign(k_ * k_, Link{});
-  } else {
-    dense_links_.clear();
-    dense_links_.shrink_to_fit();
-    // Fill value carries the counting allocator — a plain resize would
-    // default-construct exception maps with a null pool slot.
-    sparse_links_.resize(k_, SenderLinks(LinkAlloc(&links_pool_)));
-  }
-  settle_links_base();
-}
-
 void Network::set_mem_pools(obs::MemPool* links, obs::MemPool* fanout,
                             obs::MemPool* payloads) {
   links_pool_ = links;
   fanout_pool_ = fanout;
   bank_.set_pool(payloads);
-  // Restart base accounting from zero so the full current footprint is
-  // charged to the freshly wired pool (earlier settles ran poolless).
-  links_base_recorded_ = 0;
-  settle_links_base();
+  // Restart accounting from zero so the full current footprint is charged
+  // to the freshly wired pool (earlier settles ran poolless).
+  links_recorded_ = 0;
+  settle_links();
 }
 
-void Network::settle_links_base() {
+void Network::settle_links() {
   const std::uint64_t modeled =
-      obs::modeled_alloc_bytes(dense_links_.capacity() * sizeof(Link)) +
-      obs::modeled_alloc_bytes(sparse_links_.capacity() * sizeof(SenderLinks));
-  obs::settle_component(links_pool_, links_base_recorded_, modeled);
+      obs::modeled_alloc_bytes(links_.capacity() * sizeof(SenderLinks)) +
+      rows_ * obs::modeled_alloc_bytes(k_ * sizeof(Link));
+  obs::settle_component(links_pool_, links_recorded_, modeled);
+}
+
+std::vector<Network::Link>& Network::diverge(PeerId from) {
+  SenderLinks& sl = links_[from];
+  if (sl.row.empty()) {
+    // Every recipient link shares the shared Link's history up to now; the
+    // self link never belonged to it (broadcasts skip self), so it starts
+    // fresh.
+    sl.row.assign(k_, sl.shared);
+    sl.row[from] = Link{};
+    ++rows_;
+    settle_links();
+  }
+  return sl.row;
 }
 
 void Network::attach(PeerId id, Receiver* receiver) {
@@ -142,14 +136,33 @@ void Network::account_send(const Message& msg, std::size_t units) {
   if (observer_) observer_->on_send(msg, units);
 }
 
-Time Network::reserve_link(const Message& msg, std::size_t units) {
+template <typename Emit>
+void Network::reserve_copies(const Message& msg, std::size_t units,
+                             Emit&& emit) {
   // Link serialization: one unit message per directed link per time unit.
-  Link& l = link(msg.from, msg.to);
+  Link& l = diverge(msg.from)[msg.to];
   const Time departure = std::max(engine_.now(), l.next_free);
   l.next_free = departure + static_cast<Time>(units);
   l.used = true;
   const Time transmission = static_cast<Time>(units - 1);
-  return departure + transmission + latency_->propagation(msg);
+  const Time arrival = departure + transmission + latency_->propagation(msg);
+
+  // A beyond-model stressor may replicate the delivery and/or hold copies
+  // past the scheduled arrival. In-model runs take the single-copy path.
+  const std::size_t copies =
+      stressor_ ? std::max<std::size_t>(1, stressor_->copies(msg)) : 1;
+  for (std::size_t copy = 0; copy < copies; ++copy) {
+    Time at = arrival;
+    if (stressor_) {
+      const Time extra = stressor_->extra_delay(msg, copy);
+      ASYNCDR_EXPECTS_MSG(extra >= 0, "stressor extra delay must be >= 0");
+      at += extra;
+    }
+    ++l.in_flight;
+    ++total_in_flight_;
+    bank_.charge(msg.payload, 1);
+    emit(at);
+  }
 }
 
 void Network::finish_delivery(const Message& msg) {
@@ -168,59 +181,34 @@ void Network::finish_delivery(const Message& msg) {
 }
 
 void Network::deliver_or_drop(const Message& msg) {
-  --link(msg.from, msg.to).in_flight;
+  --links_[msg.from].row[msg.to].in_flight;
   --total_in_flight_;
   bank_.credit(msg.payload.get(), 1);
   finish_delivery(msg);
 }
 
 void Network::deliver_bucket(PeerId from, const PayloadPtr& payload,
-                             Time sent_at, const SpanList& spans) {
+                             Time sent_at, std::span<const FanoutSpan> spans) {
   std::uint64_t copies = 0;
   for (const FanoutSpan& s : spans) copies += s.count;
 
   // Settle link state before any receiver runs: deliveries below may send
   // new traffic, and reservations must already reflect these arrivals.
-  SenderLinks& sl = sparse_links_[from];
-  std::uint64_t shared_members = 0;
-  if (sl.exceptions.empty()) {
-    shared_members = copies;  // every member is in the shared class
+  SenderLinks& sl = links_[from];
+  if (sl.row.empty() && copies == k_ - 1) {
+    // A row-less sender's buckets come from shared-path broadcasts, which
+    // reach every recipient once: this bucket settles one copy on EVERY
+    // link (the fault-free FixedLatency schedule), so one decrement of the
+    // shared Link covers them all.
+    ASYNCDR_INVARIANT(sl.shared.in_flight > 0);
+    --sl.shared.in_flight;
   } else {
+    // A partial settle takes the members out of step with the rest:
+    // the sender diverges (if it has not already) and settles per link.
+    std::vector<Link>& row = diverge(from);
     for (const FanoutSpan& s : spans) {
       for (std::uint64_t j = 0; j < s.count; ++j) {
-        const auto it = sl.exceptions.find(s.to_first + j);
-        if (it == sl.exceptions.end()) {
-          ++shared_members;
-        } else {
-          --it->second.in_flight;
-        }
-      }
-    }
-  }
-  if (shared_members > 0) {
-    // Only the fast broadcast path produces shared members, and it buckets
-    // each recipient at most once — so the members seen here are distinct.
-    ASYNCDR_INVARIANT(sl.shared.in_flight > 0);
-    const std::size_t non_self_exceptions =
-        sl.exceptions.size() -
-        (sl.exceptions.find(from) != sl.exceptions.end() ? 1 : 0);
-    if (shared_members == k_ - 1 - non_self_exceptions) {
-      // The bucket settles one copy on EVERY shared link at once (the
-      // fault-free FixedLatency schedule): one decrement covers them all.
-      --sl.shared.in_flight;
-    } else {
-      // Partial settle: the members fall out of step with the rest of the
-      // shared class. Materialize them as exceptions that already settled
-      // this copy; the class keeps its count for the links left behind.
-      for (const FanoutSpan& s : spans) {
-        for (std::uint64_t j = 0; j < s.count; ++j) {
-          const PeerId to = s.to_first + j;
-          if (sl.exceptions.find(to) == sl.exceptions.end()) {
-            sl.exceptions.emplace(to, Link{sl.shared.next_free,
-                                           sl.shared.in_flight - 1,
-                                           sl.shared.used});
-          }
-        }
+        --row[s.to_first + j].in_flight;
       }
     }
   }
@@ -229,8 +217,8 @@ void Network::deliver_bucket(PeerId from, const PayloadPtr& payload,
 
   // Deliveries in span order = recipient-ID order within the bucket.
   // Crash state is re-checked per entry at delivery time (an earlier
-  // entry's receiver may crash a later entry's), matching the per-event
-  // dense path.
+  // entry's receiver may crash a later entry's), exactly as separate
+  // per-recipient events would.
   Message msg{from, kNoPeer, payload, sent_at, 0};
   for (const FanoutSpan& s : spans) {
     for (std::uint64_t j = 0; j < s.count; ++j) {
@@ -253,151 +241,123 @@ void Network::send(PeerId from, PeerId to, PayloadPtr payload) {
 
   const std::size_t units = unit_messages(*msg.payload);
   account_send(msg, units);
-  const Time arrival = reserve_link(msg, units);
-
-  // A beyond-model stressor may replicate the delivery and/or hold copies
-  // past the scheduled arrival. In-model runs take the single-copy path.
-  const std::size_t copies =
-      stressor_ ? std::max<std::size_t>(1, stressor_->copies(msg)) : 1;
-  for (std::size_t copy = 0; copy < copies; ++copy) {
-    Time at = arrival;
-    if (stressor_) {
-      const Time extra = stressor_->extra_delay(msg, copy);
-      ASYNCDR_EXPECTS_MSG(extra >= 0, "stressor extra delay must be >= 0");
-      at += extra;
-    }
-    ++link(from, msg.to).in_flight;
-    ++total_in_flight_;
-    bank_.charge(msg.payload, 1);
+  reserve_copies(msg, units, [&](Time at) {
     engine_.schedule_at(at, [this, msg]() { deliver_or_drop(msg); });
-  }
+  });
 }
 
 void Network::broadcast(PeerId from, PayloadPtr payload) {
   ASYNCDR_EXPECTS(from < k_);
   ASYNCDR_EXPECTS(payload != nullptr);
-  if (mode_ == LinkMode::kDense) {
-    // Legacy fan-out: one send (and one scheduled event per copy) per
-    // recipient — the A/B reference path. Each send interns, so the
-    // payload pool sees the same bytes as the sparse path.
-    for (PeerId to = 0; to < k_; ++to) {
-      if (to == from) continue;
-      if (crashed_[from]) return;  // died mid-broadcast
-      send(from, to, payload);
-    }
-    return;
-  }
-
   if (crashed_[from]) return;
   payload = bank_.intern(std::move(payload));
   const Time sent_at = engine_.now();
   const std::size_t units = unit_messages(*payload);
 
-  // Bucket the fan-out by arrival time: recipients (and stressor copies)
-  // landing at the same instant share ONE scheduled event that delivers to
-  // each in turn. Per-recipient semantics are unchanged — the pre-send
-  // hook, accounting, link reservation, and stressor sampling all run per
-  // recipient in increasing ID order, exactly as the dense fan-out does —
-  // so traces are byte-identical; only the engine's event count shrinks.
+  // Per-recipient semantics match k-1 send() calls: the pre-send hook,
+  // accounting, link reservation and stressor sampling all run per
+  // recipient in increasing ID order, so traces are byte-identical. Only
+  // the scheduling differs: copies landing at the same instant share ONE
+  // event that delivers to each in turn.
   //
-  // Fast path (no hook, no stressor): every non-exception link shares an
-  // identical reservation history, so the whole wave departs at one
-  // precomputed instant and the shared Link advances ONCE after the loop —
-  // O(1) link state for a k-wide broadcast. A hook or stressor makes
-  // per-recipient outcomes diverge, so that path reserves each link
-  // individually (materializing exceptions), exactly like the dense mode.
-  std::map<Time, SpanList> buckets;
-  const auto append_span = [](SpanList& spans, PeerId to, std::uint64_t id) {
-    if (!spans.empty()) {
-      FanoutSpan& last = spans.back();
-      if (last.to_first + last.count == to && last.id_first + last.count == id) {
-        ++last.count;
-        return;
-      }
-    }
-    spans.push_back(FanoutSpan{to, id, 1});
+  // Shared path (row-less sender, no hook, no stressor): every recipient
+  // link shares the shared Link's history, so the whole wave departs at
+  // one instant and the shared Link advances ONCE after the loop. A hook or
+  // stressor makes per-recipient outcomes diverge, so that path reserves
+  // each link in the sender's row, as send() does.
+  struct Arrival {
+    Time at;
+    PeerId to;
+    std::uint64_t id;
   };
-
-  SenderLinks& sl = sparse_links_[from];
-  const bool fast = !pre_send_hook_ && stressor_ == nullptr;
+  std::vector<Arrival> arrivals;
+  arrivals.reserve(k_ - 1);
+  SenderLinks& sl = links_[from];
+  const bool shared_path = sl.row.empty() && !pre_send_hook_ && !stressor_;
   const Time shared_departure = std::max(sent_at, sl.shared.next_free);
-  bool any_shared = false;
 
   for (PeerId to = 0; to < k_; ++to) {
     if (to == from) continue;
     // pass_pre_send returning false means the hook crashed the sender:
     // the remaining recipients never get their sends (died mid-broadcast),
-    // but already-buffered deliveries below still go out.
+    // but the copies already committed below still go out.
     Message msg{from, to, payload, sent_at, next_message_id_};
     if (!pass_pre_send(msg)) break;
     ++next_message_id_;
     account_send(msg, units);
-
-    if (fast) {
-      const auto it = sl.exceptions.find(to);
-      Time arrival;
-      if (it == sl.exceptions.end()) {
-        any_shared = true;
-        arrival = shared_departure + static_cast<Time>(units - 1) +
-                  latency_->propagation(msg);
-      } else {
-        Link& l = it->second;
-        const Time departure = std::max(sent_at, l.next_free);
-        l.next_free = departure + static_cast<Time>(units);
-        l.used = true;
-        ++l.in_flight;
-        arrival = departure + static_cast<Time>(units - 1) +
-                  latency_->propagation(msg);
-      }
+    if (shared_path) {
+      arrivals.push_back({shared_departure + static_cast<Time>(units - 1) +
+                              latency_->propagation(msg),
+                          to, msg.id});
       ++total_in_flight_;
       bank_.charge(payload, 1);
-      append_span(buckets[arrival], to, msg.id);
-      continue;
-    }
-
-    const Time arrival = reserve_link(msg, units);
-    const std::size_t copies =
-        stressor_ ? std::max<std::size_t>(1, stressor_->copies(msg)) : 1;
-    for (std::size_t copy = 0; copy < copies; ++copy) {
-      Time at = arrival;
-      if (stressor_) {
-        const Time extra = stressor_->extra_delay(msg, copy);
-        ASYNCDR_EXPECTS_MSG(extra >= 0, "stressor extra delay must be >= 0");
-        at += extra;
-      }
-      ++link(from, to).in_flight;
-      ++total_in_flight_;
-      bank_.charge(payload, 1);
-      append_span(buckets[at], to, msg.id);
+    } else {
+      reserve_copies(msg, units,
+                     [&](Time at) { arrivals.push_back({at, to, msg.id}); });
     }
   }
-
-  if (fast && any_shared) {
+  if (shared_path) {
     sl.shared.next_free = shared_departure + static_cast<Time>(units);
     sl.shared.used = true;
     ++sl.shared.in_flight;
   }
 
-  for (auto& [at, bucket] : buckets) {
-    // The span buffer's modeled bytes are charged to the fanout pool for
-    // its in-flight lifetime; the bucket event credits them back from the
-    // capacity it actually carried (vector move preserves capacity, so
-    // charge and credit agree byte-for-byte). The credit runs inside the
-    // existing closure — adding a capture would push it past
-    // InlineAction's 64-byte inline buffer.
-    if (fanout_pool_ != nullptr) {
-      fanout_pool_->add(obs::modeled_alloc_bytes(
-          bucket.capacity() * sizeof(FanoutSpan)));
-    }
-    engine_.schedule_at(
-        at, [this, from, payload, sent_at, spans = std::move(bucket)]() {
-          deliver_bucket(from, payload, sent_at, spans);
-          if (fanout_pool_ != nullptr) {
-            fanout_pool_->sub(obs::modeled_alloc_bytes(
-                spans.capacity() * sizeof(FanoutSpan)));
-          }
-        });
+  // One event per distinct arrival, scheduled in ascending order; each
+  // bucket's members in recipient-ID order. Entries equal in (at, id) are
+  // stressor duplicates of one copy and interchangeable, so this order is
+  // exactly a stable sort by arrival. A fixed-latency wave arrives already
+  // sorted; skipping its sort keeps a k-wide broadcast O(k).
+  const auto by_arrival = [](const Arrival& a, const Arrival& b) {
+    return a.at != b.at ? a.at < b.at : a.id < b.id;
+  };
+  if (!std::is_sorted(arrivals.begin(), arrivals.end(), by_arrival)) {
+    std::sort(arrivals.begin(), arrivals.end(), by_arrival);
   }
+  SpanList spans;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const Arrival& a = arrivals[i];
+    if (!spans.empty() && spans.back().to_first + spans.back().count == a.to &&
+        spans.back().id_first + spans.back().count == a.id) {
+      ++spans.back().count;
+    } else {
+      spans.push_back(FanoutSpan{a.to, a.id, 1});
+    }
+    if (i + 1 == arrivals.size() || arrivals[i + 1].at != a.at) {
+      schedule_bucket(from, payload, sent_at, a.at, spans);
+    }
+  }
+}
+
+void Network::schedule_bucket(PeerId from, const PayloadPtr& payload,
+                              Time sent_at, Time at, SpanList& spans) {
+  if (spans.size() == 1) {
+    // The common case under per-message latency: the span rides inline in
+    // the closure, which still fits InlineAction's buffer.
+    auto deliver = [this, from, payload, sent_at, span = spans.front()]() {
+      deliver_bucket(from, payload, sent_at, {&span, 1});
+    };
+    static_assert(sizeof(deliver) <= InlineAction::kInlineBytes);
+    engine_.schedule_at(at, std::move(deliver));
+    spans.clear();
+    return;
+  }
+  // A multi-span buffer's modeled bytes are charged to the fanout pool for
+  // its in-flight lifetime; the bucket event credits them back from the
+  // capacity it actually carried (vector move preserves capacity, so
+  // charge and credit agree byte-for-byte).
+  if (fanout_pool_ != nullptr) {
+    fanout_pool_->add(
+        obs::modeled_alloc_bytes(spans.capacity() * sizeof(FanoutSpan)));
+  }
+  engine_.schedule_at(
+      at, [this, from, payload, sent_at, spans = std::move(spans)]() {
+        deliver_bucket(from, payload, sent_at, spans);
+        if (fanout_pool_ != nullptr) {
+          fanout_pool_->sub(obs::modeled_alloc_bytes(
+              spans.capacity() * sizeof(FanoutSpan)));
+        }
+      });
+  spans = SpanList{};
 }
 
 void Network::crash(PeerId id) {
@@ -415,17 +375,9 @@ void Network::revive(PeerId id) {
   // dead peer did get out still settle normally at arrival — and incoming
   // links are untouched too (their senders really transmitted; the revive
   // gate in finish_delivery is what keeps stale mail out).
-  if (mode_ == LinkMode::kDense) {
-    for (PeerId to = 0; to < k_; ++to) {
-      dense_links_[id * k_ + to].next_free = 0;
-    }
-  } else {
-    SenderLinks& sl = sparse_links_[id];
-    sl.shared.next_free = 0;
-    // asyncdr-sema: allow(SA002) unordered visit writes the same constant
-    //   into independent per-link fields; no output depends on the order.
-    for (auto& [to, l] : sl.exceptions) l.next_free = 0;
-  }
+  SenderLinks& sl = links_[id];
+  sl.shared.next_free = 0;
+  for (Link& l : sl.row) l.next_free = 0;
 }
 
 bool Network::is_crashed(PeerId id) const {
@@ -450,32 +402,20 @@ std::uint64_t Network::sent_payloads(PeerId id) const {
 
 std::uint64_t Network::in_flight(PeerId from, PeerId to) const {
   ASYNCDR_EXPECTS(from < k_ && to < k_);
-  if (mode_ == LinkMode::kDense) return dense_links_[from * k_ + to].in_flight;
-  const SenderLinks& sl = sparse_links_[from];
-  const auto it = sl.exceptions.find(to);
-  if (it != sl.exceptions.end()) return it->second.in_flight;
-  // The shared class never includes the self link (broadcasts skip self).
+  const SenderLinks& sl = links_[from];
+  if (!sl.row.empty()) return sl.row[to].in_flight;
+  // The shared Link never stands for the self link (broadcasts skip self).
   return to == from ? 0 : sl.shared.in_flight;
 }
 
 std::size_t Network::active_links() const {
-  if (mode_ == LinkMode::kDense) {
-    return static_cast<std::size_t>(
-        std::count_if(dense_links_.begin(), dense_links_.end(),
-                      [](const Link& l) { return l.used; }));
-  }
   std::size_t total = 0;
-  for (PeerId from = 0; from < k_; ++from) {
-    const SenderLinks& sl = sparse_links_[from];
-    if (sl.shared.used) {
-      // A used shared Link means every non-exception recipient link has
-      // carried traffic, and exceptions split off WITH that history — so
-      // all k-1 peer links count. A self-send exception adds from->from.
-      total += (k_ - 1) +
-               (sl.exceptions.find(from) != sl.exceptions.end() ? 1 : 0);
-    } else {
-      // Only individually-reserved links ever carried traffic.
-      total += sl.exceptions.size();
+  for (const SenderLinks& sl : links_) {
+    if (!sl.row.empty()) {
+      total += static_cast<std::size_t>(std::count_if(
+          sl.row.begin(), sl.row.end(), [](const Link& l) { return l.used; }));
+    } else if (sl.shared.used) {
+      total += k_ - 1;
     }
   }
   return total;
@@ -483,45 +423,14 @@ std::size_t Network::active_links() const {
 
 std::vector<Network::BusyLink> Network::busy_links() const {
   std::vector<BusyLink> busy;
-  if (mode_ == LinkMode::kDense) {
-    for (PeerId from = 0; from < k_; ++from) {
-      for (PeerId to = 0; to < k_; ++to) {
-        const std::uint64_t inflight = dense_links_[from * k_ + to].in_flight;
-        if (inflight > 0) busy.push_back({from, to, inflight});
-      }
-    }
-    return busy;
-  }
   for (PeerId from = 0; from < k_; ++from) {
-    const SenderLinks& sl = sparse_links_[from];
-    if (sl.shared.in_flight == 0 && sl.exceptions.empty()) continue;
-    if (sl.shared.in_flight > 0) {
-      // Part of the sender's link state is implicit in the shared Link:
-      // walk every recipient in ID order and resolve each.
-      for (PeerId to = 0; to < k_; ++to) {
-        const auto it = sl.exceptions.find(to);
-        std::uint64_t inflight = 0;
-        if (it != sl.exceptions.end()) {
-          inflight = it->second.in_flight;
-        } else if (to != from) {
-          inflight = sl.shared.in_flight;
-        }
-        if (inflight > 0) busy.push_back({from, to, inflight});
-      }
-      continue;
-    }
-    // asyncdr-sema: allow(SA002) hash-order iteration only collects an
-    //   unordered set of busy links; the sort below restores the canonical
-    //   (from, to) order before callers see it.
-    for (const auto& [to, l] : sl.exceptions) {
-      if (l.in_flight > 0) busy.push_back({from, to, l.in_flight});
+    const SenderLinks& sl = links_[from];
+    if (sl.row.empty() && sl.shared.in_flight == 0) continue;
+    for (PeerId to = 0; to < k_; ++to) {
+      const std::uint64_t inflight = in_flight(from, to);
+      if (inflight > 0) busy.push_back({from, to, inflight});
     }
   }
-  // Collection order is unspecified per sender; sort for the deterministic
-  // (from, to) order the dense scan produces.
-  std::sort(busy.begin(), busy.end(), [](const BusyLink& a, const BusyLink& b) {
-    return a.from != b.from ? a.from < b.from : a.to < b.to;
-  });
   return busy;
 }
 
@@ -533,16 +442,6 @@ Time Network::last_send_at(PeerId id) const {
 Time Network::last_delivery_at(PeerId id) const {
   ASYNCDR_EXPECTS(id < k_);
   return last_delivery_at_[id];
-}
-
-Network::Link& Network::link(PeerId from, PeerId to) {
-  if (mode_ == LinkMode::kDense) return dense_links_[from * k_ + to];
-  SenderLinks& sl = sparse_links_[from];
-  // Individual access diverges the link from the broadcast class: seed the
-  // exception with the shared snapshot (identical history up to now). The
-  // self link never belonged to the class, so it starts fresh.
-  return sl.exceptions.try_emplace(to, to == from ? Link{} : sl.shared)
-      .first->second;
 }
 
 }  // namespace asyncdr::sim

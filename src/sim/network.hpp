@@ -9,22 +9,22 @@
 // units serialize per link. This is what gives transfers of n bits their
 // n/B contribution to time complexity, matching the paper's accounting.
 //
-// Scaling (see DESIGN.md, "Scaling the substrate"): the sparse layout is a
-// flyweight — each sender keeps ONE shared Link representing every
-// recipient it has only ever broadcast to, plus an exception map for links
-// whose state diverged (unicast sends, partial bucket settles). A k-wide
-// broadcast then costs O(1) link state and one span-compressed scheduled
-// event per distinct arrival time, and its payload body is interned once
-// through the PayloadBank instead of per recipient. The legacy dense
-// layout (k*k link vector, one event per recipient) is kept behind
-// LinkMode::kDense purely as the A/B reference: both modes produce
-// byte-identical traces.
+// Link state (see DESIGN.md, "Scaling the substrate"): each sender keeps
+// ONE shared Link standing for every recipient it has only ever broadcast
+// to, plus a flat row of k Links allocated on the sender's first
+// divergence (a unicast, a partially-settling broadcast bucket, or a
+// broadcast under the pre-send hook or a delivery stressor). From then on
+// the row is authoritative for that sender. A broadcast-only sender costs
+// O(1) link state; no sender ever costs more than one k-entry row. A
+// broadcast schedules one event per distinct arrival time, delivering that
+// bucket's recipients in ID order, and interns its payload body once
+// through the PayloadBank instead of per recipient.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -96,19 +96,6 @@ class DeliveryStressor {
 /// The clique network over k peers.
 class Network {
  public:
-  /// Link-state layout + broadcast fan-out strategy. Both modes are
-  /// observationally identical (byte-identical traces and reports on the
-  /// same inputs); they differ in memory and event count only.
-  enum class LinkMode {
-    /// Flyweight per-sender link state (one shared Link + exceptions),
-    /// span-bucketed broadcast fan-out. The default: memory O(k + diverged
-    /// links), one scheduled event per distinct broadcast arrival time.
-    kSparse,
-    /// Legacy k*k link vectors and one event per broadcast recipient. Kept
-    /// as the A/B equivalence reference and for dense-traffic experiments.
-    kDense,
-  };
-
   /// message_size_bits is the paper's B; payloads larger than B are
   /// accounted as multiple unit messages.
   Network(Engine& engine, std::size_t k, std::size_t message_size_bits);
@@ -123,11 +110,6 @@ class Network {
   [[nodiscard]] std::size_t size() const { return k_; }
   [[nodiscard]] std::size_t message_size_bits() const { return message_size_bits_; }
   Engine& engine() { return engine_; }
-
-  /// Switches the link-state layout. Must be called before any traffic
-  /// (the layouts do not migrate in-flight state).
-  void set_link_mode(LinkMode mode);
-  [[nodiscard]] LinkMode link_mode() const { return mode_; }
 
   /// Registers the receiver for a peer ID. Must be called for every peer
   /// before any traffic flows to it.
@@ -157,8 +139,10 @@ class Network {
 
   /// Sends payload from every peer except `from` itself, in increasing
   /// recipient-ID order (deterministic, so a mid-broadcast crash cuts a
-  /// well-defined prefix). In sparse mode recipients sharing an arrival
-  /// time are delivered by one bucketed event.
+  /// well-defined prefix). Observationally identical to
+  /// `for to != from: if crashed(from) stop; send(from, to, payload)`,
+  /// except that recipients sharing an arrival time are delivered by one
+  /// bucketed event.
   void broadcast(PeerId from, PayloadPtr payload);
 
   /// Marks a peer crashed: it sends and receives nothing from now on.
@@ -194,9 +178,8 @@ class Network {
   [[nodiscard]] std::uint64_t in_flight(PeerId from, PeerId to) const;
   /// Sum of in_flight over all links. O(1): maintained, not recomputed.
   [[nodiscard]] std::uint64_t total_in_flight() const { return total_in_flight_; }
-  /// Directed links that have ever carried traffic — O(k^2) worth in the
-  /// dense layout; the flyweight layout counts a sender's whole broadcast
-  /// fan-out through one shared Link.
+  /// Directed links that have ever carried traffic. A broadcast-only
+  /// sender's whole fan-out is counted through its shared Link.
   [[nodiscard]] std::size_t active_links() const;
   /// One busy directed link (messages still in flight).
   struct BusyLink {
@@ -204,65 +187,54 @@ class Network {
     PeerId to = kNoPeer;
     std::uint64_t in_flight = 0;
   };
-  /// All busy links in (from, to) order — deterministic in both link modes.
+  /// All busy links in (from, to) order.
   [[nodiscard]] std::vector<BusyLink> busy_links() const;
   /// Virtual time of the last accepted send by `id`; negative if none.
   [[nodiscard]] Time last_send_at(PeerId id) const;
   /// Virtual time of the last delivery to `id`; negative if none.
   [[nodiscard]] Time last_delivery_at(PeerId id) const;
 
-  /// The payload bank (interning + copy accounting). Read-only: all
-  /// charging goes through send/broadcast.
-  [[nodiscard]] const PayloadBank& payload_bank() const { return bank_; }
-
-  /// Wires the byte-accounting pools (all nullable):
-  ///  * links    — flyweight per-sender state / dense link vector
-  ///  * fanout   — transient broadcast-bucket span buffers
-  ///  * payloads — distinct in-flight payload bodies (PayloadBank: interned
-  ///               by content, refcounted once per body regardless of
-  ///               fan-out degree, so sparse and dense modes report
-  ///               identical payload bytes)
-  void set_mem_pools(obs::MemPool* links, obs::MemPool* fanout,
-                     obs::MemPool* payloads);
-
- private:
+  /// State of one directed link (or, as a sender's shared Link, of every
+  /// link it has only broadcast on).
   struct Link {
-    Time next_free = 0;
+    Time next_free = 0;  ///< when the link can start its next unit
     std::uint64_t in_flight = 0;
     /// Ever carried traffic. Kept explicitly (not derived from next_free)
     /// because revive() clears the sender's reservations.
     bool used = false;
   };
 
-  /// Exception maps allocate through a counting allocator charging the
-  /// links pool — when broadcast traffic degenerates into per-link state
-  /// (variable latency, stressors) the exception nodes dominate the
-  /// layout's RSS, so this is the one container instrumented at the
-  /// allocator level rather than by capacity settling.
-  using LinkAlloc = obs::CountingAllocator<std::pair<const PeerId, Link>>;
-  using LinkMap = std::unordered_map<PeerId, Link, std::hash<PeerId>,
-                                     std::equal_to<PeerId>, LinkAlloc>;
+  /// The payload bank (interning + copy accounting). Read-only: all
+  /// charging goes through send/broadcast.
+  [[nodiscard]] const PayloadBank& payload_bank() const { return bank_; }
 
-  /// Flyweight per-sender link state. `shared` stands for every recipient
-  /// link (to != from) absent from `exceptions`; a broadcast over the
-  /// non-exception recipients advances it ONCE. A link diverges into an
-  /// exception — seeded with a snapshot of `shared` — when a unicast send
-  /// reserves it individually or a partially-settling broadcast bucket
-  /// leaves it out of step with the rest.
+  /// Wires the byte-accounting pools (all nullable):
+  ///  * links    — per-sender shared Links plus the diverged rows
+  ///  * fanout   — in-flight multi-span broadcast-bucket buffers
+  ///  * payloads — distinct in-flight payload bodies (PayloadBank: interned
+  ///               by content, refcounted once per body regardless of
+  ///               fan-out degree)
+  void set_mem_pools(obs::MemPool* links, obs::MemPool* fanout,
+                     obs::MemPool* payloads);
+
+ private:
+  /// A sender's link state. While `row` is empty, `shared` stands for
+  /// every recipient link (to != from): the sender has only broadcast on
+  /// the shared path, so all those links share one reservation history. The
+  /// first divergence allocates `row` (k entries, seeded from `shared`, with
+  /// a fresh self link); from then on the row alone is authoritative.
   struct SenderLinks {
     Link shared;
-    LinkMap exceptions;
-
-    explicit SenderLinks(const LinkAlloc& alloc) : exceptions(alloc) {}
+    std::vector<Link> row;
   };
 
   /// `count` consecutive scheduled copies of one broadcast bucket:
   /// recipients to_first..to_first+count-1 carrying message ids
   /// id_first..id_first+count-1. Broadcasts assign ids in recipient order,
   /// so a k-wide fault-free bucket compresses into at most two spans
-  /// (before/after the sender's own id). Kept at 24 bytes so the delivery
-  /// closure (this, from, payload, sent_at, spans) fits InlineAction's
-  /// 64-byte inline buffer.
+  /// (before/after the sender's own id). Kept at 24 bytes so a single-span
+  /// delivery closure (this, from, payload, sent_at, span) fits
+  /// InlineAction's 64-byte inline buffer.
   struct FanoutSpan {
     PeerId to_first = kNoPeer;
     std::uint64_t id_first = 0;
@@ -270,40 +242,42 @@ class Network {
   };
   using SpanList = std::vector<FanoutSpan>;
 
-  Link& link(PeerId from, PeerId to);
+  /// `from`'s row, allocated (and charged to the links pool) on first use.
+  std::vector<Link>& diverge(PeerId from);
 
   /// Runs the pre-send hook; false iff the hook crashed the sender — the
   /// send then never happened: no message id consumed, no observer event.
   bool pass_pre_send(const Message& msg);
   /// Send-side accounting + on_send (the message is now committed).
   void account_send(const Message& msg, std::size_t units);
-  /// Reserves link bandwidth and returns the copy-0 arrival time. In the
-  /// flyweight layout this materializes the link as an exception.
-  Time reserve_link(const Message& msg, std::size_t units);
+  /// Per-link path: reserves msg's link in the sender's row, then charges
+  /// one in-flight copy per stressor copy and calls emit(arrival) for each.
+  template <typename Emit>
+  void reserve_copies(const Message& msg, std::size_t units, Emit&& emit);
+  /// Schedules one broadcast bucket; takes `spans` (left empty).
+  void schedule_bucket(PeerId from, const PayloadPtr& payload, Time sent_at,
+                       Time at, SpanList& spans);
   /// Unicast delivery event: settles the link + bank, then delivers.
   void deliver_or_drop(const Message& msg);
-  /// Bucketed broadcast delivery event: settles every span member's link
-  /// state (the flyweight shared Link when the bucket covers all
-  /// non-exception links at once), then delivers in span order.
+  /// Bucketed broadcast delivery event: settles every member's link state
+  /// (the shared Link at once when the bucket covers all of a row-less
+  /// sender's links), then delivers in span order.
   void deliver_bucket(PeerId from, const PayloadPtr& payload, Time sent_at,
-                      const SpanList& spans);
+                      std::span<const FanoutSpan> spans);
   /// Common delivery tail: revive-gate + crash check, counters, observer,
   /// receiver handoff.
   void finish_delivery(const Message& msg);
 
-  /// Reconciles the base link-vector capacities (dense vector + flyweight
-  /// per-sender shell; the exception *nodes* go through LinkAlloc).
-  void settle_links_base();
+  /// Reconciles the links pool with the shells plus the allocated rows.
+  void settle_links();
 
   Engine& engine_;
   std::size_t k_;
   std::size_t message_size_bits_;
-  LinkMode mode_ = LinkMode::kSparse;
-  // Mem accounting slots. Declared before the containers: the counting
-  // allocators constructed in the init list capture &links_pool_.
   obs::MemPool* links_pool_ = nullptr;    ///< sim.network.links
   obs::MemPool* fanout_pool_ = nullptr;   ///< sim.network.fanout
-  std::uint64_t links_base_recorded_ = 0;
+  std::uint64_t links_recorded_ = 0;
+  std::size_t rows_ = 0;  ///< senders whose row is allocated
   /// Interned in-flight payload bodies + per-copy refcounts; charges the
   /// sim.msg.payloads pool.
   PayloadBank bank_;
@@ -312,10 +286,7 @@ class Network {
   /// Per peer: time of its latest revive(); negative if never revived.
   /// Copies sent strictly before this instant are dropped on arrival.
   std::vector<Time> revived_at_;
-  /// kDense: k*k directed links. Empty in sparse mode.
-  std::vector<Link> dense_links_;
-  /// kSparse: flyweight per-sender state. Empty in dense mode.
-  std::vector<SenderLinks> sparse_links_;
+  std::vector<SenderLinks> links_;
   std::vector<std::uint64_t> sent_units_;
   std::vector<std::uint64_t> sent_payloads_;
   std::vector<Time> last_send_at_;

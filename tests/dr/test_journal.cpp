@@ -143,7 +143,9 @@ TEST(Journal, TornTailAtEveryByteBoundaryNeverOverClaims) {
       EXPECT_FALSE(again.torn) << "cut at " << cut;
       EXPECT_EQ(again.intervals, r.intervals) << "cut at " << cut;
     }
-    if (cut == full.size()) EXPECT_EQ(r.intervals, w.intervals);
+    if (cut == full.size()) {
+      EXPECT_EQ(r.intervals, w.intervals);
+    }
     for (std::size_t i = 0; i < kN; ++i) {
       if (r.intervals.contains(i)) {
         EXPECT_EQ(r.bits.get(i), w.bits.get(i)) << "cut " << cut

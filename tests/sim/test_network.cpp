@@ -200,8 +200,7 @@ TEST_F(Fixture, MidBroadcastHookCrashKeepsIdsConsecutive) {
   EXPECT_EQ(settled, obs.sent_ids);
 }
 
-TEST_F(Fixture, SparseBroadcastBucketsSameArrivalIntoOneEvent) {
-  ASSERT_EQ(net.link_mode(), Network::LinkMode::kSparse);
+TEST_F(Fixture, BroadcastBucketsSameArrivalIntoOneEvent) {
   net.set_latency_policy(std::make_unique<FixedLatency>(0.5));
   net.broadcast(0, std::make_shared<TestPayload>());
   // All three recipients share arrival time 0.5: one bucketed event.
@@ -211,24 +210,6 @@ TEST_F(Fixture, SparseBroadcastBucketsSameArrivalIntoOneEvent) {
   EXPECT_EQ(peers[2].received.size(), 1u);
   EXPECT_EQ(peers[3].received.size(), 1u);
   EXPECT_DOUBLE_EQ(engine.now(), 0.5);
-}
-
-TEST_F(Fixture, DenseModeSchedulesPerRecipient) {
-  net.set_link_mode(Network::LinkMode::kDense);
-  EXPECT_EQ(net.link_mode(), Network::LinkMode::kDense);
-  net.set_latency_policy(std::make_unique<FixedLatency>(0.5));
-  net.broadcast(0, std::make_shared<TestPayload>());
-  EXPECT_EQ(engine.pending(), 3u);  // legacy fan-out: one event per recipient
-  engine.run();
-  EXPECT_EQ(peers[1].received.size(), 1u);
-  EXPECT_EQ(peers[2].received.size(), 1u);
-  EXPECT_EQ(peers[3].received.size(), 1u);
-}
-
-TEST_F(Fixture, LinkModeSwitchRejectedAfterTraffic) {
-  net.send(0, 1, std::make_shared<TestPayload>());
-  EXPECT_THROW(net.set_link_mode(Network::LinkMode::kDense),
-               contract_violation);
 }
 
 TEST_F(Fixture, InFlightAccountingAndBusyLinks) {
@@ -254,19 +235,21 @@ TEST_F(Fixture, InFlightAccountingAndBusyLinks) {
   EXPECT_TRUE(net.busy_links().empty());
   // Drained links stay counted: active_links is ever-carried-traffic.
   EXPECT_EQ(net.active_links(), 2u);
-}
 
-TEST_F(Fixture, DenseModeDiagnosticsMatchSparseSemantics) {
-  net.set_link_mode(Network::LinkMode::kDense);
-  net.send(0, 1, std::make_shared<TestPayload>());
-  net.send(2, 3, std::make_shared<TestPayload>());
-  EXPECT_EQ(net.in_flight(0, 1), 1u);
-  EXPECT_EQ(net.total_in_flight(), 2u);
-  EXPECT_EQ(net.active_links(), 2u);
-  const std::vector<Network::BusyLink> busy = net.busy_links();
-  ASSERT_EQ(busy.size(), 2u);
-  EXPECT_EQ(busy[0].from, 0u);
-  EXPECT_EQ(busy[1].from, 2u);
+  // A broadcast-only sender's links are resolved through its shared Link.
+  net.broadcast(3, std::make_shared<TestPayload>());
+  EXPECT_EQ(net.in_flight(3, 0), 1u);
+  EXPECT_EQ(net.in_flight(3, 3), 0u);
+  EXPECT_EQ(net.active_links(), 5u);
+  const std::vector<Network::BusyLink> fanout = net.busy_links();
+  ASSERT_EQ(fanout.size(), 3u);
+  for (PeerId to = 0; to < 3; ++to) {
+    EXPECT_EQ(fanout[to].from, 3u);
+    EXPECT_EQ(fanout[to].to, to);
+    EXPECT_EQ(fanout[to].in_flight, 1u);
+  }
+  engine.run();
+  EXPECT_TRUE(net.busy_links().empty());
 }
 
 // ---- revive() semantics (regression: ghost reservations / stale inbox) ----
@@ -292,35 +275,48 @@ TEST_F(Fixture, RevivedSenderNotQueuedBehindGhostReservations) {
   EXPECT_EQ(net.total_in_flight(), 0u);
 }
 
-TEST_F(Fixture, DenseRevivedSenderNotQueuedBehindGhostReservations) {
-  net.set_link_mode(Network::LinkMode::kDense);
-  net.send(0, 1, std::make_shared<TestPayload>(640));
-  net.send(0, 1, std::make_shared<TestPayload>(640));
-  engine.schedule_at(0.5, [&] { net.crash(0); });
-  engine.schedule_at(2.0, [&] {
-    net.revive(0);
-    net.send(0, 1, std::make_shared<TestPayload>());
-  });
-  engine.run();
-  ASSERT_EQ(peers[1].received.size(), 3u);
-  EXPECT_DOUBLE_EQ(peers[1].received[0].sent_at, 2.0);
-}
+// Lazy rows: a broadcast-only sender keeps its link state in the shared
+// Link and allocates nothing more; its first divergence (here a unicast)
+// charges exactly one k-entry row; revive() clears the reservations held
+// in the shared Link before divergence and in the row after it.
+TEST_F(Fixture, SenderRowIsAllocatedOnFirstDivergence) {
+  obs::MemRegistry mem;
+  obs::MemPool& links = mem.pool("sim.network.links");
+  net.set_mem_pools(&links, nullptr, nullptr);
+  const std::uint64_t shells = links.current();
 
-// The flyweight shared Link carries broadcast reservations; revive() must
-// clear it too, or a revived peer's first broadcast queues behind its dead
-// incarnation's fan-out.
-TEST_F(Fixture, SparseReviveClearsSharedBroadcastReservations) {
-  ASSERT_EQ(net.link_mode(), Network::LinkMode::kSparse);
-  net.broadcast(0, std::make_shared<TestPayload>(640));  // arrives t=10
+  net.broadcast(0, std::make_shared<TestPayload>(640));  // shared until t=10
   engine.schedule_at(0.5, [&] { net.crash(0); });
   engine.schedule_at(2.0, [&] {
     net.revive(0);
     net.broadcast(0, std::make_shared<TestPayload>());
   });
   engine.run();
+  EXPECT_EQ(links.current(), shells);  // broadcast-only: no row
+  // The fresh wave does not queue behind the dead incarnation's fan-out;
+  // the ghost wave still settles.
   ASSERT_EQ(peers[1].received.size(), 2u);
-  EXPECT_DOUBLE_EQ(peers[1].received[0].sent_at, 2.0);  // fresh wave first
-  EXPECT_DOUBLE_EQ(peers[1].received[1].sent_at, 0.0);  // ghost wave settles
+  EXPECT_DOUBLE_EQ(peers[1].received[0].sent_at, 2.0);
+  EXPECT_DOUBLE_EQ(peers[1].received[1].sent_at, 0.0);
+
+  // t=10: the unicast diverges sender 0; its next broadcast reserves the
+  // row links individually (0->1 queues behind the unicast).
+  net.send(0, 1, std::make_shared<TestPayload>(640));
+  EXPECT_EQ(links.current(),
+            shells + obs::modeled_alloc_bytes(4 * sizeof(Network::Link)));
+  net.broadcast(0, std::make_shared<TestPayload>(640));
+  engine.schedule_at(10.5, [&] { net.crash(0); });
+  engine.schedule_at(12.0, [&] {
+    net.revive(0);
+    net.broadcast(0, std::make_shared<TestPayload>());
+  });
+  engine.run();
+  EXPECT_EQ(links.current(),
+            shells + obs::modeled_alloc_bytes(4 * sizeof(Network::Link)));
+  ASSERT_EQ(peers[2].received.size(), 4u);
+  EXPECT_DOUBLE_EQ(peers[2].received[2].sent_at, 12.0);  // row cleared
+  EXPECT_DOUBLE_EQ(engine.now(), 30.0);  // 0->1: unicast, then the wave
+  EXPECT_EQ(net.total_in_flight(), 0u);
 }
 
 // Revival starts a fresh incarnation with a fresh inbox: every copy sent

@@ -191,8 +191,7 @@ class SA002OrderedIteration(TreeCase):
         self.assertEqual(status, 0, out)
 
     def test_positive_member_of_indexed_sequence(self):
-        # vector-of-unordered, accessed through a subscript: the shape
-        # sim::Network::busy_links uses.
+        # vector-of-unordered, accessed through a subscript.
         self.write("src/dr/report.cpp",
                    "namespace asyncdr::dr {\n"
                    "std::vector<std::unordered_map<int, int>> shards_;\n"

@@ -1,10 +1,52 @@
 #include "common/bitvec.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/check.hpp"
 
+// popcount/count_and compile twice, with and without the POPCNT instruction,
+// and the loader picks one per CPU; without it std::popcount is a libgcc
+// call per word. The pick is an ifunc resolver, which runs before the
+// ThreadSanitizer runtime is up and crashes in a TSan build, so those
+// builds compile the plain loop.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define ASYNCDR_TSAN_BUILD
+#endif
+#endif
+#if defined(__x86_64__) && defined(__GNUC__) && \
+    !defined(__SANITIZE_THREAD__) && !defined(ASYNCDR_TSAN_BUILD)
+#define ASYNCDR_POPCNT_CLONES [[gnu::target_clones("popcnt", "default")]]
+#else
+#define ASYNCDR_POPCNT_CLONES
+#endif
+
 namespace asyncdr {
+namespace {
+
+constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
+
+ASYNCDR_POPCNT_CLONES
+std::size_t popcount_words(const std::uint64_t* a, std::size_t words) {
+  std::size_t total = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    total += static_cast<std::size_t>(std::popcount(a[w]));
+  }
+  return total;
+}
+
+ASYNCDR_POPCNT_CLONES
+std::size_t count_and_words(const std::uint64_t* a, const std::uint64_t* b,
+                            std::size_t words) {
+  std::size_t total = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    total += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
+  }
+  return total;
+}
+
+}  // namespace
 
 BitVec::BitVec(std::size_t n, bool value)
     : words_(word_count(n), value ? ~std::uint64_t{0} : 0), size_(n) {
@@ -21,26 +63,6 @@ BitVec BitVec::from_string(const std::string& bits) {
   return v;
 }
 
-bool BitVec::get(std::size_t i) const {
-  ASYNCDR_EXPECTS(i < size_);
-  return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
-}
-
-void BitVec::set(std::size_t i, bool value) {
-  ASYNCDR_EXPECTS(i < size_);
-  const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);
-  if (value) {
-    words_[i / kWordBits] |= mask;
-  } else {
-    words_[i / kWordBits] &= ~mask;
-  }
-}
-
-void BitVec::flip(std::size_t i) {
-  ASYNCDR_EXPECTS(i < size_);
-  words_[i / kWordBits] ^= std::uint64_t{1} << (i % kWordBits);
-}
-
 void BitVec::push_back(bool value) {
   if (size_ % kWordBits == 0) words_.push_back(0);
   ++size_;
@@ -50,19 +72,70 @@ void BitVec::push_back(bool value) {
 BitVec BitVec::slice(std::size_t pos, std::size_t len) const {
   ASYNCDR_EXPECTS(pos + len <= size_);
   BitVec out(len);
-  for (std::size_t i = 0; i < len; ++i) out.set(i, get(pos + i));
+  for (std::size_t w = 0; w < out.words_.size(); ++w) {
+    out.words_[w] = load_bits(pos + w * kWordBits);
+  }
+  out.trim_tail();
   return out;
 }
 
 void BitVec::splice(std::size_t pos, const BitVec& src) {
   ASYNCDR_EXPECTS(pos + src.size() <= size_);
-  for (std::size_t i = 0; i < src.size(); ++i) set(pos + i, src.get(i));
+  for (std::size_t w = 0; w < src.words_.size(); ++w) {
+    const std::size_t at = w * kWordBits;
+    store_bits(pos + at, src.words_[w], std::min(kWordBits, src.size_ - at));
+  }
+}
+
+BitVec BitVec::gather(const BitVec& mask) const {
+  ASYNCDR_EXPECTS(mask.size_ == size_);
+  BitVec out(mask.popcount());
+  std::size_t at = 0;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    std::uint64_t m = mask.words_[w];
+    if (m == 0) continue;
+    if (m == kAllOnes) {
+      out.store_bits(at, words_[w], kWordBits);
+      at += kWordBits;
+      continue;
+    }
+    // Pack the selected bits low-first, as a software PEXT.
+    std::uint64_t packed = 0;
+    std::size_t count = 0;
+    for (; m != 0; m &= m - 1, ++count) {
+      packed |= ((words_[w] >> std::countr_zero(m)) & 1u) << count;
+    }
+    out.store_bits(at, packed, count);
+    at += count;
+  }
+  return out;
+}
+
+void BitVec::scatter(const BitVec& mask, const BitVec& values) {
+  ASYNCDR_EXPECTS(mask.size_ == size_);
+  ASYNCDR_EXPECTS(mask.popcount() == values.size_);
+  std::size_t at = 0;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    std::uint64_t m = mask.words_[w];
+    if (m == 0) continue;
+    std::uint64_t next = values.load_bits(at);
+    if (m == kAllOnes) {
+      words_[w] = next;
+      at += kWordBits;
+      continue;
+    }
+    // Deposit the next values at the mask's bits, as a software PDEP.
+    const std::uint64_t keep = words_[w] & ~m;
+    std::uint64_t deposited = 0;
+    for (; m != 0; m &= m - 1, next >>= 1, ++at) {
+      deposited |= (next & 1u) << std::countr_zero(m);
+    }
+    words_[w] = keep | deposited;
+  }
 }
 
 std::size_t BitVec::popcount() const {
-  std::size_t total = 0;
-  for (std::uint64_t w : words_) total += static_cast<std::size_t>(std::popcount(w));
-  return total;
+  return popcount_words(words_.data(), words_.size());
 }
 
 void BitVec::or_with(const BitVec& other) {
@@ -90,11 +163,7 @@ bool BitVec::is_subset_of(const BitVec& other) const {
 
 std::size_t BitVec::count_and(const BitVec& other) const {
   ASYNCDR_EXPECTS(size_ == other.size_);
-  std::size_t total = 0;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    total += static_cast<std::size_t>(std::popcount(words_[w] & other.words_[w]));
-  }
-  return total;
+  return count_and_words(words_.data(), other.words_.data(), words_.size());
 }
 
 int BitVec::count_trailing(std::uint64_t word) {
@@ -130,6 +199,29 @@ std::uint64_t BitVec::hash() const {
 
 bool BitVec::operator==(const BitVec& other) const {
   return size_ == other.size_ && words_ == other.words_;
+}
+
+std::uint64_t BitVec::load_bits(std::size_t pos) const {
+  const std::size_t w = pos / kWordBits;
+  const std::size_t shift = pos % kWordBits;
+  std::uint64_t bits = words_[w] >> shift;
+  if (shift != 0 && w + 1 < words_.size()) {
+    bits |= words_[w + 1] << (kWordBits - shift);
+  }
+  return bits;
+}
+
+void BitVec::store_bits(std::size_t pos, std::uint64_t bits,
+                        std::size_t count) {
+  const std::size_t w = pos / kWordBits;
+  const std::size_t shift = pos % kWordBits;
+  const std::uint64_t field =
+      count == kWordBits ? kAllOnes : (std::uint64_t{1} << count) - 1;
+  words_[w] = (words_[w] & ~(field << shift)) | (bits << shift);
+  if (shift + count > kWordBits) {
+    const std::size_t spill = kWordBits - shift;
+    words_[w + 1] = (words_[w + 1] & ~(field >> spill)) | (bits >> spill);
+  }
 }
 
 void BitVec::trim_tail() {

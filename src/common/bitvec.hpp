@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
+
 namespace asyncdr {
 
 /// A dynamically sized, densely packed vector of bits.
@@ -36,9 +38,23 @@ class BitVec {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  [[nodiscard]] bool get(std::size_t i) const;
-  void set(std::size_t i, bool value);
-  void flip(std::size_t i);
+  [[nodiscard]] bool get(std::size_t i) const {
+    ASYNCDR_EXPECTS(i < size_);
+    return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
+  }
+  void set(std::size_t i, bool value) {
+    ASYNCDR_EXPECTS(i < size_);
+    const std::uint64_t bit = std::uint64_t{1} << (i % kWordBits);
+    if (value) {
+      words_[i / kWordBits] |= bit;
+    } else {
+      words_[i / kWordBits] &= ~bit;
+    }
+  }
+  void flip(std::size_t i) {
+    ASYNCDR_EXPECTS(i < size_);
+    words_[i / kWordBits] ^= std::uint64_t{1} << (i % kWordBits);
+  }
 
   /// Appends one bit at the end.
   void push_back(bool value);
@@ -48,6 +64,15 @@ class BitVec {
 
   /// Overwrites bits [pos, pos+src.size()) with the contents of `src`.
   void splice(std::size_t pos, const BitVec& src);
+
+  /// The values at the set bits of `mask`, packed in increasing index order
+  /// (mask.popcount() bits). `mask` must have this vector's size.
+  [[nodiscard]] BitVec gather(const BitVec& mask) const;
+
+  /// Inverse of gather: writes values.get(j) to the j-th set bit of `mask`
+  /// and leaves the other bits alone. Requires mask.size() == size() and
+  /// values.size() == mask.popcount().
+  void scatter(const BitVec& mask, const BitVec& values);
 
   /// Number of set bits.
   [[nodiscard]] std::size_t popcount() const;
@@ -105,6 +130,11 @@ class BitVec {
   }
   static int count_trailing(std::uint64_t word);
   void trim_tail();
+  /// The 64 bits starting at `pos` < size(); bits past size() read as zero.
+  [[nodiscard]] std::uint64_t load_bits(std::size_t pos) const;
+  /// Overwrites the `count` (1..64) bits starting at `pos` with the low
+  /// `count` bits of `bits`, whose higher bits must be zero.
+  void store_bits(std::size_t pos, std::uint64_t bits, std::size_t count);
 
   std::vector<std::uint64_t> words_;
   std::size_t size_ = 0;

@@ -39,17 +39,13 @@ MaskChunk::MaskChunk(BitVec m, BitVec vals)
 void MaskChunk::apply_to(BitVec& out, BitVec& known_mask) const {
   ASYNCDR_EXPECTS(mask.size() == out.size());
   ASYNCDR_EXPECTS(mask.size() == known_mask.size());
-  std::size_t j = 0;
-  mask.for_each_set([&](std::size_t i) { out.set(i, values.get(j++)); });
+  out.scatter(mask, values);
   known_mask.or_with(mask);
 }
 
 MaskChunk MaskChunk::extract(const BitVec& src, const BitVec& mask) {
   ASYNCDR_EXPECTS(src.size() == mask.size());
-  BitVec vals(mask.popcount());
-  std::size_t j = 0;
-  mask.for_each_set([&](std::size_t i) { vals.set(j++, src.get(i)); });
-  return MaskChunk(mask, std::move(vals));
+  return MaskChunk(mask, src.gather(mask));
 }
 
 BitChunk BitChunk::extract(const BitVec& src, const IntervalSet& idx) {

@@ -1,6 +1,8 @@
 #include "dr/world.hpp"
 #include "protocols/committee.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -19,15 +21,22 @@ bool CommitteeAssignment::is_member(sim::PeerId p, std::size_t bit) const {
   return ((p + k_ - (bit * c_) % k_) % k_) < c_;
 }
 
-std::size_t CommitteeAssignment::position(sim::PeerId p, std::size_t bit) const {
-  ASYNCDR_EXPECTS(is_member(p, bit));
-  return (p + k_ - (bit * c_) % k_) % k_;
-}
-
 std::vector<std::size_t> CommitteeAssignment::bits_of(sim::PeerId p) const {
+  // Membership of bit j depends only on (j*c) mod k: find the member
+  // residues of one period and tile them.
+  const std::size_t period = k_ / std::gcd(c_, k_);
+  std::vector<std::size_t> residues;
+  for (std::size_t s = 0; s < std::min(period, n_); ++s) {
+    if (is_member(p, s)) residues.push_back(s);
+  }
   std::vector<std::size_t> bits;
-  for (std::size_t j = 0; j < n_; ++j) {
-    if (is_member(p, j)) bits.push_back(j);
+  if (residues.empty()) return bits;
+  bits.reserve(residues.size() * ((n_ + period - 1) / period));
+  for (std::size_t base = 0; base < n_; base += period) {
+    for (std::size_t s : residues) {
+      if (base + s >= n_) break;
+      bits.push_back(base + s);
+    }
   }
   return bits;
 }
@@ -73,23 +82,24 @@ void CommitteePeer::init() {
   decided_.assign(n(), false);
   votes0_.assign(n(), 0);
   votes1_.assign(n(), 0);
-  voted_.assign(n(), std::vector<bool>(assignment_->committee_size(), false));
+  heard_.assign(k(), false);
 }
 
 void CommitteePeer::process_votes(sim::PeerId from,
                                   const committee::Votes& votes) {
-  if (from >= k()) return;
+  if (from >= k() || heard_[from]) return;
   const std::vector<std::size_t> bits = assignment_->bits_of(from);
   // A malformed (wrong-length) vote vector can only come from a Byzantine
-  // sender; drop it entirely.
+  // sender; drop it entirely, without marking the sender heard.
   if (votes.values.size() != bits.size()) return;
 
+  // A member votes once. Its first well-formed vector counts on every bit
+  // still undecided; decided bits stay decided. Any later vector from the
+  // same sender therefore has nothing left to count.
+  heard_[from] = true;
   for (std::size_t j = 0; j < bits.size(); ++j) {
     const std::size_t bit = bits[j];
     if (decided_[bit]) continue;
-    const std::size_t pos = assignment_->position(from, bit);
-    if (voted_[bit][pos]) continue;  // duplicate vote from this member
-    voted_[bit][pos] = true;
     const bool value = votes.values.get(j);
     const std::uint32_t count = value ? ++votes1_[bit] : ++votes0_[bit];
     if (count >= accept_threshold()) decide(bit, value);

@@ -28,9 +28,8 @@ class CommitteeAssignment {
   [[nodiscard]] std::size_t threshold() const { return t_ + 1; }
 
   [[nodiscard]] bool is_member(sim::PeerId p, std::size_t bit) const;
-  /// Position of p within bit's committee (0..c-1). p must be a member.
-  [[nodiscard]] std::size_t position(sim::PeerId p, std::size_t bit) const;
-  /// Bits whose committee contains p, in increasing order.
+  /// Bits whose committee contains p, in increasing order. Membership
+  /// repeats with period k / gcd(c, k), so this costs O(period + |bits|).
   [[nodiscard]] std::vector<std::size_t> bits_of(sim::PeerId p) const;
   /// The committee of a bit, in position order.
   [[nodiscard]] std::vector<sim::PeerId> members_of(std::size_t bit) const;
@@ -89,8 +88,9 @@ class CommitteePeer final : public dr::Peer {
   std::size_t decided_count_ = 0;
   // Per bit: votes received for value 0 / value 1 from distinct members.
   std::vector<std::uint32_t> votes0_, votes1_;
-  // Per bit: which committee positions have voted (dedup).
-  std::vector<std::vector<bool>> voted_;
+  // Per sender: a well-formed Votes has been counted (dedup; a member votes
+  // once for all of its bits).
+  std::vector<bool> heard_;
   bool started_ = false;
   // Termination is gated on having broadcast my own votes: an honest member
   // that finished early but silently would strand other peers below the

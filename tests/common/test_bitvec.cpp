@@ -199,5 +199,120 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BitVecProperty,
                          ::testing::Values(1, 2, 63, 64, 65, 127, 128, 129,
                                            1000, 4096));
 
+// ---- Word-level kernels against a per-bit reference. ----
+
+/// True iff v is canonical: equal (word for word) to its own bits rebuilt
+/// one at a time, i.e. the bits past size() are zero.
+bool zero_tail(const BitVec& v) {
+  return v == BitVec::from_string(v.to_string());
+}
+
+BitVec random_bits(std::size_t n, Rng& rng) {
+  return BitVec::generate(n, [&] { return rng.flip(); });
+}
+
+/// A mask whose words cycle through empty, full, sparse and dense, so the
+/// kernels meet every word shape.
+BitVec shaped_mask(std::size_t n, Rng& rng, std::size_t phase) {
+  BitVec mask(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch ((i / 64 + phase) % 4) {
+      case 0: break;
+      case 1: mask.set(i, true); break;
+      case 2: mask.set(i, rng.below(16) == 0); break;
+      default: mask.set(i, rng.below(16) != 0); break;
+    }
+  }
+  return mask;
+}
+
+class BitVecKernels : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BitVecKernels, GatherScatterMatchPerBitReference) {
+  const std::size_t n = GetParam();
+  Rng rng(n * 13 + 5);
+  for (std::size_t trial = 0; trial < 8; ++trial) {
+    const BitVec src = random_bits(n, rng);
+    const BitVec mask =
+        trial < 4 ? shaped_mask(n, rng, trial) : random_bits(n, rng);
+
+    BitVec want_gather;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (mask.get(i)) want_gather.push_back(src.get(i));
+    }
+    const BitVec gathered = src.gather(mask);
+    EXPECT_EQ(gathered, want_gather);
+    EXPECT_TRUE(zero_tail(gathered));
+
+    const BitVec values = random_bits(mask.popcount(), rng);
+    BitVec scattered = src;
+    scattered.scatter(mask, values);
+    BitVec want_scatter = src;
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (mask.get(i)) want_scatter.set(i, values.get(j++));
+    }
+    EXPECT_EQ(scattered, want_scatter);
+    EXPECT_TRUE(zero_tail(scattered));
+    EXPECT_EQ(scattered.gather(mask), values);
+  }
+}
+
+TEST_P(BitVecKernels, SliceSpliceMatchPerBitReference) {
+  const std::size_t n = GetParam();
+  Rng rng(n * 29 + 11);
+  for (int trial = 0; trial < 16; ++trial) {
+    const BitVec v = random_bits(n, rng);
+    const auto lo = static_cast<std::size_t>(rng.below(n + 1));
+    const auto len = static_cast<std::size_t>(rng.below(n - lo + 1));
+
+    const BitVec part = v.slice(lo, len);
+    BitVec want_slice(len);
+    for (std::size_t i = 0; i < len; ++i) want_slice.set(i, v.get(lo + i));
+    EXPECT_EQ(part, want_slice);
+    EXPECT_TRUE(zero_tail(part));
+
+    const BitVec src = random_bits(len, rng);
+    BitVec spliced = v;
+    spliced.splice(lo, src);
+    BitVec want_splice = v;
+    for (std::size_t i = 0; i < len; ++i) want_splice.set(lo + i, src.get(i));
+    EXPECT_EQ(spliced, want_splice);
+    EXPECT_TRUE(zero_tail(spliced));
+  }
+}
+
+TEST_P(BitVecKernels, PopcountAndCountAndMatchPerBitReference) {
+  const std::size_t n = GetParam();
+  Rng rng(n * 7 + 1);
+  for (std::size_t trial = 0; trial < 4; ++trial) {
+    const BitVec a = random_bits(n, rng);
+    const BitVec b = shaped_mask(n, rng, trial);
+    std::size_t ones = 0, both = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      ones += a.get(i) ? 1 : 0;
+      both += a.get(i) && b.get(i) ? 1 : 0;
+    }
+    EXPECT_EQ(a.popcount(), ones);
+    EXPECT_EQ(a.count_and(b), both);
+  }
+  EXPECT_EQ(BitVec(n, true).popcount(), n);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, BitVecKernels,
+                         ::testing::Values(0, 1, 63, 64, 65, 127, 16384));
+
+TEST(BitVec, GatherScatterPreconditions) {
+  const BitVec v(70);
+  EXPECT_THROW((void)v.gather(BitVec(71)), contract_violation);
+  BitVec w(70);
+  const BitVec mask =
+      BitVec::from_string(std::string(10, '1') + std::string(60, '0'));
+  EXPECT_THROW(w.scatter(mask, BitVec(9)), contract_violation);
+  EXPECT_THROW(w.scatter(BitVec(69), BitVec()), contract_violation);
+  w.scatter(mask, BitVec(10, true));
+  EXPECT_EQ(w.popcount(), 10u);
+}
+
 }  // namespace
 }  // namespace asyncdr

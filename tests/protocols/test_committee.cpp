@@ -21,7 +21,7 @@ TEST(CommitteeAssignment, RoundRobinStructure) {
     ASSERT_EQ(members.size(), 5u);
     for (std::size_t pos = 0; pos < members.size(); ++pos) {
       EXPECT_TRUE(a.is_member(members[pos], bit));
-      EXPECT_EQ(a.position(members[pos], bit), pos);
+      EXPECT_EQ(members[pos], (bit * 5 + pos) % 7);
     }
   }
 }
@@ -35,6 +35,30 @@ TEST(CommitteeAssignment, BitsOfMatchesMembership) {
   std::size_t total = 0;
   for (sim::PeerId p = 0; p < 9; ++p) total += a.bits_of(p).size();
   EXPECT_EQ(total, 64u * 7u);
+}
+
+TEST(CommitteeAssignment, BitsOfMatchesBruteForce) {
+  struct Shape {
+    std::size_t n, k, t;
+  };
+  // Period P = k / gcd(2t+1, k): gcd > 1 (k=10, t=2: P=2; k=9, t=1: P=3),
+  // n < P, n not a multiple of P, n = 0 and t = 0 (c = 1, P = k).
+  const std::vector<Shape> shapes{
+      {64, 10, 2}, {65, 10, 2}, {1, 10, 2},     {40, 9, 1},
+      {41, 9, 4},  {3, 96, 5},  {100, 96, 5},   {1000, 96, 47},
+      {50, 7, 0},  {0, 7, 3},   {17, 1, 0},     {333, 15, 7},
+      {256, 12, 1}, {255, 21, 10}};
+  for (const Shape& sh : shapes) {
+    const CommitteeAssignment a(sh.n, sh.k, sh.t);
+    for (sim::PeerId p = 0; p < sh.k; ++p) {
+      std::vector<std::size_t> want;
+      for (std::size_t j = 0; j < sh.n; ++j) {
+        if (a.is_member(p, j)) want.push_back(j);
+      }
+      EXPECT_EQ(a.bits_of(p), want)
+          << "n=" << sh.n << " k=" << sh.k << " t=" << sh.t << " p=" << p;
+    }
+  }
 }
 
 TEST(CommitteeAssignment, LoadIsBalancedWithinOne) {
@@ -123,6 +147,103 @@ TEST(Committee, BetaHalfRejected) {
   s.cfg = cfg(64, 8, 0.5);
   s.honest = make_committee();
   EXPECT_THROW(run_scenario(s), contract_violation);
+}
+
+// ---- Vote dedup: a member's votes count once. ----
+//
+// Peer 0 is the CommitteePeer under test; peers 1-4 are scripted voters
+// that send peer 0 a fixed sequence of Votes and nothing else. With k = 5
+// and t = 1 (c = 3, threshold 2) the committees peer 0 is not on are
+// {1,2,3} and {2,3,4}, so every one of its outside bits hinges on two
+// matching votes. The scripts go beyond the fault budget on purpose: they
+// test the receiver's counting rule, not the protocol's guarantee.
+enum class Vote { kTruth, kLie, kMalformed };
+
+class ScriptedVoter final : public dr::Peer {
+ public:
+  explicit ScriptedVoter(std::vector<Vote> script)
+      : script_(std::move(script)) {}
+
+  void on_start() override {
+    const CommitteeAssignment assignment(n(), k(),
+                                         world().config().max_faulty());
+    const BitVec truth = query_indices(assignment.bits_of(id()));
+    BitVec lie = truth;
+    for (std::size_t j = 0; j < lie.size(); ++j) lie.flip(j);
+    for (const Vote v : script_) {
+      BitVec values = v == Vote::kTruth ? truth
+                      : v == Vote::kLie ? lie
+                                        : BitVec(truth.size() + 1);
+      send(0, std::make_shared<committee::Votes>(std::move(values)));
+    }
+  }
+
+ protected:
+  void on_message(sim::PeerId, const sim::Payload&) override {}
+
+ private:
+  std::vector<Vote> script_;
+};
+
+struct DedupOutcome {
+  bool terminated = false;
+  bool correct = false;
+};
+
+/// Runs the five-peer world with peer p+1 following scripts[p]; messages of
+/// `slow` senders take 10 time units, the rest 0.01.
+DedupOutcome run_dedup(const std::vector<std::vector<Vote>>& scripts,
+                       std::vector<sim::PeerId> slow) {
+  Scenario s;
+  s.cfg = cfg(64, 5, 0.2);
+  s.honest = [scripts](const dr::Config&,
+                       sim::PeerId id) -> std::unique_ptr<dr::Peer> {
+    if (id == 0) return std::make_unique<CommitteePeer>();
+    return std::make_unique<ScriptedVoter>(scripts.at(id - 1));
+  };
+  s.latency = sender_delay_latency(std::move(slow), 10.0, 0.01);
+  DedupOutcome outcome;
+  s.post_run = [&](dr::World& world, const dr::RunReport&) {
+    const dr::Peer& receiver = world.peer(0);
+    outcome.terminated = receiver.terminated();
+    outcome.correct = receiver.output() == world.source().data();
+  };
+  run_scenario(s);
+  return outcome;
+}
+
+TEST(CommitteeDedup, DuplicatedVotesCountOnce) {
+  // Peer 1's lie arrives twice before any truth: counted twice it would
+  // reach the threshold on {1,2,3}'s bits.
+  const DedupOutcome out = run_dedup({{Vote::kLie, Vote::kLie},
+                                      {Vote::kTruth},
+                                      {Vote::kTruth},
+                                      {Vote::kTruth}},
+                                     {2, 3, 4});
+  EXPECT_TRUE(out.terminated);
+  EXPECT_TRUE(out.correct);
+}
+
+TEST(CommitteeDedup, MalformedVotesDoNotSilenceTheSender) {
+  // Peer 3 is silent, so {1,2,3}'s bits need peer 1's well-formed vector,
+  // which follows a malformed one.
+  const DedupOutcome out = run_dedup(
+      {{Vote::kMalformed, Vote::kTruth}, {Vote::kTruth}, {}, {Vote::kTruth}},
+      {});
+  EXPECT_TRUE(out.terminated);
+  EXPECT_TRUE(out.correct);
+}
+
+TEST(CommitteeDedup, SecondDifferentVectorIsIgnored) {
+  // Peer 1 votes the truth, then changes its mind; with peer 2's lie the
+  // second vector would reach the threshold before peer 3's truth.
+  const DedupOutcome out = run_dedup({{Vote::kTruth, Vote::kLie},
+                                      {Vote::kLie},
+                                      {Vote::kTruth},
+                                      {Vote::kTruth}},
+                                     {3, 4});
+  EXPECT_TRUE(out.terminated);
+  EXPECT_TRUE(out.correct);
 }
 
 // Beta sweep under the strongest liar.

@@ -13,6 +13,25 @@ void Engine::schedule_in(Time delay, Action action) {
 }
 
 void Engine::schedule_at(Time t, Action action) {
+  push(t, next_seq_++, std::move(action));
+}
+
+std::uint64_t Engine::reserve_seqs(std::uint64_t count) {
+  ASYNCDR_EXPECTS(count >= 1);
+  const std::uint64_t first = next_seq_;
+  next_seq_ += count;
+  reserved_ += count;
+  return first;
+}
+
+void Engine::schedule_reserved(Time t, std::uint64_t seq, Action action) {
+  ASYNCDR_EXPECTS_MSG(reserved_ > 0 && seq < next_seq_,
+                      "schedule_reserved without an outstanding reservation");
+  push(t, seq, std::move(action));
+  --reserved_;
+}
+
+void Engine::push(Time t, std::uint64_t seq, Action action) {
   ASYNCDR_EXPECTS(t >= now_);
   ASYNCDR_EXPECTS(static_cast<bool>(action));
   heap_action_bytes_ +=
@@ -29,7 +48,7 @@ void Engine::schedule_at(Time t, Action action) {
     slot = static_cast<std::uint32_t>(pool_.size());
     pool_.push_back(std::move(action));
   }
-  heap_.push_back(HeapNode{t, next_seq_++, slot});
+  heap_.push_back(HeapNode{t, seq, slot});
   sift_up(heap_.size() - 1);
   sync_mem();
 }
@@ -105,7 +124,7 @@ Engine::RunResult Engine::run(std::size_t max_events) {
     if (!step()) return result;
     ++result.events_processed;
   }
-  result.budget_exhausted = !heap_.empty();
+  result.budget_exhausted = !idle();
   return result;
 }
 

@@ -12,6 +12,12 @@
 // up to InlineAction::kInlineBytes. step() moves the action out of its slot
 // and releases the slot *before* invoking, so actions may freely re-enter
 // schedule_at / schedule_in — even from their destructors.
+//
+// Reserved sequence numbers let a producer hold a whole ordered batch while
+// only its next member sits in the heap: reserve_seqs(m) hands out m
+// consecutive seqs up front, and schedule_reserved pushes one of them later
+// under exactly the (time, seq) key an eager schedule_at would have given
+// it. pending() counts reserved-but-unscheduled numbers as pending events.
 #pragma once
 
 #include <cstdint>
@@ -44,14 +50,27 @@ class Engine {
   /// Schedules `action` at absolute time `t`. t >= now().
   void schedule_at(Time t, Action action);
 
+  /// Reserves `count` consecutive sequence numbers (count >= 1) and returns
+  /// the first. Until pushed with schedule_reserved, each counts as one
+  /// pending event.
+  std::uint64_t reserve_seqs(std::uint64_t count);
+
+  /// Schedules `action` at absolute time `t` (t >= now()) under `seq`, a
+  /// still-outstanding number from reserve_seqs. It fires exactly where an
+  /// event scheduled at `t` when `seq` was reserved would have fired.
+  void schedule_reserved(Time t, std::uint64_t seq, Action action);
+
   /// Runs one event; returns false if the queue is empty.
   bool step();
 
   /// Runs until the queue drains or `max_events` have been processed.
   RunResult run(std::size_t max_events = kDefaultEventBudget);
 
-  [[nodiscard]] bool idle() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] bool idle() const { return pending() == 0; }
+  /// Events in the heap plus reserved seqs not yet scheduled.
+  [[nodiscard]] std::size_t pending() const {
+    return heap_.size() + static_cast<std::size_t>(reserved_);
+  }
 
   /// Wires the `sim.engine.heap` accounting pool. Bytes tracked: heap
   /// node / action pool / free-list capacities plus the heap cells of
@@ -76,6 +95,8 @@ class Engine {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   }
 
+  /// Inserts `action` under the (t, seq) key.
+  void push(Time t, std::uint64_t seq, Action action);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
@@ -85,6 +106,7 @@ class Engine {
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t reserved_ = 0;  ///< reserved seqs not yet scheduled
   std::vector<HeapNode> heap_;        ///< 4-ary min-heap over (t, seq)
   std::vector<Action> pool_;          ///< action per slot, indexed by HeapNode::slot
   std::vector<std::uint32_t> free_slots_;  ///< recycled pool slots

@@ -187,11 +187,10 @@ void Network::deliver_or_drop(const Message& msg) {
   finish_delivery(msg);
 }
 
+template <typename Members>
 void Network::deliver_bucket(PeerId from, const PayloadPtr& payload,
-                             Time sent_at, std::span<const FanoutSpan> spans) {
-  std::uint64_t copies = 0;
-  for (const FanoutSpan& s : spans) copies += s.count;
-
+                             Time sent_at, std::uint64_t copies,
+                             Members&& members) {
   // Settle link state before any receiver runs: deliveries below may send
   // new traffic, and reservations must already reflect these arrivals.
   SenderLinks& sl = links_[from];
@@ -206,27 +205,20 @@ void Network::deliver_bucket(PeerId from, const PayloadPtr& payload,
     // A partial settle takes the members out of step with the rest:
     // the sender diverges (if it has not already) and settles per link.
     std::vector<Link>& row = diverge(from);
-    for (const FanoutSpan& s : spans) {
-      for (std::uint64_t j = 0; j < s.count; ++j) {
-        --row[s.to_first + j].in_flight;
-      }
-    }
+    members([&row](PeerId to, std::uint64_t) { --row[to].in_flight; });
   }
   total_in_flight_ -= copies;
   bank_.credit(payload.get(), copies);
 
-  // Deliveries in span order = recipient-ID order within the bucket.
-  // Crash state is re-checked per entry at delivery time (an earlier
-  // entry's receiver may crash a later entry's), exactly as separate
+  // Crash state is re-checked per member at delivery time (an earlier
+  // member's receiver may crash a later member's), exactly as separate
   // per-recipient events would.
   Message msg{from, kNoPeer, payload, sent_at, 0};
-  for (const FanoutSpan& s : spans) {
-    for (std::uint64_t j = 0; j < s.count; ++j) {
-      msg.to = s.to_first + j;
-      msg.id = s.id_first + j;
-      finish_delivery(msg);
-    }
-  }
+  members([&](PeerId to, std::uint64_t id) {
+    msg.to = to;
+    msg.id = id;
+    finish_delivery(msg);
+  });
 }
 
 void Network::send(PeerId from, PeerId to, PayloadPtr payload) {
@@ -265,11 +257,6 @@ void Network::broadcast(PeerId from, PayloadPtr payload) {
   // one instant and the shared Link advances ONCE after the loop. A hook or
   // stressor makes per-recipient outcomes diverge, so that path reserves
   // each link in the sender's row, as send() does.
-  struct Arrival {
-    Time at;
-    PeerId to;
-    std::uint64_t id;
-  };
   std::vector<Arrival> arrivals;
   arrivals.reserve(k_ - 1);
   SenderLinks& sl = links_[from];
@@ -302,39 +289,68 @@ void Network::broadcast(PeerId from, PayloadPtr payload) {
     ++sl.shared.in_flight;
   }
 
-  // One event per distinct arrival, scheduled in ascending order; each
-  // bucket's members in recipient-ID order. Entries equal in (at, id) are
-  // stressor duplicates of one copy and interchangeable, so this order is
-  // exactly a stable sort by arrival. A fixed-latency wave arrives already
-  // sorted; skipping its sort keeps a k-wide broadcast O(k).
+  // Buckets fire in ascending arrival order; each bucket's members in
+  // recipient-ID order. Entries equal in (at, id) are stressor duplicates
+  // of one copy and interchangeable, so this order is exactly a stable sort
+  // by arrival. A fixed-latency broadcast arrives already sorted; skipping
+  // its sort keeps a k-wide broadcast O(k).
+  if (arrivals.empty()) return;
   const auto by_arrival = [](const Arrival& a, const Arrival& b) {
     return a.at != b.at ? a.at < b.at : a.id < b.id;
   };
   if (!std::is_sorted(arrivals.begin(), arrivals.end(), by_arrival)) {
     std::sort(arrivals.begin(), arrivals.end(), by_arrival);
   }
+  if (arrivals.front().at != arrivals.back().at) {
+    launch_wave(from, payload, sent_at, std::move(arrivals));
+    return;
+  }
   SpanList spans;
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const Arrival& a = arrivals[i];
+  for (const Arrival& a : arrivals) {
     if (!spans.empty() && spans.back().to_first + spans.back().count == a.to &&
         spans.back().id_first + spans.back().count == a.id) {
       ++spans.back().count;
     } else {
       spans.push_back(FanoutSpan{a.to, a.id, 1});
     }
-    if (i + 1 == arrivals.size() || arrivals[i + 1].at != a.at) {
-      schedule_bucket(from, payload, sent_at, a.at, spans);
-    }
   }
+  schedule_bucket(from, payload, sent_at, arrivals.front().at, spans);
 }
+
+namespace {
+
+// Free helpers over Network's private bucket types (deduced, not named).
+
+/// A span-encoded bucket's members, in span order (= recipient-ID order).
+template <typename Span>
+auto span_members(std::span<const Span> spans) {
+  return [spans](auto&& fn) {
+    for (const Span& s : spans) {
+      for (std::uint64_t j = 0; j < s.count; ++j) {
+        fn(s.to_first + j, s.id_first + j);
+      }
+    }
+  };
+}
+
+/// Modeled bytes of an in-flight wave: the Wave cell plus its arrivals.
+template <typename Wave>
+std::uint64_t wave_bytes(const Wave& wave) {
+  return obs::modeled_alloc_bytes(sizeof(Wave)) +
+         obs::modeled_alloc_bytes(wave.arrivals.capacity() *
+                                  sizeof(wave.arrivals.front()));
+}
+
+}  // namespace
 
 void Network::schedule_bucket(PeerId from, const PayloadPtr& payload,
                               Time sent_at, Time at, SpanList& spans) {
   if (spans.size() == 1) {
-    // The common case under per-message latency: the span rides inline in
+    // A single span (a broadcast from peer 0 or k-1, say) rides inline in
     // the closure, which still fits InlineAction's buffer.
     auto deliver = [this, from, payload, sent_at, span = spans.front()]() {
-      deliver_bucket(from, payload, sent_at, {&span, 1});
+      deliver_bucket(from, payload, sent_at, span.count,
+                     span_members(std::span<const FanoutSpan>(&span, 1)));
     };
     static_assert(sizeof(deliver) <= InlineAction::kInlineBytes);
     engine_.schedule_at(at, std::move(deliver));
@@ -351,13 +367,65 @@ void Network::schedule_bucket(PeerId from, const PayloadPtr& payload,
   }
   engine_.schedule_at(
       at, [this, from, payload, sent_at, spans = std::move(spans)]() {
-        deliver_bucket(from, payload, sent_at, spans);
+        std::uint64_t copies = 0;
+        for (const FanoutSpan& s : spans) copies += s.count;
+        deliver_bucket(from, payload, sent_at, copies,
+                       span_members(std::span<const FanoutSpan>(spans)));
         if (fanout_pool_ != nullptr) {
           fanout_pool_->sub(obs::modeled_alloc_bytes(
               spans.capacity() * sizeof(FanoutSpan)));
         }
       });
   spans = SpanList{};
+}
+
+void Network::launch_wave(PeerId from, const PayloadPtr& payload,
+                          Time sent_at, std::vector<Arrival>&& arrivals) {
+  // Reserve one seq per distinct arrival time now, so bucket i fires under
+  // the key an eager schedule of every bucket here would have given it.
+  std::uint64_t buckets = 1;
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    if (arrivals[i].at != arrivals[i - 1].at) ++buckets;
+  }
+  auto wave = std::make_unique<Wave>(Wave{from, payload, sent_at,
+                                          engine_.reserve_seqs(buckets), 0,
+                                          std::move(arrivals)});
+  if (fanout_pool_ != nullptr) fanout_pool_->add(wave_bytes(*wave));
+  arm_wave(std::move(wave));
+}
+
+void Network::arm_wave(std::unique_ptr<Wave> wave) {
+  const Time at = wave->arrivals[wave->next].at;
+  const std::uint64_t seq = wave->next_seq++;
+  engine_.schedule_reserved(
+      at, seq, [this, wave = std::move(wave)]() mutable {
+        fire_wave(std::move(wave));
+      });
+}
+
+void Network::fire_wave(std::unique_ptr<Wave> wave) {
+  // Re-arm first: the next bucket's key (t_{i+1}, s_{i+1}) is larger than
+  // the key that just fired, so inserting it now pops the same total order
+  // as having inserted it at send time. The Wave cell stays put whether the
+  // engine re-owns it or `wave` frees it on return, so `w` outlives this
+  // bucket's deliveries either way.
+  Wave& w = *wave;
+  const std::size_t begin = w.next;
+  const Time at = w.arrivals[begin].at;
+  std::size_t end = begin + 1;
+  while (end < w.arrivals.size() && w.arrivals[end].at == at) ++end;
+  w.next = end;
+  if (end < w.arrivals.size()) {
+    arm_wave(std::move(wave));
+  } else if (fanout_pool_ != nullptr) {
+    fanout_pool_->sub(wave_bytes(w));  // the last bucket retires the wave
+  }
+  deliver_bucket(w.from, w.payload, w.sent_at, end - begin,
+                 [&w, begin, end](auto&& fn) {
+                   for (std::size_t i = begin; i < end; ++i) {
+                     fn(w.arrivals[i].to, w.arrivals[i].id);
+                   }
+                 });
 }
 
 void Network::crash(PeerId id) {

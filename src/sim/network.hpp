@@ -16,9 +16,11 @@
 // broadcast under the pre-send hook or a delivery stressor). From then on
 // the row is authoritative for that sender. A broadcast-only sender costs
 // O(1) link state; no sender ever costs more than one k-entry row. A
-// broadcast schedules one event per distinct arrival time, delivering that
-// bucket's recipients in ID order, and interns its payload body once
-// through the PayloadBank instead of per recipient.
+// broadcast delivers each distinct arrival time's recipients in ID order in
+// one bucket event, and interns its payload body once through the
+// PayloadBank instead of per recipient. A broadcast with one arrival time
+// is one engine event; one with several is a wave that keeps only its next
+// bucket in the engine heap (see DESIGN.md, "Broadcast waves").
 #pragma once
 
 #include <cstdint>
@@ -210,7 +212,8 @@ class Network {
 
   /// Wires the byte-accounting pools (all nullable):
   ///  * links    — per-sender shared Links plus the diverged rows
-  ///  * fanout   — in-flight multi-span broadcast-bucket buffers
+  ///  * fanout   — in-flight multi-span broadcast-bucket buffers and
+  ///               broadcast waves
   ///  * payloads — distinct in-flight payload bodies (PayloadBank: interned
   ///               by content, refcounted once per body regardless of
   ///               fan-out degree)
@@ -242,6 +245,26 @@ class Network {
   };
   using SpanList = std::vector<FanoutSpan>;
 
+  /// One scheduled copy of a broadcast.
+  struct Arrival {
+    Time at;
+    PeerId to;
+    std::uint64_t id;
+  };
+
+  /// A broadcast with several distinct arrival times, in flight. Its copies
+  /// are sorted by (at, id), so buckets are runs of equal `at`. Only the
+  /// next bucket sits in the engine heap, under the seq the wave reserved
+  /// for it at send time; firing a bucket re-arms the wave at the next.
+  struct Wave {
+    PeerId from;
+    PayloadPtr payload;
+    Time sent_at;
+    std::uint64_t next_seq;  ///< reserved seq of the next bucket
+    std::size_t next;        ///< first arrival of the next bucket
+    std::vector<Arrival> arrivals;
+  };
+
   /// `from`'s row, allocated (and charged to the links pool) on first use.
   std::vector<Link>& diverge(PeerId from);
 
@@ -254,16 +277,28 @@ class Network {
   /// one in-flight copy per stressor copy and calls emit(arrival) for each.
   template <typename Emit>
   void reserve_copies(const Message& msg, std::size_t units, Emit&& emit);
-  /// Schedules one broadcast bucket; takes `spans` (left empty).
+  /// Schedules a broadcast whose copies all arrive at `at` as one bucket
+  /// event; takes `spans` (left empty).
   void schedule_bucket(PeerId from, const PayloadPtr& payload, Time sent_at,
                        Time at, SpanList& spans);
+  /// Launches a broadcast over `arrivals` (sorted, several distinct times)
+  /// as a wave, charged to the fanout pool until its last bucket fires.
+  void launch_wave(PeerId from, const PayloadPtr& payload, Time sent_at,
+                   std::vector<Arrival>&& arrivals);
+  /// Pushes the wave's next bucket under its reserved seq.
+  void arm_wave(std::unique_ptr<Wave> wave);
+  /// Wave bucket event: re-arms the wave at its following bucket (or
+  /// retires it), then settles and delivers this bucket.
+  void fire_wave(std::unique_ptr<Wave> wave);
   /// Unicast delivery event: settles the link + bank, then delivers.
   void deliver_or_drop(const Message& msg);
-  /// Bucketed broadcast delivery event: settles every member's link state
-  /// (the shared Link at once when the bucket covers all of a row-less
-  /// sender's links), then delivers in span order.
+  /// Bucket delivery: settles the `copies` members' link state (the shared
+  /// Link at once when the bucket covers all of a row-less sender's links),
+  /// then delivers them in recipient-ID order. `members(fn)` calls
+  /// fn(to, id) once per member, in that order.
+  template <typename Members>
   void deliver_bucket(PeerId from, const PayloadPtr& payload, Time sent_at,
-                      std::span<const FanoutSpan> spans);
+                      std::uint64_t copies, Members&& members);
   /// Common delivery tail: revive-gate + crash check, counters, observer,
   /// receiver handoff.
   void finish_delivery(const Message& msg);

@@ -10,7 +10,8 @@
 //    Networks: one calls broadcast(), the other runs the expanded-send
 //    oracle above. Per-message observer logs, link diagnostics and unit
 //    counts must agree exactly, across crashes, revivals, multi-unit
-//    payloads, fixed and per-message latencies, mid-broadcast hook crashes
+//    payloads, fixed, per-message and grid-quantized latencies (whose
+//    broadcast waves tie with foreign events), mid-broadcast hook crashes
 //    and the chaos delivery stressor.
 //  * Six protocol scenarios pin their full trace text, their complete
 //    RunReport rendering (engine event count included) and their payload
@@ -90,11 +91,26 @@ class StreamLatency final : public sim::LatencyPolicy {
   Rng rng_;
 };
 
+/// Delays quantized to {0.25, 0.5, 0.75, 1}: the grid the script's ops sit
+/// on, so a broadcast's later buckets tie with foreign events at the same
+/// instant and only the engine's seq tie-break orders them.
+class QuantizedLatency final : public sim::LatencyPolicy {
+ public:
+  explicit QuantizedLatency(std::uint64_t seed) : rng_(seed) {}
+  sim::Time propagation(const sim::Message&) override {
+    return static_cast<sim::Time>(1 + rng_.below(4)) / 4.0;
+  }
+
+ private:
+  Rng rng_;
+};
+
 struct ScriptKnobs {
   std::uint64_t seed = 0;
   std::size_t k = 2;
   std::size_t message_bits = 8;
-  int latency = 0;  ///< 0: FixedLatency(1), 1: FixedLatency(0.5), 2: stream
+  /// 0: FixedLatency(1), 1: FixedLatency(0.5), 2: stream, 3: quantized
+  int latency = 0;
   bool hook = false;
   bool stressor = false;
 };
@@ -116,6 +132,9 @@ class Twin final : public sim::NetworkObserver {
     } else if (knobs.latency == 2) {
       net_.set_latency_policy(
           std::make_unique<StreamLatency>(knobs.seed ^ 0x1a7));
+    } else if (knobs.latency == 3) {
+      net_.set_latency_policy(
+          std::make_unique<QuantizedLatency>(knobs.seed ^ 0x9a7));
     }
     if (knobs.stressor) {
       net_.set_delivery_stressor(std::make_unique<chaos::ChaosStressor>(
@@ -266,7 +285,7 @@ ScriptKnobs knobs_for(std::uint64_t seed) {
   knobs.seed = seed;
   knobs.k = 2 + rng.below(8);
   knobs.message_bits = rng.flip() ? 8 : 64;
-  knobs.latency = static_cast<int>(rng.below(3));
+  knobs.latency = static_cast<int>(rng.below(4));
   knobs.hook = rng.below(4) == 0;
   knobs.stressor = rng.below(4) == 0;
   return knobs;
@@ -283,6 +302,7 @@ std::string describe(const ScriptKnobs& knobs) {
 TEST(BroadcastOracle, TwinNetworksAgreeOnSeededScripts) {
   constexpr std::uint64_t kScripts = 256;
   std::size_t shared_runs = 0;
+  std::size_t quantized_runs = 0;
   for (std::uint64_t seed = 1; seed <= kScripts; ++seed) {
     const ScriptKnobs knobs = knobs_for(seed);
     Twin bucketed(knobs, /*oracle=*/false);
@@ -308,9 +328,12 @@ TEST(BroadcastOracle, TwinNetworksAgreeOnSeededScripts) {
     // Bucketing is the only difference: never more events than the oracle.
     EXPECT_LE(bucketed_events, oracle_events) << describe(knobs);
     if (!knobs.hook && !knobs.stressor) ++shared_runs;
+    if (knobs.latency == 3) ++quantized_runs;
   }
-  // The shared-path broadcast (no hook, no stressor) is well covered.
+  // The shared-path broadcast (no hook, no stressor) is well covered, and
+  // so are waves tying with foreign events on the quantized grid.
   EXPECT_GT(shared_runs, kScripts / 3);
+  EXPECT_GT(quantized_runs, kScripts / 8);
 }
 
 // ---- Six protocol scenarios, pinned to golden fingerprints ----

@@ -252,6 +252,87 @@ TEST_F(Fixture, InFlightAccountingAndBusyLinks) {
   EXPECT_TRUE(net.busy_links().empty());
 }
 
+// ---- Broadcast waves (several distinct arrival times) ----
+
+/// Recipient r hears any message 0.25 * (r + 1) after it is sent, so a
+/// broadcast from peer 0 in the 4-peer fixture arrives in three buckets.
+struct ByRecipientLatency final : LatencyPolicy {
+  Time propagation(const Message& msg) override {
+    return 0.25 * static_cast<Time>(msg.to + 1);
+  }
+};
+
+struct CountingObserver final : NetworkObserver {
+  void on_deliver(const Message&) override { ++delivers; }
+  void on_drop(const Message&) override { ++drops; }
+  std::size_t delivers = 0, drops = 0;
+};
+
+// A wave keeps only its next bucket in the engine heap, but pending()
+// counts every bucket still to fire (the rest are reserved seqs), exactly
+// as the eager one-event-per-bucket schedule did.
+TEST_F(Fixture, BroadcastWavePendsOneEventPerDistinctArrival) {
+  obs::MemRegistry mem;
+  obs::MemPool& fanout = mem.pool("sim.network.fanout");
+  net.set_mem_pools(nullptr, &fanout, nullptr);
+  net.set_latency_policy(std::make_unique<ByRecipientLatency>());
+  net.broadcast(0, std::make_shared<TestPayload>());
+  EXPECT_EQ(engine.pending(), 3u);
+  EXPECT_GT(fanout.current(), 0u);  // the in-flight wave is charged
+  for (std::size_t left = 3; left > 0; --left) {
+    ASSERT_EQ(engine.pending(), left);
+    ASSERT_TRUE(engine.step());
+    EXPECT_EQ(engine.pending(), left - 1);
+    // Bucket 4 - left (recipient 4 - left) has just been delivered.
+    EXPECT_EQ(peers[4 - left].received.size(), 1u);
+    EXPECT_DOUBLE_EQ(engine.now(), 0.25 * static_cast<Time>(5 - left));
+    EXPECT_EQ(net.total_in_flight(), left - 1);
+  }
+  EXPECT_TRUE(engine.idle());
+  EXPECT_EQ(fanout.current(), 0u);  // credited when the last bucket fired
+  EXPECT_GT(fanout.peak(), 0u);
+  EXPECT_EQ(net.payload_bank().live_refs(), 0u);
+}
+
+TEST_F(Fixture, RecipientCrashedMidWaveLosesOnlyItsOwnCopy) {
+  CountingObserver obs;
+  net.set_observer(&obs);
+  net.set_latency_policy(std::make_unique<ByRecipientLatency>());
+  net.broadcast(0, std::make_shared<TestPayload>());
+  // Between bucket 1 (t=0.5) and bucket 2 (t=0.75): crash recipient 3,
+  // whose bucket comes last.
+  engine.schedule_at(0.6, [&] { net.crash(3); });
+  engine.run();
+  EXPECT_EQ(peers[1].received.size(), 1u);
+  EXPECT_EQ(peers[2].received.size(), 1u);
+  EXPECT_TRUE(peers[3].received.empty());
+  EXPECT_EQ(obs.delivers, 2u);
+  EXPECT_EQ(obs.drops, 1u);
+  EXPECT_EQ(net.total_in_flight(), 0u);
+  EXPECT_EQ(net.in_flight(0, 3), 0u);
+}
+
+// A run cut off mid-wave: the Network's teardown audit (which aborts on a
+// mismatch) must find the wave's undelivered copies explained, and the
+// engine, destroyed after the Network, frees the wave without touching it.
+TEST(NetworkWave, CutoffMidWavePassesTeardownAudit) {
+  Engine engine;
+  Recorder peers[4];
+  {
+    Network net(engine, 4, 64);
+    for (PeerId i = 0; i < 4; ++i) net.attach(i, &peers[i]);
+    net.set_latency_policy(std::make_unique<ByRecipientLatency>());
+    net.broadcast(0, std::make_shared<TestPayload>());
+    const Engine::RunResult cut = engine.run(1);
+    EXPECT_TRUE(cut.budget_exhausted);
+    EXPECT_EQ(engine.pending(), 2u);
+    EXPECT_EQ(net.total_in_flight(), 2u);
+    EXPECT_EQ(net.payload_bank().live_refs(), net.total_in_flight());
+  }
+  EXPECT_EQ(peers[1].received.size(), 1u);
+  EXPECT_EQ(engine.pending(), 2u);
+}
+
 // ---- revive() semantics (regression: ghost reservations / stale inbox) ----
 
 // Regression: revive() used to clear only crashed_[id]. The dead

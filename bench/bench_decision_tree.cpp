@@ -3,6 +3,8 @@
 // for it (internal nodes = candidates - 1, path queries <= depth). This
 // bench regenerates that accounting: cost vs candidate-set size and vs
 // adversarial candidate shapes.
+#include <set>
+
 #include "bench_common.hpp"
 
 #include "common/rng.hpp"

@@ -4,6 +4,8 @@
 // the experiment benches' runtimes can be attributed.
 #include <benchmark/benchmark.h>
 
+#include <set>
+
 #include "common/bitvec.hpp"
 #include "common/interval_set.hpp"
 #include "common/rng.hpp"

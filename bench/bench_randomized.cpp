@@ -10,6 +10,8 @@
 //       failures show up as extra queries, not wrong outputs).
 //   (d) Ablation: threshold tau sensitivity, and decision trees vs naive
 //       majority voting under vote stuffing (majority voting is WRONG).
+#include <set>
+
 #include "bench_common.hpp"
 
 #include "dr/world.hpp"

@@ -14,6 +14,7 @@
 //
 //   build/examples/byzantine_storm
 #include <cstdio>
+#include <set>
 
 #include "common/stats.hpp"
 #include "dr/world.hpp"

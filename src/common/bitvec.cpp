@@ -26,6 +26,8 @@ namespace asyncdr {
 namespace {
 
 constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 ASYNCDR_POPCNT_CLONES
 std::size_t popcount_words(const std::uint64_t* a, std::size_t words) {
@@ -111,13 +113,13 @@ BitVec BitVec::gather(const BitVec& mask) const {
   return out;
 }
 
-void BitVec::scatter(const BitVec& mask, const BitVec& values) {
+void BitVec::scatter(const SparseMask& mask, const BitVec& values) {
   ASYNCDR_EXPECTS(mask.size_ == size_);
   ASYNCDR_EXPECTS(mask.popcount() == values.size_);
   std::size_t at = 0;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t m = mask.words_[w];
-    if (m == 0) continue;
+  for (const SparseMask::Word& word : mask.words_) {
+    const std::size_t w = word.index;
+    std::uint64_t m = word.bits;
     std::uint64_t next = values.load_bits(at);
     if (m == kAllOnes) {
       words_[w] = next;
@@ -141,6 +143,11 @@ std::size_t BitVec::popcount() const {
 void BitVec::or_with(const BitVec& other) {
   ASYNCDR_EXPECTS(size_ == other.size_);
   for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
+}
+
+void BitVec::or_with(const SparseMask& other) {
+  ASYNCDR_EXPECTS(size_ == other.size_);
+  for (const SparseMask::Word& m : other.words_) words_[m.index] |= m.bits;
 }
 
 void BitVec::and_with(const BitVec& other) {
@@ -189,10 +196,10 @@ std::string BitVec::to_string() const {
 }
 
 std::uint64_t BitVec::hash() const {
-  std::uint64_t h = 14695981039346656037ull ^ size_;
+  std::uint64_t h = kFnvOffset ^ size_;
   for (std::uint64_t w : words_) {
     h ^= w;
-    h *= 1099511628211ull;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -228,6 +235,43 @@ void BitVec::trim_tail() {
   if (size_ % kWordBits != 0 && !words_.empty()) {
     words_.back() &= (std::uint64_t{1} << (size_ % kWordBits)) - 1;
   }
+}
+
+// ---- SparseMask ----
+
+SparseMask::SparseMask(const BitVec& dense) : size_(dense.size_) {
+  std::size_t nonzero = 0;
+  for (std::uint64_t w : dense.words_) nonzero += w != 0 ? 1 : 0;
+  words_.reserve(nonzero);
+  for (std::size_t w = 0; w < dense.words_.size(); ++w) {
+    if (dense.words_[w] != 0) words_.push_back(Word{w, dense.words_[w]});
+  }
+}
+
+std::size_t SparseMask::popcount() const {
+  std::size_t count = 0;
+  for (const Word& m : words_) count += static_cast<std::size_t>(std::popcount(m.bits));
+  return count;
+}
+
+BitVec SparseMask::to_dense() const {
+  BitVec dense(size_);
+  dense.or_with(*this);
+  return dense;
+}
+
+std::uint64_t SparseMask::hash() const {
+  // BitVec::hash over the dense words, the absent ones read as zero.
+  std::uint64_t h = kFnvOffset ^ size_;
+  auto next = words_.begin();
+  for (std::size_t w = 0; w < BitVec::word_count(size_); ++w) {
+    if (next != words_.end() && next->index == w) {
+      h ^= next->bits;
+      ++next;
+    }
+    h *= kFnvPrime;
+  }
+  return h;
 }
 
 }  // namespace asyncdr

@@ -13,6 +13,8 @@
 
 namespace asyncdr {
 
+class SparseMask;
+
 /// A dynamically sized, densely packed vector of bits.
 ///
 /// Invariant: bits at positions >= size() inside the last storage word are
@@ -72,7 +74,7 @@ class BitVec {
   /// Inverse of gather: writes values.get(j) to the j-th set bit of `mask`
   /// and leaves the other bits alone. Requires mask.size() == size() and
   /// values.size() == mask.popcount().
-  void scatter(const BitVec& mask, const BitVec& values);
+  void scatter(const SparseMask& mask, const BitVec& values);
 
   /// Number of set bits.
   [[nodiscard]] std::size_t popcount() const;
@@ -81,6 +83,7 @@ class BitVec {
 
   /// this |= other.
   void or_with(const BitVec& other);
+  void or_with(const SparseMask& other);
   /// this &= other.
   void and_with(const BitVec& other);
   /// this &= ~other.
@@ -136,7 +139,45 @@ class BitVec {
   /// `count` bits of `bits`, whose higher bits must be zero.
   void store_bits(std::size_t pos, std::uint64_t bits, std::size_t count);
 
+  friend class SparseMask;
+
   std::vector<std::uint64_t> words_;
+  std::size_t size_ = 0;
+};
+
+/// A length-n bit mask that keeps only its nonzero 64-bit words. It has the
+/// content, equality and hash() of the BitVec it was built from, in heap
+/// proportional to the words holding set bits instead of to n: the form for
+/// sparse masks that are kept alive in bulk, such as the index sets of
+/// in-flight crash_multi responses (protocols/chunk.hpp).
+class SparseMask {
+ public:
+  SparseMask() = default;
+  explicit SparseMask(const BitVec& dense);
+
+  /// Length n of the mask (not its heap size).
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t popcount() const;
+  [[nodiscard]] BitVec to_dense() const;
+  /// Equals to_dense().hash().
+  [[nodiscard]] std::uint64_t hash() const;
+
+  bool operator==(const SparseMask& other) const = default;
+
+  /// Raw heap bytes behind this mask.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return words_.capacity() * sizeof(Word);
+  }
+
+ private:
+  friend class BitVec;
+  struct Word {
+    std::size_t index;   ///< position in the dense word array
+    std::uint64_t bits;  ///< nonzero
+    bool operator==(const Word& other) const = default;
+  };
+
+  std::vector<Word> words_;  ///< increasing index
   std::size_t size_ = 0;
 };
 

@@ -97,6 +97,10 @@ void Peer::begin_phase(std::string name) {
 void Peer::finish(BitVec output) {
   ASYNCDR_EXPECTS_MSG(!terminated_, "finish() called twice");
   terminated_ = true;
+  if (!world_->faulty_[id_]) {
+    ASYNCDR_INVARIANT(world_->running_nonfaulty_ > 0);
+    --world_->running_nonfaulty_;
+  }
   output_ = std::move(output);
   termination_time_ = now();
   world_->phase_tracker_.close(id_, termination_time_);

@@ -22,8 +22,9 @@ std::string StallReport::to_string() const {
      << ", pending_events=" << pending_events
      << ", crashed_peers=" << crashed_peers << "}\n";
   if (stuck_peers.empty()) {
-    os << "  (no stuck peers: every nonfaulty peer terminated; the budget "
-          "cut off leftover in-flight traffic)\n";
+    os << "  (no stuck peers: every nonfaulty peer terminated, but the budget "
+          "ran out while a scheduled event or a revivable peer could still "
+          "change the outcome)\n";
   }
   for (const PeerState& p : stuck_peers) {
     os << "  stuck peer " << p.id << ": ";
@@ -154,9 +155,22 @@ Peer& World::peer(sim::PeerId id) {
 
 void World::mark_faulty(sim::PeerId id) {
   ASYNCDR_EXPECTS(id < cfg_.k);
-  faulty_[id] = true;
+  set_faulty(id, true);
   ASYNCDR_EXPECTS_MSG(faulty_count() <= cfg_.max_faulty(),
                       "adversary exceeded the fault budget t = beta*k");
+}
+
+void World::set_faulty(sim::PeerId id, bool faulty) {
+  if (faulty_[id] == faulty) return;
+  faulty_[id] = faulty;
+  // Before run() the count is not kept; run() computes it from scratch.
+  if (!ran_ || peers_[id]->terminated()) return;
+  if (faulty) {
+    ASYNCDR_INVARIANT(running_nonfaulty_ > 0);
+    --running_nonfaulty_;
+  } else {
+    ++running_nonfaulty_;
+  }
 }
 
 bool World::is_faulty(sim::PeerId id) const {
@@ -179,7 +193,7 @@ void World::schedule_crash_at(sim::PeerId id, sim::Time t) {
 
 void World::crash_now(sim::PeerId id) {
   if (net_.is_crashed(id)) return;
-  faulty_[id] = true;  // budget was charged when the crash was armed
+  set_faulty(id, true);  // budget was charged when the crash was armed
   net_.crash(id);
   if (trace_) trace_->record_crash(engine_.now(), id);
   const auto it = auto_restart_delay_.find(id);
@@ -326,7 +340,7 @@ void World::do_restart(sim::PeerId id) {
   peers_[id] = std::move(fresh);
   // The revived peer re-enters the correctness predicate: it must download
   // the full input (or the run is wrong), and its queries count again.
-  faulty_[id] = false;
+  set_faulty(id, false);
 
   if (trace_) {
     trace_->record_note(engine_.now(), id,
@@ -381,11 +395,32 @@ void World::begin_phase(sim::PeerId peer, std::string name) {
   phase_tracker_.begin(peer, std::move(name), engine_.now());
 }
 
+bool World::revival_armed() const {
+  for (const auto& [id, delay] : auto_restart_delay_) {
+    if (net_.is_crashed(id) || peers_[id]->terminated()) continue;
+    if (sends_remaining_.contains(id) || crash_point_kills_.contains(id)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool World::outcome_fixed() const {
+  // (a) every nonfaulty peer has terminated; (b) nothing but deliveries is
+  // pending — no start, crash, restart, or caller event (journal
+  // corruption, source mutation) that could still change the report; (c)
+  // no delivery can crash a peer into a scheduled revival.
+  return running_nonfaulty_ == 0 &&
+         net_.pending_events() == engine_.pending() && !revival_armed();
+}
+
 RunReport World::run(std::size_t max_events) {
   ASYNCDR_EXPECTS_MSG(!ran_, "World::run may only be called once");
   ran_ = true;
+  running_nonfaulty_ = 0;
   for (sim::PeerId id = 0; id < cfg_.k; ++id) {
     ASYNCDR_EXPECTS_MSG(peers_[id] != nullptr, "peer not set: " + std::to_string(id));
+    if (!faulty_[id]) ++running_nonfaulty_;
     // Dereference peers_[id] at fire time, not here: a recovery world may
     // have replaced the peer with a fresh incarnation by then.
     engine_.schedule_at(start_times_[id], [this, id] {
@@ -405,10 +440,12 @@ RunReport World::run(std::size_t max_events) {
   // Drive the engine step by step instead of engine_.run(): the memory
   // timeline samples on an event-count epoch, and sampling from out here
   // injects no engine events and writes nothing into the trace — both
-  // would break the A/B byte-identical-trace contract. The budget
-  // semantics are exactly engine_.run()'s.
+  // would break the A/B byte-identical-trace contract. The loop also stops
+  // at the first event after which the outcome is fixed; the budget counts
+  // as exhausted only if it ran out first.
   sim::Engine::RunResult run_result;
   {
+    bool fixed = false;
     constexpr std::uint64_t kMaxSamples = 256;
     std::uint64_t epoch = 1024;
     std::uint64_t next_sample = epoch;
@@ -431,9 +468,14 @@ RunReport World::run(std::size_t max_events) {
         }
         next_sample = mem_timeline_.samples.back().events + epoch;
       }
+      if (outcome_fixed()) {
+        fixed = true;
+        break;
+      }
     }
-    run_result.budget_exhausted =
-        run_result.events_processed >= max_events && !engine_.idle();
+    run_result.budget_exhausted = !fixed &&
+                                  run_result.events_processed >= max_events &&
+                                  !engine_.idle();
     sample_mem(run_result.events_processed);
   }
 

@@ -27,8 +27,8 @@
 namespace asyncdr::dr {
 
 /// Diagnostics emitted when a run stalls: the event budget was exhausted or
-/// nonfaulty peers were left unterminated at quiescence. Names the stuck
-/// peers, what each last did (and says it is waiting on, via
+/// nonfaulty peers were left unterminated when the engine went idle. Names
+/// the stuck peers, what each last did (and says it is waiting on, via
 /// Peer::status()), and which links still carried in-flight messages.
 struct StallReport {
   struct PeerState {
@@ -101,6 +101,8 @@ struct RunReport {
   std::uint64_t message_complexity = 0;  ///< M: unit messages by nonfaulty
   std::uint64_t payload_messages = 0;    ///< send() calls by nonfaulty
   std::uint64_t total_queries = 0;       ///< sum of bits queried, nonfaulty
+  /// Engine events processed before the run stopped: at the event that
+  /// fixed the outcome, when the engine went idle, or at the budget.
   std::size_t events = 0;
 
   std::vector<std::size_t> per_peer_queries;  ///< indexed by peer id
@@ -255,8 +257,13 @@ class World : private sim::NetworkObserver {
     return phase_tracker_.spans();
   }
 
-  /// Runs to quiescence (or the event budget) and reports. If the run
-  /// stalls, the report's `stall` field carries the rendered StallReport.
+  /// Runs until the outcome is fixed (see DESIGN.md, "Run completion"),
+  /// the engine is idle, or the event budget is spent, and reports. The
+  /// outcome is fixed once no nonfaulty peer is still running, every pending
+  /// event is a network delivery, and no delivery can revive a peer: what
+  /// is left can reach only peers that ignore it or faulty ones, so nothing
+  /// in the report can move. If the run stalls, the report's `stall` field
+  /// carries the rendered StallReport.
   RunReport run(std::size_t max_events = sim::Engine::kDefaultEventBudget);
 
   /// Builds the stall diagnostics for the current world state (normally
@@ -291,6 +298,17 @@ class World : private sim::NetworkObserver {
   /// Polls the epoch-sampled pools (peer/source state) and appends one
   /// timeline sample at `events` processed.
   void sample_mem(std::uint64_t events);
+
+  /// Every write to faulty_ goes through here, so the running-nonfaulty
+  /// count stays exact once run() has computed it.
+  void set_faulty(sim::PeerId id, bool faulty);
+  /// The run-completion test, evaluated after every event.
+  [[nodiscard]] bool outcome_fixed() const;
+  /// True iff a live (uncrashed, unterminated) peer holds a delivery-driven
+  /// crash trigger — a crash_after_sends count or a crash-point kill —
+  /// together with a restart_on_crash policy: a delivery could then crash
+  /// it and schedule its revival as a nonfaulty peer.
+  [[nodiscard]] bool revival_armed() const;
 
   /// Immediate crash: marks faulty, severs the network, traces, and fires
   /// the auto-restart policy. Every crash site funnels through here.
@@ -335,6 +353,8 @@ class World : private sim::NetworkObserver {
   PhaseTracker phase_tracker_;
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<bool> faulty_;
+  /// Nonfaulty peers not yet terminated; computed when run() starts.
+  std::size_t running_nonfaulty_ = 0;
   std::vector<sim::Time> start_times_;
   std::map<sim::PeerId, std::uint64_t> sends_remaining_;  // crash_after_sends
   // Crash-recovery state (all empty/null on crash-stop worlds).

@@ -22,7 +22,7 @@ void TwoCyclePeer::on_start() {
   const Interval b = layout_->bounds(my_pick_);
   my_value_ = query_range(b.lo, b.length());
   bank_->record(my_pick_, id(), my_value_);
-  reporters_.insert(id());
+  reporters_.insert(id(), k());
   broadcast(std::make_shared<rnd::Report>(1, my_pick_, my_value_));
   started_ = true;
   try_decide();
@@ -41,7 +41,7 @@ void TwoCyclePeer::on_message(sim::PeerId from, const sim::Payload& payload) {
   if (report->cycle != 1 || report->seg >= params_.segments) return;
   if (report->value.size() != layout_->length(report->seg)) return;
   bank_->record(report->seg, from, report->value);
-  reporters_.insert(from);
+  reporters_.insert(from, k());
   try_decide();
 }
 

@@ -13,11 +13,10 @@
 // Q = n/s + O(k) ~ O~(n / ((1-2 beta) k) + k) with high probability.
 #pragma once
 
-#include <set>
-
 #include "dr/peer.hpp"
 #include "protocols/frequent.hpp"
 #include "protocols/params.hpp"
+#include "protocols/peer_set.hpp"
 #include "protocols/segments.hpp"
 #include "sim/message.hpp"
 
@@ -63,7 +62,7 @@ class TwoCyclePeer final : public dr::Peer {
   RandParams params_;
   std::unique_ptr<SegmentLayout> layout_;
   std::unique_ptr<StringBank> bank_;
-  std::set<sim::PeerId> reporters_;
+  PeerSet reporters_;
   std::size_t my_pick_ = 0;
   BitVec my_value_;
   bool started_ = false;

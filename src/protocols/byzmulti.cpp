@@ -36,7 +36,7 @@ void MultiCyclePeer::on_start() {
   const Interval b = layouts_[0].bounds(my_pick_);
   my_value_ = query_range(b.lo, b.length());
   banks_[0].record(my_pick_, id(), my_value_);
-  reporters_[0].insert(id());
+  reporters_[0].insert(id(), k());
   broadcast(std::make_shared<rnd::Report>(1, my_pick_, my_value_));
   started_ = true;
   try_advance();
@@ -54,7 +54,7 @@ void MultiCyclePeer::on_message(sim::PeerId from, const sim::Payload& payload) {
   if (report->seg >= layout.count()) return;
   if (report->value.size() != layout.length(report->seg)) return;
   banks_[report->cycle - 1].record(report->seg, from, report->value);
-  reporters_[report->cycle - 1].insert(from);
+  reporters_[report->cycle - 1].insert(from, k());
   try_advance();
 }
 
@@ -92,7 +92,7 @@ void MultiCyclePeer::start_cycle(std::size_t j) {
 
   if (j < total_cycles_) {
     banks_[j - 1].record(pick, id(), value);
-    reporters_[j - 1].insert(id());
+    reporters_[j - 1].insert(id(), k());
     broadcast(std::make_shared<rnd::Report>(j, pick, value));
     return;
   }

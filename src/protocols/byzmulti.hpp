@@ -12,13 +12,13 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "dr/peer.hpp"
 #include "protocols/byz2cycle.hpp"
 #include "protocols/frequent.hpp"
 #include "protocols/params.hpp"
+#include "protocols/peer_set.hpp"
 #include "protocols/segments.hpp"
 
 namespace asyncdr::proto {
@@ -48,7 +48,7 @@ class MultiCyclePeer final : public dr::Peer {
   // layouts_[j-1] is the layout of cycle j; the last one has one segment.
   std::vector<SegmentLayout> layouts_;
   std::vector<StringBank> banks_;               // banks_[j-1]: cycle-j reports
-  std::vector<std::set<sim::PeerId>> reporters_;  // per cycle
+  std::vector<PeerSet> reporters_;              // per cycle
   std::size_t total_cycles_ = 0;
 
   std::size_t cycle_ = 0;  // current cycle (1-based); 0 = not started

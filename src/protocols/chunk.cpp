@@ -31,8 +31,8 @@ void BitChunk::apply_to(BitVec& out, IntervalSet& known) const {
   known.unite(indices);
 }
 
-MaskChunk::MaskChunk(BitVec m, BitVec vals)
-    : mask(std::move(m)), values(std::move(vals)) {
+MaskChunk::MaskChunk(const BitVec& m, BitVec vals)
+    : mask(m), values(std::move(vals)) {
   ASYNCDR_EXPECTS(mask.popcount() == values.size());
 }
 

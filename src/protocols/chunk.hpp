@@ -42,13 +42,15 @@ struct BitChunk {
 /// intervals. The mask is never charged on the wire: in Algorithm 2 every
 /// index set is deducible from the protocol's shared rules plus the short
 /// unheard-peer history the requests already carry, so only the data bits
-/// (plus a small header) count — exactly the paper's accounting.
+/// (plus a small header) count — exactly the paper's accounting. In memory
+/// the mask is a SparseMask: a chunk holds one peer's share of the unknown
+/// bits, a sliver of n, and thousands of chunks can be in flight at once.
 struct MaskChunk {
-  BitVec mask;    ///< length-n mask: 1 = value present
-  BitVec values;  ///< mask.popcount() values, in increasing index order
+  SparseMask mask;  ///< length-n mask: 1 = value present
+  BitVec values;    ///< mask.popcount() values, in increasing index order
 
   MaskChunk() = default;
-  MaskChunk(BitVec m, BitVec vals);
+  MaskChunk(const BitVec& m, BitVec vals);
 
   [[nodiscard]] std::size_t count() const { return values.size(); }
   [[nodiscard]] bool empty() const { return values.empty(); }

@@ -181,6 +181,7 @@ void Network::finish_delivery(const Message& msg) {
 }
 
 void Network::deliver_or_drop(const Message& msg) {
+  --pending_events_;
   --links_[msg.from].row[msg.to].in_flight;
   --total_in_flight_;
   bank_.credit(msg.payload.get(), 1);
@@ -191,6 +192,7 @@ template <typename Members>
 void Network::deliver_bucket(PeerId from, const PayloadPtr& payload,
                              Time sent_at, std::uint64_t copies,
                              Members&& members) {
+  --pending_events_;
   // Settle link state before any receiver runs: deliveries below may send
   // new traffic, and reservations must already reflect these arrivals.
   SenderLinks& sl = links_[from];
@@ -235,6 +237,7 @@ void Network::send(PeerId from, PeerId to, PayloadPtr payload) {
   account_send(msg, units);
   reserve_copies(msg, units, [&](Time at) {
     engine_.schedule_at(at, [this, msg]() { deliver_or_drop(msg); });
+    ++pending_events_;
   });
 }
 
@@ -345,6 +348,7 @@ std::uint64_t wave_bytes(const Wave& wave) {
 
 void Network::schedule_bucket(PeerId from, const PayloadPtr& payload,
                               Time sent_at, Time at, SpanList& spans) {
+  ++pending_events_;
   if (spans.size() == 1) {
     // A single span (a broadcast from peer 0 or k-1, say) rides inline in
     // the closure, which still fits InlineAction's buffer.
@@ -390,6 +394,7 @@ void Network::launch_wave(PeerId from, const PayloadPtr& payload,
   auto wave = std::make_unique<Wave>(Wave{from, payload, sent_at,
                                           engine_.reserve_seqs(buckets), 0,
                                           std::move(arrivals)});
+  pending_events_ += buckets;
   if (fanout_pool_ != nullptr) fanout_pool_->add(wave_bytes(*wave));
   arm_wave(std::move(wave));
 }

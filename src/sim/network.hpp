@@ -180,6 +180,11 @@ class Network {
   [[nodiscard]] std::uint64_t in_flight(PeerId from, PeerId to) const;
   /// Sum of in_flight over all links. O(1): maintained, not recomputed.
   [[nodiscard]] std::uint64_t total_in_flight() const { return total_in_flight_; }
+  /// Engine events this network owns and has not fired yet: one per
+  /// scheduled unicast copy, one per bucket event, and one per reserved
+  /// wave bucket. O(1). Equal to Engine::pending() exactly when every
+  /// pending event is a delivery (dr::World's run-completion test).
+  [[nodiscard]] std::size_t pending_events() const { return pending_events_; }
   /// Directed links that have ever carried traffic. A broadcast-only
   /// sender's whole fan-out is counted through its shared Link.
   [[nodiscard]] std::size_t active_links() const;
@@ -327,6 +332,7 @@ class Network {
   std::vector<Time> last_send_at_;
   std::vector<Time> last_delivery_at_;
   std::uint64_t total_in_flight_ = 0;
+  std::size_t pending_events_ = 0;  ///< see pending_events()
   std::uint64_t total_deliveries_ = 0;
   std::uint64_t next_message_id_ = 0;
   std::unique_ptr<LatencyPolicy> latency_;

@@ -246,7 +246,7 @@ TEST_P(BitVecKernels, GatherScatterMatchPerBitReference) {
 
     const BitVec values = random_bits(mask.popcount(), rng);
     BitVec scattered = src;
-    scattered.scatter(mask, values);
+    scattered.scatter(SparseMask(mask), values);
     BitVec want_scatter = src;
     std::size_t j = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -299,6 +299,30 @@ TEST_P(BitVecKernels, PopcountAndCountAndMatchPerBitReference) {
   EXPECT_EQ(BitVec(n, true).popcount(), n);
 }
 
+TEST_P(BitVecKernels, SparseMaskMatchesDense) {
+  const std::size_t n = GetParam();
+  Rng rng(n * 31 + 3);
+  for (std::size_t trial = 0; trial < 8; ++trial) {
+    const BitVec mask =
+        trial < 4 ? shaped_mask(n, rng, trial) : random_bits(n, rng);
+    const SparseMask sparse(mask);
+    EXPECT_EQ(sparse.size(), n);
+    EXPECT_EQ(sparse.popcount(), mask.popcount());
+    EXPECT_EQ(sparse.to_dense(), mask);
+    EXPECT_EQ(sparse.hash(), mask.hash());
+
+    const BitVec src = random_bits(n, rng);
+    BitVec dense_or = src;
+    dense_or.or_with(mask);
+    BitVec sparse_or = src;
+    sparse_or.or_with(sparse);
+    EXPECT_EQ(sparse_or, dense_or);
+
+    const BitVec other = random_bits(n, rng);
+    EXPECT_EQ(SparseMask(other) == sparse, other == mask);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, BitVecKernels,
                          ::testing::Values(0, 1, 63, 64, 65, 127, 16384));
 
@@ -308,10 +332,24 @@ TEST(BitVec, GatherScatterPreconditions) {
   BitVec w(70);
   const BitVec mask =
       BitVec::from_string(std::string(10, '1') + std::string(60, '0'));
-  EXPECT_THROW(w.scatter(mask, BitVec(9)), contract_violation);
-  EXPECT_THROW(w.scatter(BitVec(69), BitVec()), contract_violation);
-  w.scatter(mask, BitVec(10, true));
+  const SparseMask sparse(mask);
+  EXPECT_THROW(w.scatter(sparse, BitVec(9)), contract_violation);
+  EXPECT_THROW(w.scatter(SparseMask(BitVec(69)), BitVec()), contract_violation);
+  w.scatter(sparse, BitVec(10, true));
   EXPECT_EQ(w.popcount(), 10u);
+  BitVec shorter(69);
+  EXPECT_THROW(shorter.or_with(sparse), contract_violation);
+}
+
+TEST(SparseMask, KeepsOnlyNonzeroWords) {
+  BitVec block(1 << 14);
+  for (std::size_t i = 4000; i < 4170; ++i) block.set(i, true);
+  const SparseMask sparse(block);
+  // 170 bits from 4000 on touch words 62..65: four words, not n/64 = 256.
+  EXPECT_EQ(sparse.memory_bytes(), 4 * (sizeof(std::size_t) + 8));
+  EXPECT_EQ(SparseMask(BitVec(1 << 14)).memory_bytes(), 0u);
+  EXPECT_EQ(SparseMask(BitVec(1 << 14)).hash(), BitVec(1 << 14).hash());
+  EXPECT_NE(SparseMask(BitVec(64)), SparseMask(BitVec(65)));
 }
 
 }  // namespace

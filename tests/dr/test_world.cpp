@@ -220,6 +220,167 @@ TEST(World, BudgetExhaustionProducesAStallReportWithBusyLinks) {
   EXPECT_NE(r.stall.find("in flight"), std::string::npos) << r.stall;
 }
 
+// ---- Run completion: the run stops once its outcome is fixed ----
+
+/// Broadcasts a Ping, then downloads everything and finishes.
+struct PingThenQueryAllPeer final : Peer {
+  void on_start() override {
+    broadcast(std::make_shared<Ping>());
+    finish(query_range(0, n()));
+  }
+  void on_message(sim::PeerId, const sim::Payload&) override {}
+};
+
+/// Answers every delivery.
+struct EchoPeer final : Peer {
+  void on_start() override {}
+  void on_message(sim::PeerId from, const sim::Payload&) override {
+    send(from, std::make_shared<Ping>());
+  }
+};
+
+World::RestartFactory query_all_factory() {
+  return [](const Config&, sim::PeerId) {
+    return std::make_unique<QueryAllPeer>();
+  };
+}
+
+TEST(WorldCompletion, StopsAfterTheLastStartWhenOnlyIgnoredTrafficRemains) {
+  // Naive peers finish inside on_start; the faulty peer's broadcast reaches
+  // only terminated peers. After the k start events nothing pending can
+  // change the report.
+  Config cfg{.n = 32, .k = 4, .beta = 0.25, .message_bits = 16, .seed = 1};
+  World w(cfg, BitVec(32));
+  for (sim::PeerId i = 0; i < 3; ++i) {
+    w.set_peer(i, std::make_unique<QueryAllPeer>());
+  }
+  w.set_peer(3, std::make_unique<BroadcastOncePeer>());
+  w.mark_faulty(3);
+  const RunReport r = w.run();
+  EXPECT_TRUE(r.ok()) << r.to_string();
+  EXPECT_FALSE(r.budget_exhausted);
+  EXPECT_EQ(r.events, cfg.k);
+  EXPECT_GT(w.engine().pending(), 0u);  // its first broadcast is in flight
+  EXPECT_EQ(w.engine().pending(), w.network().pending_events());
+  EXPECT_DOUBLE_EQ(r.time_complexity, 0.0);
+}
+
+TEST(WorldCompletion, APendingRestartKeepsTheRunGoing) {
+  World w(small_cfg(), BitVec(32));
+  for (sim::PeerId i = 0; i < 3; ++i) {
+    w.set_peer(i, std::make_unique<QueryAllPeer>());
+  }
+  w.enable_recovery(query_all_factory(), RecoveryOptions{.jitter = 0});
+  w.schedule_crash_at(2, 0.0);  // fires before any start
+  w.schedule_restart_at(2, 5.0);
+  const RunReport r = w.run();
+  // The revived incarnation is nonfaulty and must download too.
+  EXPECT_TRUE(r.ok()) << r.to_string();
+  EXPECT_EQ(r.recovery.restarts, 1u);
+  EXPECT_FALSE(w.is_faulty(2));
+  EXPECT_EQ(r.total_queries, 96u);
+  EXPECT_DOUBLE_EQ(r.time_complexity, 5.0);
+}
+
+TEST(WorldCompletion, ARevivedPeersSecondScheduledCrashStillFires) {
+  World w(small_cfg(), BitVec(32));
+  for (sim::PeerId i = 0; i < 3; ++i) {
+    w.set_peer(i, std::make_unique<QueryAllPeer>());
+  }
+  w.enable_recovery(query_all_factory(), RecoveryOptions{.jitter = 0});
+  w.schedule_crash_at(2, 0.0);
+  w.schedule_restart_at(2, 1.0);  // revived and done at t = 1
+  w.schedule_crash_at(2, 2.0);    // then crashed again: faulty at the end
+  const RunReport r = w.run();
+  EXPECT_TRUE(r.ok()) << r.to_string();
+  EXPECT_EQ(r.recovery.restarts, 1u);
+  EXPECT_TRUE(w.is_faulty(2));
+  EXPECT_TRUE(w.network().is_crashed(2));
+  EXPECT_EQ(r.total_queries, 64u);  // the crashed incarnation is excluded
+  EXPECT_DOUBLE_EQ(r.time_complexity, 0.0);
+}
+
+TEST(WorldCompletion, ASendTriggeredCrashWithAutoRestartKeepsTheRunGoing) {
+  // Peers 0 and 1 are done at t = 0, but peer 0's Ping is still in flight
+  // to peer 2. Peer 2 answers it, which crashes it (zero sends allowed),
+  // and its restart policy revives it as a nonfaulty peer that must finish.
+  World w(small_cfg(), BitVec(32));
+  w.set_peer(0, std::make_unique<PingThenQueryAllPeer>());
+  w.set_peer(1, std::make_unique<QueryAllPeer>());
+  w.set_peer(2, std::make_unique<EchoPeer>());
+  w.enable_recovery(query_all_factory(), RecoveryOptions{.jitter = 0});
+  w.crash_after_sends(2, 0);
+  w.restart_on_crash(2, 0.0);
+  const RunReport r = w.run();
+  EXPECT_TRUE(r.ok()) << r.to_string();
+  EXPECT_EQ(r.recovery.restarts, 1u);
+  EXPECT_FALSE(w.is_faulty(2));
+  EXPECT_EQ(r.total_queries, 96u);
+  EXPECT_GT(r.time_complexity, 0.0);
+}
+
+/// Journals one bit per delivery.
+struct JournalOnDeliveryPeer final : Peer {
+  void on_start() override {}
+  void on_message(sim::PeerId, const sim::Payload&) override {
+    (void)journal_bits(0, BitVec(1));
+  }
+};
+
+TEST(WorldCompletion, ACrashPointKillWithAutoRestartKeepsTheRunGoing) {
+  // As above, but peer 2 dies at a journal sentinel instead of a send.
+  World w(small_cfg(), BitVec(32));
+  w.set_peer(0, std::make_unique<PingThenQueryAllPeer>());
+  w.set_peer(1, std::make_unique<QueryAllPeer>());
+  w.set_peer(2, std::make_unique<JournalOnDeliveryPeer>());
+  w.enable_recovery(query_all_factory(), RecoveryOptions{.jitter = 0});
+  w.mark_faulty(2);
+  w.kill_at_crash_point(2, CrashPoint::kAppendStart);
+  w.restart_on_crash(2, 0.0);
+  const RunReport r = w.run();
+  EXPECT_TRUE(r.ok()) << r.to_string();
+  EXPECT_EQ(r.recovery.restarts, 1u);
+  EXPECT_FALSE(w.is_faulty(2));
+  EXPECT_EQ(r.total_queries, 96u);
+}
+
+TEST(WorldCompletion, ASourceMutationAfterTheLastTerminationStillLands) {
+  // Everyone downloads at t = 0; the source changes at t = 5. The verdict
+  // is checked against the source at the end of the run, so the mutation
+  // must fire: the outputs no longer match it.
+  World w(small_cfg(), BitVec(32));
+  for (sim::PeerId i = 0; i < 3; ++i) {
+    w.set_peer(i, std::make_unique<QueryAllPeer>());
+  }
+  w.engine().schedule_at(5.0, [&w] {
+    BitVec data = w.source().data();
+    data.flip(7);
+    w.source().set_data(std::move(data));
+  });
+  const RunReport r = w.run();
+  EXPECT_TRUE(r.all_terminated);
+  EXPECT_FALSE(r.all_correct);
+  EXPECT_EQ(r.incorrect_peers.size(), 3u);
+  EXPECT_TRUE(w.engine().idle());
+}
+
+TEST(WorldCompletion, ALateStarterCountsAsRunningUntilItFinishes) {
+  // Peers 0 and 1 finish at t = 0 while the faulty peer's broadcast is in
+  // flight; peer 2 starts at t = 5 and must still be waited for.
+  Config cfg{.n = 32, .k = 4, .beta = 0.25, .message_bits = 16, .seed = 1};
+  World w(cfg, BitVec(32));
+  for (sim::PeerId i = 0; i < 3; ++i) {
+    w.set_peer(i, std::make_unique<QueryAllPeer>());
+  }
+  w.set_peer(3, std::make_unique<BroadcastOncePeer>());
+  w.mark_faulty(3);
+  w.set_start_time(2, 5.0);
+  const RunReport r = w.run();
+  EXPECT_TRUE(r.ok()) << r.to_string();
+  EXPECT_TRUE(w.peer(2).terminated());
+  EXPECT_DOUBLE_EQ(r.time_complexity, 5.0);
+}
+
 TEST(World, ReportToStringMentionsVerdict) {
   World w(small_cfg(), BitVec(32));
   for (sim::PeerId i = 0; i < 3; ++i) w.set_peer(i, std::make_unique<QueryAllPeer>());

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "dr/world.hpp"
 #include "protocols/byz2cycle.hpp"
 #include "protocols/runner.hpp"

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/check.hpp"
 #include "harness.hpp"
 #include "protocols/bounds.hpp"

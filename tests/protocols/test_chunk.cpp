@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "sim/message.hpp"
 
 namespace asyncdr::proto {
 namespace {
@@ -80,6 +81,16 @@ TEST(MaskChunk, MismatchedThrow) {
 TEST(MaskChunk, WireSizeChargesValuesOnly) {
   const MaskChunk c = MaskChunk::extract(BitVec(1000), BitVec(1000, true));
   EXPECT_EQ(c.size_bits(), 1000u + 64u);
+}
+
+TEST(MaskChunk, HashIsTheDenseMasksHash) {
+  Rng rng(5);
+  const BitVec src = BitVec::generate(300, [&] { return rng.flip(); });
+  const BitVec mask = BitVec::generate(300, [&] { return rng.flip(0.1); });
+  const MaskChunk chunk = MaskChunk::extract(src, mask);
+  EXPECT_EQ(chunk.mask.to_dense(), mask);
+  EXPECT_EQ(chunk.hash(),
+            sim::payload_hash_mix(mask.hash(), src.gather(mask).hash()));
 }
 
 TEST(MaskChunk, RandomRoundTripProperty) {

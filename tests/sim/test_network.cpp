@@ -294,6 +294,26 @@ TEST_F(Fixture, BroadcastWavePendsOneEventPerDistinctArrival) {
   EXPECT_EQ(net.payload_bank().live_refs(), 0u);
 }
 
+TEST_F(Fixture, PendingEventsCountsExactlyTheNetworksOwnEvents) {
+  // A unicast copy, a one-time bucket and each reserved wave bucket count
+  // once until they fire; an event the network did not schedule never does.
+  net.send(0, 1, std::make_shared<TestPayload>());
+  net.broadcast(2, std::make_shared<TestPayload>());  // one arrival time
+  EXPECT_EQ(net.pending_events(), 2u);
+  net.set_latency_policy(std::make_unique<ByRecipientLatency>());
+  net.broadcast(0, std::make_shared<TestPayload>());  // three arrival times
+  EXPECT_EQ(net.pending_events(), 5u);
+  EXPECT_EQ(net.pending_events(), engine.pending());
+  bool foreign_fired = false;
+  engine.schedule_at(0.6, [&] { foreign_fired = true; });
+  while (engine.step()) {
+    EXPECT_EQ(net.pending_events() + (foreign_fired ? 0u : 1u),
+              engine.pending());
+  }
+  EXPECT_TRUE(foreign_fired);
+  EXPECT_EQ(net.pending_events(), 0u);
+}
+
 TEST_F(Fixture, RecipientCrashedMidWaveLosesOnlyItsOwnCopy) {
   CountingObserver obs;
   net.set_observer(&obs);

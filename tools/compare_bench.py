@@ -1,86 +1,58 @@
 #!/usr/bin/env python3
 """Compare a freshly generated BENCH_*.json against its checked-in baseline.
 
-Usage: compare_bench.py BASELINE FRESH [--tolerance 0.25]
+Usage: compare_bench.py BASELINE FRESH [--tolerance 0.25] [--subset]
+                        [--changed FIELD ...]
 
-Entries are matched by (section, label). For every numeric metric present in
-both, the relative difference must stay within the tolerance (default 25% --
-generous on purpose: the perf smoke gate catches regressions in kind, not in
-degree). Distribution percentiles (q_p50/q_p90/q_p99, t_*, m_*) are gated
-with wider per-metric scales -- tails wobble more than means on few repeats
-(p90 at 1.5x the base tolerance, p99 at 2x); --metric-tolerance NAME=TOL
-overrides the resolved tolerance for one metric exactly. `failures` must not
-increase. Entries present only in the baseline are errors (a silently
-dropped series is a regression); entries only in the fresh file are
-reported but allowed (new series land with their PR).
+Entries are matched by (section, label). Every simulated statistic is a pure
+function of (config, seed), so every numeric field present in both entries
+must match EXACTLY: Q/T/M means, extremes and percentiles, the recovery
+counters, events, active_links, the modeled mem_* byte peaks, run counts and
+any other deterministic field. The only exceptions are the values measured
+on the machine that ran the bench:
 
-Memory fields ride their own scales: mem_* byte metrics are modeled
-(deterministic container accounting, see src/obs/mem.hpp), so they get a
-TIGHTER gate than the timing-adjacent defaults (0.5x the base tolerance);
-mem_unattributed_frac compares as an ABSOLUTE difference (the fraction sits
-near 0 on healthy runs, where a relative gate is meaningless). Non-numeric
-fields (e.g. the rss_mechanism tag) are skipped.
+  * mem_unattributed_frac is gated as an ABSOLUTE difference within
+    --tolerance (the fraction sits near 0 on healthy runs, where a relative
+    gate is meaningless);
+  * wall_ms and rss_mb are printed with their relative drift but never gate:
+    they depend on the machine and build type, and the committed baseline
+    need not come from the machine running the comparison.
 
-With --subset, baseline-only entries become notes instead of errors: the
-fresh run is allowed to cover a prefix of the baseline (CI runs the scale
-sweep capped at small k via ASYNCDR_SCALE_MAX_K; the committed baseline
-carries the full sweep).
+`failures` must not increase (a drop is an improvement). A change that moves
+deterministic fields on purpose declares each one with --changed FIELD: its
+differences are then listed as declared changes instead of regressions. A
+declared field that moved nowhere is noted, so stale declarations show.
+Non-numeric fields (e.g. the rss_mechanism tag) are skipped, and a field
+present on one side only is skipped too, so baselines written before a
+field existed keep working.
 
-Exit status: 0 = within tolerance, 1 = regression, 2 = usage/parse error.
+Entries present only in the baseline are errors (a silently dropped series is
+a regression); entries only in the fresh file are reported but allowed (new
+series land with their PR). With --subset, baseline-only entries become notes
+instead of errors: the fresh run is allowed to cover a prefix of the baseline
+(CI runs the scale sweep capped at small k via ASYNCDR_SCALE_MAX_K; the
+committed baseline carries the full sweep).
+
+Exit status: 0 = no regression, 1 = regression, 2 = usage/parse error.
 """
 
 import argparse
 import json
 import sys
 
-# Complexity means plus the crash-recovery counters bench_recovery records
-# (restart/replay counts and the warm-restart savings), plus the Q/T/M
-# distribution percentiles the campaign-era benches emit. A metric is
-# compared only when both files carry it, so baselines written before a
-# metric existed keep working and new metrics land with their PR.
-METRICS = ("q_mean", "t_mean", "m_mean",
-           "q_p50", "q_p90", "q_p99",
-           "t_p50", "t_p90", "t_p99",
-           "m_p50", "m_p90", "m_p99",
-           "restarts_mean", "replays_mean",
-           "cold_fallbacks_mean", "bits_recovered_mean", "queries_saved_mean")
-
-# Tail percentiles get a wider gate than central metrics: on kRepeats-sized
-# samples a p99 is the max, and a single reordered seed can move it without
-# any regression in kind.
-METRIC_TOLERANCE_SCALE = {"q_p90": 1.5, "t_p90": 1.5, "m_p90": 1.5,
-                          "q_p99": 2.0, "t_p99": 2.0, "m_p99": 2.0}
-
-# Modeled byte accounting is deterministic per (config, seed): a drift in a
-# mem_* field is a real footprint change, not measurement noise, so the gate
-# is tighter than the timing-shaped default.
-MEM_TOLERANCE_SCALE = 0.5
-# The unattributed fraction is measured (RSS-derived) and lives near 0 on
-# healthy runs; it is gated as an absolute difference at this bound.
+# Measured on the bench machine: shown with their drift, never gated.
+MEASURED_FIELDS = ("wall_ms", "rss_mb")
+# Measured, but machine-independent in meaning: absolute bound.
 MEM_FRAC_METRIC = "mem_unattributed_frac"
 
 
-def is_mem_metric(name):
-    return name.startswith("mem_")
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def parse_metric_tolerances(pairs):
-    """Parses repeated NAME=TOL overrides into {metric: float}."""
-    out = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep or (name not in METRICS and not is_mem_metric(name)):
-            print(f"error: bad --metric-tolerance {pair!r} "
-                  f"(expected METRIC=TOL with METRIC in {', '.join(METRICS)} "
-                  f"or a mem_* field)",
-                  file=sys.stderr)
-            sys.exit(2)
-        try:
-            out[name] = float(value)
-        except ValueError:
-            print(f"error: bad tolerance value in {pair!r}", file=sys.stderr)
-            sys.exit(2)
-    return out
+def fmt(x):
+    """Renders a value exactly: integral values without exponent or '.0'."""
+    return str(int(x)) if x.is_integer() else repr(x)
 
 
 def load(path):
@@ -93,9 +65,13 @@ def load(path):
     if doc.get("schema") != "asyncdr-bench-v1":
         print(f"error: {path} is not an asyncdr-bench-v1 file", file=sys.stderr)
         sys.exit(2)
+    # Benches may record one (section, label) across several entries (one
+    # field each, e.g. bench_scale's S1-substrate events and active_links):
+    # merge them, so no field hides behind a later entry with the same key.
     entries = {}
     for e in doc.get("entries", []):
-        entries[(e.get("section", ""), e.get("label", ""))] = e
+        entries.setdefault((e.get("section", ""), e.get("label", "")),
+                           {}).update(e)
     return doc.get("bench", "?"), entries
 
 
@@ -104,21 +80,30 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("fresh")
     ap.add_argument("--tolerance", type=float, default=0.25,
-                    help="max allowed relative difference (default 0.25)")
+                    help="absolute bound on the mem_unattributed_frac drift "
+                         "(default 0.25)")
     ap.add_argument("--subset", action="store_true",
                     help="allow the fresh run to cover only a subset of the "
                          "baseline entries (capped sweeps in CI)")
-    ap.add_argument("--metric-tolerance", action="append", default=[],
-                    metavar="METRIC=TOL",
-                    help="override the tolerance for one metric (repeatable, "
-                         "e.g. --metric-tolerance q_p99=0.6)")
+    ap.add_argument("--changed", action="append", default=[],
+                    metavar="FIELD",
+                    help="a deterministic field this change moves on purpose "
+                         "(repeatable); its differences are listed, not "
+                         "gated")
     args = ap.parse_args()
-    overrides = parse_metric_tolerances(args.metric_tolerance)
+    declared = set(args.changed)
+    for field in sorted(declared):
+        if field in MEASURED_FIELDS or field == MEM_FRAC_METRIC:
+            print(f"error: --changed {field}: measured fields are not gated "
+                  f"exactly", file=sys.stderr)
+            sys.exit(2)
 
     name, base = load(args.baseline)
     _, fresh = load(args.fresh)
 
     problems = []
+    changes = []
+    moved = set()
     checked = 0
     for key, be in sorted(base.items()):
         fe = fresh.get(key)
@@ -129,59 +114,45 @@ def main():
                 problems.append(
                     f"{key}: present in baseline, missing in fresh run")
             continue
-        if fe.get("failures", 0) > be.get("failures", 0):
-            problems.append(
-                f"{key}: failures rose {be.get('failures', 0)} -> "
-                f"{fe.get('failures', 0)}")
-        for metric in METRICS:
-            if metric not in be or metric not in fe:
+        for field in sorted(set(be) & set(fe)):
+            if not (is_number(be[field]) and is_number(fe[field])):
                 continue
-            b, f = float(be[metric]), float(fe[metric])
+            b, f = float(be[field]), float(fe[field])
             checked += 1
-            tolerance = overrides.get(
-                metric,
-                args.tolerance * METRIC_TOLERANCE_SCALE.get(metric, 1.0))
-            denom = max(abs(b), 1e-9)
-            rel = abs(f - b) / denom
-            if rel > tolerance:
-                problems.append(
-                    f"{key}: {metric} {b:g} -> {f:g} "
-                    f"({100 * rel:.1f}% > {100 * tolerance:.0f}%)")
-        # mem_* fields are discovered dynamically (the pool set is data);
-        # non-numeric values (the rss_mechanism tag and friends) are skipped.
-        for metric in sorted(set(be) & set(fe)):
-            if not is_mem_metric(metric):
-                continue
-            if any(isinstance(e[metric], bool)
-                   or not isinstance(e[metric], (int, float))
-                   for e in (be, fe)):
-                continue
-            b, f = float(be[metric]), float(fe[metric])
-            checked += 1
-            if metric == MEM_FRAC_METRIC:
-                tolerance = overrides.get(metric, args.tolerance)
+            if field in MEASURED_FIELDS:
+                drift = 100 * (f - b) / max(abs(b), 1e-9)
+                print(f"measured: {key}: {field} {fmt(b)} -> {fmt(f)} "
+                      f"({drift:+.1f}%, not gated)")
+            elif field == MEM_FRAC_METRIC:
                 diff = abs(f - b)
-                if diff > tolerance:
+                if diff > args.tolerance:
                     problems.append(
-                        f"{key}: {metric} {b:g} -> {f:g} "
-                        f"(absolute drift {diff:.3f} > {tolerance:g})")
-                continue
-            tolerance = overrides.get(
-                metric, args.tolerance * MEM_TOLERANCE_SCALE)
-            denom = max(abs(b), 1e-9)
-            rel = abs(f - b) / denom
-            if rel > tolerance:
-                problems.append(
-                    f"{key}: {metric} {b:g} -> {f:g} "
-                    f"({100 * rel:.1f}% > {100 * tolerance:.0f}%)")
+                        f"{key}: {field} {fmt(b)} -> {fmt(f)} "
+                        f"(absolute drift {diff:.3f} > {args.tolerance:g})")
+            elif field == "failures":
+                if f > b:
+                    problems.append(
+                        f"{key}: failures rose {fmt(b)} -> {fmt(f)}")
+            elif f != b:
+                if field in declared:
+                    moved.add(field)
+                    changes.append(f"{key}: {field} {fmt(b)} -> {fmt(f)}")
+                else:
+                    problems.append(
+                        f"{key}: {field} {fmt(b)} -> {fmt(f)} (exact field; "
+                        f"declare a deliberate move with --changed {field})")
 
     new_only = sorted(set(fresh) - set(base))
     for key in new_only:
         print(f"note: new entry (not in baseline): {key}")
+    for field in sorted(declared - moved):
+        print(f"note: --changed {field} declared, but it did not move")
 
     print(f"{name}: compared {checked} metric(s) across {len(base)} "
           f"entr{'y' if len(base) == 1 else 'ies'}, "
-          f"{len(problems)} problem(s)")
+          f"{len(changes)} declared change(s), {len(problems)} problem(s)")
+    for c in changes:
+        print(f"CHANGED {c}")
     for p in problems:
         print(f"REGRESSION {p}")
     return 1 if problems else 0

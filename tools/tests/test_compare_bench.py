@@ -1,8 +1,8 @@
 """Unit tests for tools/compare_bench.py.
 
 The tool is exercised as a subprocess (it sys.exit()s from its loaders), so
-these tests pin the exact exit-status contract CI relies on: 0 = within
-tolerance, 1 = regression, 2 = usage/parse error.
+these tests pin the exact exit-status contract CI relies on: 0 = no
+regression, 1 = regression, 2 = usage/parse error.
 """
 
 import json
@@ -52,38 +52,41 @@ class CompareBenchTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("0 problem(s)", out)
 
-    def test_within_tolerance_passes(self):
+    def test_any_deterministic_drift_fails(self):
+        # Simulated statistics are pure functions of (config, seed): even a
+        # tiny move is a real change, whatever --tolerance says.
         base = self.path("base.json", bench_doc([entry(q=100.0)]))
-        fresh = self.path("fresh.json", bench_doc([entry(q=110.0)]))
-        code, out, _ = self.run_tool(base, fresh, "--tolerance", "0.25")
-        self.assertEqual(code, 0, out)
-
-    def test_exactly_at_tolerance_passes(self):
-        # The gate is strictly-greater-than: a 25% delta under --tolerance
-        # 0.25 is allowed.
-        base = self.path("base.json", bench_doc([entry(q=100.0)]))
-        fresh = self.path("fresh.json", bench_doc([entry(q=125.0)]))
-        code, out, _ = self.run_tool(base, fresh, "--tolerance", "0.25")
-        self.assertEqual(code, 0, out)
-
-    def test_beyond_tolerance_fails(self):
-        base = self.path("base.json", bench_doc([entry(q=100.0)]))
-        fresh = self.path("fresh.json", bench_doc([entry(q=130.0)]))
+        fresh = self.path("fresh.json", bench_doc([entry(q=100.5)]))
         code, out, _ = self.run_tool(base, fresh, "--tolerance", "0.25")
         self.assertEqual(code, 1)
         self.assertIn("REGRESSION", out)
         self.assertIn("q_mean", out)
+        self.assertIn("--changed q_mean", out)
+
+    def test_large_drift_fails(self):
+        base = self.path("base.json", bench_doc([entry(q=100.0)]))
+        fresh = self.path("fresh.json", bench_doc([entry(q=130.0)]))
+        code, out, _ = self.run_tool(base, fresh)
+        self.assertEqual(code, 1)
+        self.assertIn("q_mean", out)
+
+    def test_integer_and_float_renderings_compare_equal(self):
+        # Bench writers render some integral values as 71400.0; equality is
+        # numeric, not textual.
+        base = self.path("base.json", bench_doc([entry(m=71400)]))
+        fresh = self.path("fresh.json", bench_doc([entry(m=71400.0)]))
+        code, out, _ = self.run_tool(base, fresh)
+        self.assertEqual(code, 0, out)
 
     def test_zero_baseline_metric_is_guarded(self):
-        # Relative diff against ~0 baseline must not divide by zero, and any
-        # real movement off zero should trip the gate.
+        # Any real movement off zero trips the gate.
         base = self.path("base.json", bench_doc([entry(q=0.0)]))
         fresh = self.path("fresh.json", bench_doc([entry(q=0.5)]))
         code, out, _ = self.run_tool(base, fresh)
         self.assertEqual(code, 1)
         self.assertIn("REGRESSION", out)
 
-    def test_failures_increase_fails_even_within_tolerance(self):
+    def test_failures_increase_fails(self):
         base = self.path("base.json", bench_doc([entry(failures=0)]))
         fresh = self.path("fresh.json", bench_doc([entry(failures=2)]))
         code, out, _ = self.run_tool(base, fresh)
@@ -132,9 +135,8 @@ class CompareBenchTest(unittest.TestCase):
         self.assertIn("note: new entry", out)
 
     def test_extra_critpath_fields_in_fresh_entries_are_tolerated(self):
-        # Traced benches append critpath_* fields to existing entries; the
-        # comparator diffs q/t/m means only, so baselines that predate the
-        # fields keep passing with zero diff noise.
+        # Traced benches append critpath_* fields to existing entries; a
+        # baseline that predates them keeps passing with zero diff noise.
         enriched = entry(q=100.0)
         enriched.update({"critpath_len_mean": 9.5, "critpath_link_mean": 7.0,
                          "critpath_local_mean": 2.5, "critpath_reconciled": 5})
@@ -153,22 +155,22 @@ class CompareBenchTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("compared 1 metric(s)", out)
 
-    def test_recovery_metrics_are_compared_when_present_in_both(self):
+    def test_recovery_counters_are_exact(self):
         # bench_recovery entries carry recovery counters instead of q/t/m;
-        # the comparator diffs them like any other metric.
+        # they are deterministic like everything else.
         def rec(saved):
             return {"section": "R2", "label": "crashes=4 warm recovery",
                     "restarts_mean": 4.0, "replays_mean": 4.0,
                     "cold_fallbacks_mean": 0.0, "bits_recovered_mean": 2048.0,
                     "queries_saved_mean": saved}
         base = self.path("base.json", bench_doc([rec(2048.0)]))
-        fresh = self.path("fresh.json", bench_doc([rec(100.0)]))
+        fresh = self.path("fresh.json", bench_doc([rec(2000.0)]))
         code, out, _ = self.run_tool(base, fresh)
         self.assertEqual(code, 1)
         self.assertIn("queries_saved_mean", out)
-        # Within tolerance passes, and all five counters are compared.
-        fresh_ok = self.path("fresh_ok.json", bench_doc([rec(2000.0)]))
-        code, out, _ = self.run_tool(base, fresh_ok)
+        # Identical counters pass, and all five are compared.
+        same = self.path("same.json", bench_doc([rec(2048.0)]))
+        code, out, _ = self.run_tool(base, same)
         self.assertEqual(code, 0, out)
         self.assertIn("compared 5 metric(s)", out)
 
@@ -183,55 +185,105 @@ class CompareBenchTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("0 problem(s)", out)
 
-    def test_percentile_tails_get_a_wider_gate(self):
-        # q_p99 is scaled 2x: a 45% delta passes the default 25% base
-        # tolerance (resolved gate 50%) while q_mean at 45% would fail.
+    def test_percentiles_are_exact(self):
         def e(p99):
             d = entry(q=100.0)
             d["q_p99"] = p99
             return d
         base = self.path("base.json", bench_doc([e(100.0)]))
-        fresh = self.path("fresh.json", bench_doc([e(145.0)]))
+        fresh = self.path("fresh.json", bench_doc([e(101.0)]))
         code, out, _ = self.run_tool(base, fresh)
-        self.assertEqual(code, 0, out)
-        fresh_bad = self.path("fresh_bad.json", bench_doc([e(160.0)]))
-        code, out, _ = self.run_tool(base, fresh_bad)
         self.assertEqual(code, 1)
         self.assertIn("q_p99", out)
 
-    def test_metric_tolerance_override_wins(self):
-        def e(p99):
-            d = entry(q=100.0)
-            d["q_p99"] = p99
-            return d
-        base = self.path("base.json", bench_doc([e(100.0)]))
-        fresh = self.path("fresh.json", bench_doc([e(145.0)]))
-        # Tightened override turns the previously passing delta into a
-        # regression; a generous one lets a huge delta through.
-        code, out, _ = self.run_tool(base, fresh,
-                                     "--metric-tolerance", "q_p99=0.1")
-        self.assertEqual(code, 1)
-        self.assertIn("q_p99", out)
-        code, out, _ = self.run_tool(base, fresh,
-                                     "--metric-tolerance", "q_p99=5.0")
-        self.assertEqual(code, 0, out)
+    def test_substrate_counters_are_exact(self):
+        # bench_scale's S1-substrate rows: engine events and active links.
+        def sub(events, links):
+            return {"section": "S1-substrate", "label": "k=64",
+                    "events": events, "active_links": links}
+        base = self.path("base.json", bench_doc([sub(18944, 3528)]))
+        for fresh_entry, field in ((sub(18943, 3528), "events"),
+                                   (sub(18944, 3529), "active_links")):
+            fresh = self.path("fresh.json", bench_doc([fresh_entry]))
+            code, out, _ = self.run_tool(base, fresh)
+            self.assertEqual(code, 1, out)
+            self.assertIn(field, out)
 
-    def test_mem_bytes_get_a_tighter_gate(self):
-        # mem_* byte fields are modeled (deterministic), scaled 0.5x: a 20%
-        # delta fails the default 25% base tolerance (resolved gate 12.5%)
-        # while q_mean at 20% passes.
+    def test_entries_sharing_a_key_are_merged(self):
+        # bench_scale records events and active_links as two entries under
+        # one (section, label); both fields must be gated, not just the
+        # last entry's.
+        def doc(events, links):
+            return bench_doc([
+                {"section": "S1-substrate", "label": "k=64", "events": events},
+                {"section": "S1-substrate", "label": "k=64",
+                 "active_links": links}])
+        base = self.path("base.json", doc(18944, 3528))
+        fresh = self.path("fresh.json", doc(18000, 3528))
+        code, out, _ = self.run_tool(base, fresh)
+        self.assertEqual(code, 1, out)
+        self.assertIn("events 18944 -> 18000", out)
+        same = self.path("same.json", doc(18944, 3528))
+        code, out, _ = self.run_tool(base, same)
+        self.assertEqual(code, 0, out)
+        self.assertIn("compared 2 metric(s) across 1 entry", out)
+
+    def test_mem_bytes_are_exact(self):
+        # mem_* byte fields are modeled (deterministic): one byte is a real
+        # footprint change.
         def e(bytes_):
             d = entry(q=100.0)
             d["mem_sim_engine_heap_peak_bytes"] = bytes_
             return d
         base = self.path("base.json", bench_doc([e(1000.0)]))
-        fresh = self.path("fresh.json", bench_doc([e(1200.0)]))
+        fresh = self.path("fresh.json", bench_doc([e(1001.0)]))
         code, out, _ = self.run_tool(base, fresh)
         self.assertEqual(code, 1)
         self.assertIn("mem_sim_engine_heap_peak_bytes", out)
-        fresh_ok = self.path("fresh_ok.json", bench_doc([e(1100.0)]))
-        code, out, _ = self.run_tool(base, fresh_ok)
+
+    def test_declared_changes_are_listed_not_gated(self):
+        def sub(events, links):
+            return {"section": "S1-substrate", "label": "k=4096",
+                    "events": events, "active_links": links}
+        base = self.path("base.json", bench_doc([sub(8192, 100)]))
+        fresh = self.path("fresh.json", bench_doc([sub(4608, 100)]))
+        code, out, _ = self.run_tool(base, fresh, "--changed", "events")
         self.assertEqual(code, 0, out)
+        self.assertIn("CHANGED ('S1-substrate', 'k=4096'): events 8192 -> 4608",
+                      out)
+        self.assertIn("1 declared change(s), 0 problem(s)", out)
+        # A declaration covers only the field it names.
+        fresh_both = self.path("fresh_both.json", bench_doc([sub(4608, 99)]))
+        code, out, _ = self.run_tool(base, fresh_both, "--changed", "events")
+        self.assertEqual(code, 1)
+        self.assertIn("REGRESSION ('S1-substrate', 'k=4096'): active_links",
+                      out)
+
+    def test_declared_field_that_did_not_move_is_noted(self):
+        base = self.path("base.json", bench_doc([entry()]))
+        fresh = self.path("fresh.json", bench_doc([entry()]))
+        code, out, _ = self.run_tool(base, fresh, "--changed", "events",
+                                     "--changed", "q_mean")
+        self.assertEqual(code, 0, out)
+        self.assertIn("note: --changed events declared, but it did not move",
+                      out)
+        self.assertIn("note: --changed q_mean declared, but it did not move",
+                      out)
+
+    def test_measured_wall_and_rss_are_shown_but_never_gate(self):
+        # Machine-measured: a baseline from another machine or build type
+        # cannot gate them.
+        base = self.path("base.json", bench_doc([
+            {"section": "S1-wall", "label": "k=64", "wall_ms": 40.0},
+            {"section": "S1-rss", "label": "k=64", "rss_mb": 1.0}]))
+        fresh = self.path("fresh.json", bench_doc([
+            {"section": "S1-wall", "label": "k=64", "wall_ms": 90.0},
+            {"section": "S1-rss", "label": "k=64", "rss_mb": 0.5}]))
+        code, out, _ = self.run_tool(base, fresh)
+        self.assertEqual(code, 0, out)
+        self.assertIn("measured: ('S1-wall', 'k=64'): wall_ms 40 -> 90 "
+                      "(+125.0%, not gated)", out)
+        self.assertIn("rss_mb 1 -> 0.5 (-50.0%, not gated)", out)
 
     def test_mem_unattributed_frac_is_an_absolute_bound(self):
         # The fraction sits near 0 on healthy runs, where a relative gate
@@ -249,17 +301,7 @@ class CompareBenchTest(unittest.TestCase):
         code, out, _ = self.run_tool(base, fresh_bad)
         self.assertEqual(code, 1)
         self.assertIn("absolute drift", out)
-
-    def test_mem_metric_tolerance_override_is_accepted(self):
-        def e(bytes_):
-            d = entry(q=100.0)
-            d["mem_dr_journal_peak_bytes"] = bytes_
-            return d
-        base = self.path("base.json", bench_doc([e(1000.0)]))
-        fresh = self.path("fresh.json", bench_doc([e(1200.0)]))
-        code, out, _ = self.run_tool(
-            base, fresh, "--metric-tolerance",
-            "mem_dr_journal_peak_bytes=0.5")
+        code, out, _ = self.run_tool(base, fresh_bad, "--tolerance", "0.5")
         self.assertEqual(code, 0, out)
 
     def test_non_numeric_mem_adjacent_fields_are_skipped(self):
@@ -274,8 +316,8 @@ class CompareBenchTest(unittest.TestCase):
         fresh = self.path("fresh.json", bench_doc([e("baseline_delta", 0.02)]))
         code, out, _ = self.run_tool(base, fresh)
         self.assertEqual(code, 0, out)
-        # q/t/m means + the fraction; the string tag adds nothing.
-        self.assertIn("compared 4 metric(s)", out)
+        # q/t/m means, failures and the fraction; the string tag adds nothing.
+        self.assertIn("compared 5 metric(s)", out)
 
     def test_mem_fields_absent_from_old_baselines_are_skipped(self):
         enriched = entry(q=100.0)
@@ -288,13 +330,13 @@ class CompareBenchTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("0 problem(s)", out)
 
-    def test_unknown_metric_tolerance_name_is_usage_error(self):
+    def test_declaring_a_measured_field_is_usage_error(self):
         base = self.path("base.json", bench_doc([entry()]))
         fresh = self.path("fresh.json", bench_doc([entry()]))
-        code, _, err = self.run_tool(base, fresh,
-                                     "--metric-tolerance", "nope=0.5")
-        self.assertEqual(code, 2)
-        self.assertIn("bad --metric-tolerance", err)
+        for field in ("wall_ms", "rss_mb", "mem_unattributed_frac"):
+            code, _, err = self.run_tool(base, fresh, "--changed", field)
+            self.assertEqual(code, 2, field)
+            self.assertIn("measured fields are not gated exactly", err)
 
     def test_malformed_json_is_usage_error(self):
         base = self.path("base.json", "{not json")

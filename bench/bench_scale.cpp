@@ -19,9 +19,9 @@
 // deterministic and gated tightly; mem_unattributed_frac is measured and
 // gated as an absolute bound.
 //
-// asyncdr-lint: allow(DR001) the bench measures the substrate's real
-// wall-clock cost; virtual time cannot observe it. Nothing in the measured
-// runs reads this clock.
+// Clock reads: the bench measures the substrate's real wall-clock cost;
+// virtual time cannot observe it. Nothing in the measured runs reads this
+// clock.
 #include <chrono>
 
 #include "bench_common.hpp"

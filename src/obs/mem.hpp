@@ -16,7 +16,7 @@
 //    breakdown can be byte-compared and committed as a golden file.
 //  * Pools are registry-owned with stable addresses; instrumented
 //    subsystems hold plain `MemPool*` and registries are strictly
-//    per-world (no globals — the DR012/SA004 no-shared-mutable rule).
+//    per-world (no globals — the DR012 no-shared-mutable rule).
 //  * Peaks are tracked per pool *and* for the cross-pool sum, so
 //    `total_peak()` is the high-water mark of simultaneous usage, not
 //    the sum of per-pool peaks.

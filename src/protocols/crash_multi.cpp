@@ -208,11 +208,11 @@ std::string CrashMultiPeer::status() const {
 void CrashMultiPeer::ensure_init() {
   // Messages may arrive before this peer's (adversary-chosen) start time.
   if (out_.size() != n()) {
-    // asyncdr-sema: allow(SA003) lazy allocation of empty state, not
+    // asyncdr-lint: allow(DR014) lazy allocation of empty state, not
     //   recovered-data mutation: no downloaded bit exists yet, and
     //   on_restart runs this before replaying the journal into it.
     out_ = BitVec(n());
-    known_ = BitVec(n());  // asyncdr-sema: allow(SA003) same rationale.
+    known_ = BitVec(n());  // asyncdr-lint: allow(DR014) same rationale.
   }
 }
 
@@ -269,13 +269,13 @@ void CrashMultiPeer::on_message(sim::PeerId from, const sim::Payload& payload) {
     // Claim 2's rescue: adopt, re-push once (so peers waiting on *me* are
     // rescued too), terminate.
     if (full->all.size() != n()) return;
-    // asyncdr-sema: allow(SA003) rescue adoption is atomic with
+    // asyncdr-lint: allow(DR014) rescue adoption is atomic with
     //   termination: the sim crashes only at journal sentinels and none
     //   lies between here and finish() (complete_now's query set is empty),
     //   so no future incarnation can observe these deliberately
     //   unpersisted bits.
     out_ = full->all;
-    known_ = BitVec(n(), true);  // asyncdr-sema: allow(SA003) same rationale.
+    known_ = BitVec(n(), true);  // asyncdr-lint: allow(DR014) same rationale.
     complete_now();
     return;
   }
@@ -379,7 +379,7 @@ void CrashMultiPeer::try_advance() {
       for (sim::PeerId q = 0; q < k(); ++q) {
         if (!sc.heard[phase_ - 1].contains(q)) missing_.push_back(q);
       }
-      // asyncdr-sema: allow(SA003) intra-round stage cursor, volatile by
+      // asyncdr-lint: allow(DR014) intra-round stage cursor, volatile by
       //   design: recovery never resumes mid-round (on_restart completes
       //   directly from journaled bits), so no append orders this.
       progress_ = Progress::kWait2;
@@ -407,7 +407,7 @@ void CrashMultiPeer::try_advance() {
 }
 
 void CrashMultiPeer::advance_phase() {
-  // asyncdr-sema: allow(SA003) transient reset of the volatile stage
+  // asyncdr-lint: allow(DR014) transient reset of the volatile stage
   //   cursor; the round transition itself is journaled by start_phase's
   //   checkpoint on the next line.
   progress_ = Progress::kIdle;
@@ -421,13 +421,13 @@ void CrashMultiPeer::complete_now() {
   BitVec rest(n(), true);
   rest.andnot_with(known_);
   if (!query_mask(rest)) return;  // killed at a sentinel: no rescue, no finish
-  // asyncdr-sema: allow(SA003) the query_mask call above is the journal
+  // asyncdr-lint: allow(DR014) the query_mask call above is the journal
   //   funnel — every bit acted on here was appended inside it before this
   //   point; progress_ and full_sent_ are volatile control state re-derived
   //   on replay, never read back from the journal.
   progress_ = Progress::kDone;
   if (!full_sent_) {
-    full_sent_ = true;  // asyncdr-sema: allow(SA003) same rationale.
+    full_sent_ = true;  // asyncdr-lint: allow(DR014) same rationale.
     broadcast(std::make_shared<Full>(out_));
   }
   finish(out_);

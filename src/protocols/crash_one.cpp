@@ -84,7 +84,7 @@ void CrashOnePeer::on_restart(const dr::RecoveryState& state) {
 
 void CrashOnePeer::ensure_init() {
   // Messages may arrive before this peer's (adversary-chosen) start time.
-  // asyncdr-sema: allow(SA003) lazy allocation of the empty array, not
+  // asyncdr-lint: allow(DR014) lazy allocation of the empty array, not
   //   recovered-data mutation: no downloaded bit exists yet, and on_restart
   //   runs this before replaying the journal into the fresh vector.
   if (out_.size() != n()) out_ = BitVec(n());
@@ -170,7 +170,7 @@ void CrashOnePeer::try_advance() {
         IntervalSet needed = IntervalSet::of(layout.bounds(unheard).lo,
                                              layout.bounds(unheard).hi);
         needed.subtract(known_);
-        // asyncdr-sema: allow(SA003) intra-phase stage cursor, volatile by
+        // asyncdr-lint: allow(DR014) intra-phase stage cursor, volatile by
         //   design: recovery never resumes mid-phase (on_restart completes
         //   directly from journaled bits), so no append orders this.
         progress_ = Progress::kPhase1Wait2;
@@ -259,7 +259,7 @@ void CrashOnePeer::enter_phase2() {
 void CrashOnePeer::maybe_finish() {
   if (progress_ == Progress::kPhase2 && phase2_broadcast_done_ &&
       known_.count() == n()) {
-    // asyncdr-sema: allow(SA003) terminal transition: on replay, completion
+    // asyncdr-lint: allow(DR014) terminal transition: on replay, completion
     //   is re-derived from the journaled bits (known_ covering [0,n)), never
     //   from a persisted progress flag.
     progress_ = Progress::kDone;

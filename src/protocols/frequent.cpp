@@ -42,7 +42,7 @@ std::vector<BitVec> StringBank::frequent(std::size_t seg,
   ASYNCDR_EXPECTS(seg < per_segment_.size());
   ASYNCDR_EXPECTS(tau >= 1);
   std::vector<BitVec> out;
-  // asyncdr-sema: allow(SA002) hash-order iteration only selects members of
+  // asyncdr-lint: allow(DR013) hash-order iteration only selects members of
   //   an unordered candidate set; the sort below fixes the order before
   //   anything order-sensitive sees the result.
   for (const auto& [value, supporters] : per_segment_[seg].by_string) {

@@ -48,7 +48,7 @@ Network::~Network() {
   // holds, so the audit passes exactly when every residual is explained.
   if (bank_.live_refs() != total_in_flight_ ||
       (total_in_flight_ == 0 && bank_.live_payloads() != 0)) {
-    // asyncdr-sema: allow(SA001) abort-path diagnostics only: this prints
+    // asyncdr-lint: allow(DR004) abort-path diagnostics only: this prints
     //   and dies; no simulation output can depend on it.
     std::fprintf(
         stderr,

@@ -7,10 +7,10 @@ namespace asyncdr::sim {
 PayloadPtr PayloadBank::intern(PayloadPtr payload) {
   const std::uint64_t hash = payload->content_hash();
   if (hash == 0) return payload;  // type opted out of interning
-  // asyncdr-sema: allow(SA002) hash-bucket scan: at most ONE live entry per
-  //   content class exists (charge() registers canonical bodies only, and
-  //   every charge is preceded by an intern), so the visit order over the
-  //   bucket cannot change which body is returned.
+  // Hash-bucket scan: at most ONE live entry per content class exists
+  // (charge() registers canonical bodies only, and every charge is preceded
+  // by an intern), so the visit order over the bucket cannot change which
+  // body is returned.
   const auto [first, last] = by_hash_.equal_range(hash);
   for (auto it = first; it != last; ++it) {
     if (it->second == payload.get()) return payload;  // already canonical

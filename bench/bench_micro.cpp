@@ -1,14 +1,20 @@
 // Experiment M1 — substrate micro-benchmarks (google-benchmark): the
-// simulation engine, the bit-vector kernels, the decision tree, and a full
-// small protocol run. These quantify the cost of the harness itself, so
-// the experiment benches' runtimes can be attributed.
+// simulation engine, the bit-vector kernels, the decision tree, the
+// per-message work of Table 1's two costly rows, and a full small protocol
+// run. These quantify the cost of the harness itself, so the experiment
+// benches' runtimes can be attributed.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "common/bitvec.hpp"
 #include "common/interval_set.hpp"
 #include "common/rng.hpp"
+#include "protocols/chunk.hpp"
+#include "protocols/committee.hpp"
+#include "protocols/crash_multi.hpp"
 #include "protocols/decision_tree.hpp"
 #include "protocols/runner.hpp"
 #include "sim/engine.hpp"
@@ -91,6 +97,71 @@ void BM_DecisionTreeBuildAndDetermine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DecisionTreeBuildAndDetermine)->Arg(4)->Arg(32)->Arg(128);
+
+// Per-message handler work at Table 1's shape (n = 2^14, k = 96).
+constexpr std::size_t kTableN = 1 << 14;
+constexpr std::size_t kTableK = 96;
+
+/// One crash_multi response chunk: cut the owner's share of the requester's
+/// unknown set, check it against what the owner knows (Claim 1), pack the
+/// values and hash the chunk (payload interning), for owners in turn.
+void run_share_chunks(benchmark::State& state, std::size_t phase,
+                      double unknown_density) {
+  Rng rng(6);
+  const BitVec out = BitVec::generate(kTableN, [&] { return rng.flip(); });
+  const BitVec known(kTableN, true);
+  const BitVec unknown =
+      BitVec::generate(kTableN, [&] { return rng.flip(unknown_density); });
+  proto::crashm::OwnerLayout layout(kTableN, kTableK);
+  sim::PeerId owner = 0;
+  for (auto _ : state) {
+    SparseMask share = layout.share(unknown, phase, owner);
+    benchmark::DoNotOptimize(share.is_subset_of(known));
+    const auto chunk = proto::MaskChunk::extract(out, std::move(share));
+    benchmark::DoNotOptimize(chunk.hash());
+    owner = (owner + 1) % kTableK;
+  }
+}
+
+/// Phase 1: a whole block of n/k bits, nothing known yet.
+void BM_CrashMultiShareBlock(benchmark::State& state) {
+  run_share_chunks(state, 1, 1.0);
+}
+BENCHMARK(BM_CrashMultiShareBlock);
+
+/// Phase 2: a hashed owner's list filtered by a sparse unknown set (about
+/// 20 bits per chunk, as on table1-uniform).
+void BM_CrashMultiShareHashed(benchmark::State& state) {
+  run_share_chunks(state, 2, 0.12);
+}
+BENCHMARK(BM_CrashMultiShareHashed);
+
+/// One committee vote vector tallied (beta = 1/8, so t = 12 and c = 25:
+/// about 4,267 bits), senders in turn; the tally restarts when all k have
+/// voted.
+void BM_CommitteeTally(benchmark::State& state) {
+  const proto::CommitteeAssignment assignment(kTableN, kTableK, 12);
+  Rng rng(7);
+  std::vector<BitVec> votes;
+  for (sim::PeerId p = 0; p < kTableK; ++p) {
+    votes.push_back(BitVec::generate(assignment.load_of(p),
+                                     [&] { return rng.flip(); }));
+  }
+  auto tally = std::make_unique<proto::committee::Tally>(
+      assignment, assignment.threshold());
+  sim::PeerId from = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tally->add(from, votes[from]));
+    if (++from == kTableK) {
+      state.PauseTiming();
+      tally = std::make_unique<proto::committee::Tally>(
+          assignment, assignment.threshold());
+      from = 0;
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_CommitteeTally);
 
 void BM_FullCrashProtocolRun(benchmark::State& state) {
   for (auto _ : state) {

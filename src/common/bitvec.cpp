@@ -48,6 +48,29 @@ std::size_t count_and_words(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
+/// True iff the nonzero word m is one contiguous run of set bits (a full
+/// word included): gather and scatter then move it with one shift.
+bool is_run(std::uint64_t m) {
+  const std::uint64_t low = m & (~m + 1);
+  return ((m + low) & m) == 0;
+}
+
+/// Set bits of a run: its span between the highest and lowest set bit.
+std::size_t run_length(std::uint64_t run) {
+  return static_cast<std::size_t>(64 - std::countl_zero(run) -
+                                  std::countr_zero(run));
+}
+
+/// kFnvPrime^z mod 2^64, by squaring: the FNV state's factor over z zero
+/// words.
+std::uint64_t fnv_prime_pow(std::size_t z) {
+  std::uint64_t result = 1;
+  for (std::uint64_t base = kFnvPrime; z != 0; z >>= 1, base *= base) {
+    if ((z & 1u) != 0) result *= base;
+  }
+  return result;
+}
+
 }  // namespace
 
 BitVec::BitVec(std::size_t n, bool value)
@@ -89,23 +112,24 @@ void BitVec::splice(std::size_t pos, const BitVec& src) {
   }
 }
 
-BitVec BitVec::gather(const BitVec& mask) const {
+BitVec BitVec::gather(const SparseMask& mask) const {
   ASYNCDR_EXPECTS(mask.size_ == size_);
   BitVec out(mask.popcount());
   std::size_t at = 0;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t m = mask.words_[w];
-    if (m == 0) continue;
-    if (m == kAllOnes) {
-      out.store_bits(at, words_[w], kWordBits);
-      at += kWordBits;
+  for (const SparseMask::Word& word : mask.words_) {
+    const std::uint64_t src = words_[word.index];
+    std::uint64_t m = word.bits;
+    if (is_run(m)) {
+      const std::size_t count = run_length(m);
+      out.store_bits(at, (src & m) >> std::countr_zero(m), count);
+      at += count;
       continue;
     }
     // Pack the selected bits low-first, as a software PEXT.
     std::uint64_t packed = 0;
     std::size_t count = 0;
     for (; m != 0; m &= m - 1, ++count) {
-      packed |= ((words_[w] >> std::countr_zero(m)) & 1u) << count;
+      packed |= ((src >> std::countr_zero(m)) & 1u) << count;
     }
     out.store_bits(at, packed, count);
     at += count;
@@ -121,9 +145,9 @@ void BitVec::scatter(const SparseMask& mask, const BitVec& values) {
     const std::size_t w = word.index;
     std::uint64_t m = word.bits;
     std::uint64_t next = values.load_bits(at);
-    if (m == kAllOnes) {
-      words_[w] = next;
-      at += kWordBits;
+    if (is_run(m)) {
+      words_[w] = (words_[w] & ~m) | ((next << std::countr_zero(m)) & m);
+      at += run_length(m);
       continue;
     }
     // Deposit the next values at the mask's bits, as a software PDEP.
@@ -239,18 +263,38 @@ void BitVec::trim_tail() {
 
 // ---- SparseMask ----
 
-SparseMask::SparseMask(const BitVec& dense) : size_(dense.size_) {
-  std::size_t nonzero = 0;
-  for (std::uint64_t w : dense.words_) nonzero += w != 0 ? 1 : 0;
-  words_.reserve(nonzero);
-  for (std::size_t w = 0; w < dense.words_.size(); ++w) {
-    if (dense.words_[w] != 0) words_.push_back(Word{w, dense.words_[w]});
+SparseMask::SparseMask(const BitVec& dense)
+    : SparseMask(build(dense.size_, [&](auto&& push) {
+        for (std::size_t w = 0; w < dense.words_.size(); ++w) {
+          push(w, dense.words_[w]);
+        }
+      })) {}
+
+void SparseMask::append(std::size_t i) {
+  const std::size_t w = i / BitVec::kWordBits;
+  const std::uint64_t bit = std::uint64_t{1} << (i % BitVec::kWordBits);
+  ASYNCDR_EXPECTS(i < size_ && (words_.empty() || words_.back().index < w ||
+                                (words_.back().index == w &&
+                                 words_.back().bits < bit)));
+  if (!words_.empty() && words_.back().index == w) {
+    words_.back().bits |= bit;
+  } else {
+    words_.push_back(Word{w, bit});
   }
+}
+
+SparseMask SparseMask::intersect(const BitVec& other) const {
+  ASYNCDR_EXPECTS(size_ == other.size_);
+  return build(size_, [&](auto&& push) {
+    for (const Word& m : words_) push(m.index, m.bits & other.words_[m.index]);
+  });
 }
 
 std::size_t SparseMask::popcount() const {
   std::size_t count = 0;
-  for (const Word& m : words_) count += static_cast<std::size_t>(std::popcount(m.bits));
+  for (const Word& m : words_) {
+    count += static_cast<std::size_t>(std::popcount(m.bits));
+  }
   return count;
 }
 
@@ -261,17 +305,26 @@ BitVec SparseMask::to_dense() const {
 }
 
 std::uint64_t SparseMask::hash() const {
-  // BitVec::hash over the dense words, the absent ones read as zero.
+  // BitVec::hash over the dense words. An absent word reads as zero, so
+  // its step (h ^= 0; h *= kFnvPrime) is a multiply, and a run of z of them
+  // multiplies by kFnvPrime^z.
   std::uint64_t h = kFnvOffset ^ size_;
-  auto next = words_.begin();
-  for (std::size_t w = 0; w < BitVec::word_count(size_); ++w) {
-    if (next != words_.end() && next->index == w) {
-      h ^= next->bits;
-      ++next;
-    }
+  std::size_t next = 0;  // first dense word not yet hashed
+  for (const Word& m : words_) {
+    h *= fnv_prime_pow(m.index - next);
+    h ^= m.bits;
     h *= kFnvPrime;
+    next = m.index + 1;
   }
-  return h;
+  return h * fnv_prime_pow(BitVec::word_count(size_) - next);
+}
+
+bool SparseMask::is_subset_of(const BitVec& other) const {
+  ASYNCDR_EXPECTS(size_ == other.size_);
+  for (const Word& m : words_) {
+    if ((m.bits & ~other.words_[m.index]) != 0) return false;
+  }
+  return true;
 }
 
 }  // namespace asyncdr

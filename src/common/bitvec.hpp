@@ -69,7 +69,7 @@ class BitVec {
 
   /// The values at the set bits of `mask`, packed in increasing index order
   /// (mask.popcount() bits). `mask` must have this vector's size.
-  [[nodiscard]] BitVec gather(const BitVec& mask) const;
+  [[nodiscard]] BitVec gather(const SparseMask& mask) const;
 
   /// Inverse of gather: writes values.get(j) to the j-th set bit of `mask`
   /// and leaves the other bits alone. Requires mask.size() == size() and
@@ -149,11 +149,21 @@ class BitVec {
 /// content, equality and hash() of the BitVec it was built from, in heap
 /// proportional to the words holding set bits instead of to n: the form for
 /// sparse masks that are kept alive in bulk, such as the index sets of
-/// in-flight crash_multi responses (protocols/chunk.hpp).
+/// in-flight crash_multi responses (protocols/chunk.hpp). Every operation
+/// costs O(nonzero words), except the dense constructor and to_dense().
 class SparseMask {
  public:
   SparseMask() = default;
+  /// An n-bit mask with no bit set.
+  explicit SparseMask(std::size_t n) : size_(n) {}
   explicit SparseMask(const BitVec& dense);
+
+  /// Sets bit i, which must come after every bit set so far.
+  void append(std::size_t i);
+
+  /// The set bits of *this that are also set in `other` (same size), built
+  /// a word at a time.
+  [[nodiscard]] SparseMask intersect(const BitVec& other) const;
 
   /// Length n of the mask (not its heap size).
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -161,6 +171,19 @@ class SparseMask {
   [[nodiscard]] BitVec to_dense() const;
   /// Equals to_dense().hash().
   [[nodiscard]] std::uint64_t hash() const;
+  /// True if every set bit of *this is also set in `other` (same size).
+  [[nodiscard]] bool is_subset_of(const BitVec& other) const;
+
+  /// Calls fn(index) for every set bit, in increasing index order.
+  template <typename F>
+  void for_each_set(F&& fn) const {
+    for (const Word& m : words_) {
+      for (std::uint64_t bits = m.bits; bits != 0; bits &= bits - 1) {
+        fn(m.index * BitVec::kWordBits +
+           static_cast<std::size_t>(BitVec::count_trailing(bits)));
+      }
+    }
+  }
 
   bool operator==(const SparseMask& other) const = default;
 
@@ -176,6 +199,25 @@ class SparseMask {
     std::uint64_t bits;  ///< nonzero
     bool operator==(const Word& other) const = default;
   };
+
+  /// Builds the mask from emit(push), which calls push(index, bits) for
+  /// increasing word indices (zero bits allowed, and dropped): once to
+  /// count the nonzero words, once to store them, so the word array is
+  /// allocated once at its exact size.
+  template <typename Emit>
+  static SparseMask build(std::size_t size, Emit&& emit) {
+    SparseMask out;
+    out.size_ = size;
+    std::size_t nonzero = 0;
+    emit([&](std::size_t, std::uint64_t bits) {
+      nonzero += bits != 0 ? 1 : 0;
+    });
+    out.words_.reserve(nonzero);
+    emit([&](std::size_t index, std::uint64_t bits) {
+      if (bits != 0) out.words_.push_back(Word{index, bits});
+    });
+    return out;
+  }
 
   std::vector<Word> words_;  ///< increasing index
   std::size_t size_ = 0;

@@ -101,7 +101,8 @@ class ArenaColumn final : public ColumnBase {
 };
 
 /// The arena itself: a small registry of named typed columns, one World
-/// each. Protocols create their columns lazily on first access.
+/// each, plus named world-wide objects. Protocols create both lazily on
+/// first access.
 class PeerArena {
  public:
   explicit PeerArena(std::size_t k) : k_(k) {}
@@ -124,6 +125,24 @@ class PeerArena {
     columns_.push_back(
         std::make_unique<ArenaColumn<Row>>(name, k_, row_bytes));
     return static_cast<ArenaColumn<Row>&>(*columns_.back());
+  }
+
+  /// Finds or creates the world-wide object `name` of type T, built by
+  /// make() on first use. It is for state derived from the world's config
+  /// alone, such as crash_multi's owner layout, that every peer reads: no
+  /// restart resets it, and no mem pool charges it. Same name + different T
+  /// throws, as for columns.
+  template <typename T, typename Make>
+  T& shared(const std::string& name, Make&& make) {
+    for (const auto& obj : shared_) {
+      if (obj->name != name) continue;
+      auto* typed = dynamic_cast<SharedObject<T>*>(obj.get());
+      ASYNCDR_EXPECTS_MSG(typed != nullptr,
+                          "arena object reused with a different type");
+      return typed->value;
+    }
+    shared_.push_back(std::make_unique<SharedObject<T>>(name, make()));
+    return static_cast<SharedObject<T>&>(*shared_.back()).value;
   }
 
   /// Default-constructs every column's row for `id` — the crash-recovery
@@ -159,8 +178,21 @@ class PeerArena {
   }
 
  private:
+  struct SharedBase {
+    explicit SharedBase(std::string n) : name(std::move(n)) {}
+    virtual ~SharedBase() = default;
+    std::string name;
+  };
+  template <typename T>
+  struct SharedObject final : SharedBase {
+    SharedObject(std::string n, T v)
+        : SharedBase(std::move(n)), value(std::move(v)) {}
+    T value;
+  };
+
   std::size_t k_;
   std::vector<std::unique_ptr<ColumnBase>> columns_;
+  std::vector<std::unique_ptr<SharedBase>> shared_;
 };
 
 }  // namespace asyncdr::dr

@@ -31,8 +31,8 @@ void BitChunk::apply_to(BitVec& out, IntervalSet& known) const {
   known.unite(indices);
 }
 
-MaskChunk::MaskChunk(const BitVec& m, BitVec vals)
-    : mask(m), values(std::move(vals)) {
+MaskChunk::MaskChunk(SparseMask m, BitVec vals)
+    : mask(std::move(m)), values(std::move(vals)) {
   ASYNCDR_EXPECTS(mask.popcount() == values.size());
 }
 
@@ -43,9 +43,10 @@ void MaskChunk::apply_to(BitVec& out, BitVec& known_mask) const {
   known_mask.or_with(mask);
 }
 
-MaskChunk MaskChunk::extract(const BitVec& src, const BitVec& mask) {
+MaskChunk MaskChunk::extract(const BitVec& src, SparseMask mask) {
   ASYNCDR_EXPECTS(src.size() == mask.size());
-  return MaskChunk(mask, src.gather(mask));
+  BitVec values = src.gather(mask);
+  return MaskChunk(std::move(mask), std::move(values));
 }
 
 BitChunk BitChunk::extract(const BitVec& src, const IntervalSet& idx) {

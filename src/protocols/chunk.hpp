@@ -50,7 +50,7 @@ struct MaskChunk {
   BitVec values;    ///< mask.popcount() values, in increasing index order
 
   MaskChunk() = default;
-  MaskChunk(const BitVec& m, BitVec vals);
+  MaskChunk(SparseMask m, BitVec vals);
 
   [[nodiscard]] std::size_t count() const { return values.size(); }
   [[nodiscard]] bool empty() const { return values.empty(); }
@@ -62,7 +62,7 @@ struct MaskChunk {
   void apply_to(BitVec& out, BitVec& known_mask) const;
 
   /// Builds the chunk of src's values at the mask's set positions.
-  static MaskChunk extract(const BitVec& src, const BitVec& mask);
+  static MaskChunk extract(const BitVec& src, SparseMask mask);
 
   bool operator==(const MaskChunk&) const = default;
   /// Content hash feeding Payload::content_hash (payload interning).

@@ -2,6 +2,7 @@
 #include "protocols/committee.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -11,9 +12,16 @@ namespace asyncdr::proto {
 
 CommitteeAssignment::CommitteeAssignment(std::size_t n, std::size_t k,
                                          std::size_t t)
-    : n_(n), k_(k), t_(t), c_(2 * t + 1) {
+    : n_(n),
+      k_(k),
+      t_(t),
+      c_(2 * t + 1),
+      gcd_(std::gcd(c_, k)),
+      period_(k / gcd_) {
   ASYNCDR_EXPECTS_MSG(c_ <= k_,
                       "committee protocol needs beta < 1/2 (2t+1 <= k)");
+  ASYNCDR_EXPECTS_MSG(threshold() <= std::numeric_limits<std::uint16_t>::max(),
+                      "vote counters are 16-bit: t+1 must fit");
 }
 
 bool CommitteeAssignment::is_member(sim::PeerId p, std::size_t bit) const {
@@ -21,23 +29,15 @@ bool CommitteeAssignment::is_member(sim::PeerId p, std::size_t bit) const {
   return ((p + k_ - (bit * c_) % k_) % k_) < c_;
 }
 
+std::size_t CommitteeAssignment::load_of(sim::PeerId p) const {
+  std::size_t load = (n_ / period_) * (c_ / gcd_);
+  for_each_member_residue(p, n_ % period_, [&](std::size_t) { ++load; });
+  return load;
+}
+
 std::vector<std::size_t> CommitteeAssignment::bits_of(sim::PeerId p) const {
-  // Membership of bit j depends only on (j*c) mod k: find the member
-  // residues of one period and tile them.
-  const std::size_t period = k_ / std::gcd(c_, k_);
-  std::vector<std::size_t> residues;
-  for (std::size_t s = 0; s < std::min(period, n_); ++s) {
-    if (is_member(p, s)) residues.push_back(s);
-  }
-  std::vector<std::size_t> bits;
-  if (residues.empty()) return bits;
-  bits.reserve(residues.size() * ((n_ + period - 1) / period));
-  for (std::size_t base = 0; base < n_; base += period) {
-    for (std::size_t s : residues) {
-      if (base + s >= n_) break;
-      bits.push_back(base + s);
-    }
-  }
+  std::vector<std::size_t> bits(load_of(p));
+  for_each_bit_of(p, [&](std::size_t bit, std::size_t j) { bits[j] = bit; });
   return bits;
 }
 
@@ -49,15 +49,50 @@ std::vector<sim::PeerId> CommitteeAssignment::members_of(std::size_t bit) const 
   return members;
 }
 
+namespace committee {
+
+Tally::Tally(CommitteeAssignment assignment, std::size_t threshold)
+    : assignment_(assignment),
+      threshold_(threshold),
+      out_(assignment.n()),
+      decided_(assignment.n()),
+      counts_(2 * assignment.n(), 0),
+      heard_(assignment.k(), false) {
+  ASYNCDR_EXPECTS(threshold >= 1 && threshold <= assignment.threshold());
+}
+
+bool Tally::add(sim::PeerId from, const BitVec& values) {
+  if (from >= heard_.size() || heard_[from]) return false;
+  if (values.size() != assignment_.load_of(from)) return false;
+  heard_[from] = true;
+  const std::size_t threshold = threshold_;
+  std::uint16_t* const counts = counts_.data();
+  assignment_.for_each_bit_of(from, [&](std::size_t bit, std::size_t j) {
+    if (decided_.get(bit)) return;
+    const std::size_t value = values.get(j) ? 1 : 0;
+    if (++counts[2 * bit + value] >= threshold) decide(bit, value != 0);
+  });
+  return true;
+}
+
+void Tally::decide(std::size_t bit, bool value) {
+  if (decided_.get(bit)) return;
+  decided_.set(bit, true);
+  ++decided_count_;
+  out_.set(bit, value);
+}
+
+}  // namespace committee
+
 void CommitteePeer::on_start() {
   init();
   begin_phase("committee-query+vote");
   // Query every bit of my committees; my own queries are ground truth, so
   // those bits decide immediately.
-  const std::vector<std::size_t> mine = assignment_->bits_of(id());
+  const std::vector<std::size_t> mine = tally_->assignment().bits_of(id());
   const BitVec values = query_indices(mine);
   for (std::size_t j = 0; j < mine.size(); ++j) {
-    decide(mine[j], values.get(j));
+    tally_->decide(mine[j], values.get(j));
   }
   broadcast(std::make_shared<committee::Votes>(values));
   votes_sent_ = true;
@@ -69,70 +104,35 @@ void CommitteePeer::on_message(sim::PeerId from, const sim::Payload& payload) {
   const auto* votes = sim::payload_as<committee::Votes>(payload);
   if (votes == nullptr) return;  // foreign/garbage payload: ignore
   init();
-  process_votes(from, *votes);
+  tally_->add(from, votes->values);
   maybe_finish();
 }
 
 void CommitteePeer::init() {
-  if (started_) return;
-  started_ = true;
-  const std::size_t t = world().config().max_faulty();
-  assignment_ = std::make_unique<CommitteeAssignment>(n(), k(), t);
-  out_ = BitVec(n());
-  decided_.assign(n(), false);
-  votes0_.assign(n(), 0);
-  votes1_.assign(n(), 0);
-  heard_.assign(k(), false);
-}
-
-void CommitteePeer::process_votes(sim::PeerId from,
-                                  const committee::Votes& votes) {
-  if (from >= k() || heard_[from]) return;
-  const std::vector<std::size_t> bits = assignment_->bits_of(from);
-  // A malformed (wrong-length) vote vector can only come from a Byzantine
-  // sender; drop it entirely, without marking the sender heard.
-  if (votes.values.size() != bits.size()) return;
-
-  // A member votes once. Its first well-formed vector counts on every bit
-  // still undecided; decided bits stay decided. Any later vector from the
-  // same sender therefore has nothing left to count.
-  heard_[from] = true;
-  for (std::size_t j = 0; j < bits.size(); ++j) {
-    const std::size_t bit = bits[j];
-    if (decided_[bit]) continue;
-    const bool value = votes.values.get(j);
-    const std::uint32_t count = value ? ++votes1_[bit] : ++votes0_[bit];
-    if (count >= accept_threshold()) decide(bit, value);
-  }
-}
-
-std::size_t CommitteePeer::accept_threshold() const {
-  const std::size_t threshold = assignment_->threshold();
+  if (tally_ != nullptr) return;
+  const CommitteeAssignment assignment(n(), k(),
+                                       world().config().max_faulty());
+  std::size_t threshold = assignment.threshold();
   // The injected off-by-one: t votes suffice, so t colluding liars can
   // decide a bit. Guarded so the bug cannot fire accidentally.
-  if (opts_.buggy_vote_threshold && threshold > 1) return threshold - 1;
-  return threshold;
+  if (opts_.buggy_vote_threshold && threshold > 1) --threshold;
+  tally_ = std::make_unique<committee::Tally>(assignment, threshold);
 }
 
 std::string CommitteePeer::status() const {
   if (terminated()) return "terminated";
-  if (!started_) return "not started";
+  if (tally_ == nullptr) return "not started";
   std::ostringstream os;
-  os << "decided " << decided_count_ << "/" << n() << " bits, votes "
+  os << "decided " << tally_->decided_count() << "/" << n() << " bits, votes "
      << (votes_sent_ ? "sent" : "NOT sent")
      << "; waiting for committee votes on the undecided bits";
   return os.str();
 }
 
-void CommitteePeer::decide(std::size_t bit, bool value) {
-  if (decided_[bit]) return;
-  decided_[bit] = true;
-  ++decided_count_;
-  out_.set(bit, value);
-}
-
 void CommitteePeer::maybe_finish() {
-  if (!terminated() && votes_sent_ && decided_count_ == n()) finish(out_);
+  if (!terminated() && votes_sent_ && tally_->decided_count() == n()) {
+    finish(tally_->out());
+  }
 }
 
 }  // namespace asyncdr::proto

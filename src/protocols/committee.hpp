@@ -9,33 +9,76 @@
 // Q = (number of committees per peer) = ceil(n*c/k) ~ 2*beta*n + n/k.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bitvec.hpp"
+#include "common/check.hpp"
 #include "dr/peer.hpp"
 #include "sim/message.hpp"
 
 namespace asyncdr::proto {
 
 /// Round-robin committee structure: committee of bit j is the c consecutive
-/// peer IDs starting at (j*c) mod k.
+/// peer IDs starting at (j*c) mod k. Membership of bit j depends only on
+/// (j*c) mod k, so it repeats with period P = k / gcd(c, k), and every peer
+/// sits on exactly c / gcd(c, k) committees of each whole period.
 class CommitteeAssignment {
  public:
+  /// Requires 2t+1 <= k, and t+1 <= 65535 (vote counters are 16-bit).
   CommitteeAssignment(std::size_t n, std::size_t k, std::size_t t);
 
+  [[nodiscard]] std::size_t n() const { return n_; }
+  [[nodiscard]] std::size_t k() const { return k_; }
   [[nodiscard]] std::size_t committee_size() const { return c_; }
   [[nodiscard]] std::size_t threshold() const { return t_ + 1; }
 
   [[nodiscard]] bool is_member(sim::PeerId p, std::size_t bit) const;
-  /// Bits whose committee contains p, in increasing order. Membership
-  /// repeats with period k / gcd(c, k), so this costs O(period + |bits|).
+  /// |bits_of(p)|: c/gcd(c, k) bits per whole period, plus the member
+  /// residues below n mod P.
+  [[nodiscard]] std::size_t load_of(sim::PeerId p) const;
+  /// Calls fn(bit, j) for every bit whose committee contains p, where j is
+  /// the bit's rank among them (its index in bits_of(p), and in p's vote
+  /// vector). Visits residue by residue, each residue's bits upward, so the
+  /// bits do not come in increasing order. Allocation-free, O(P + |bits|).
+  template <typename F>
+  void for_each_bit_of(sim::PeerId p, F&& fn) const {
+    const std::size_t per_period = c_ / gcd_;
+    std::size_t rank = 0;
+    for_each_member_residue(p, std::min(period_, n_), [&](std::size_t s) {
+      // Rank of s + m*P: m whole periods of members before it, then rank.
+      for (std::size_t bit = s, j = rank; bit < n_;
+           bit += period_, j += per_period) {
+        fn(bit, j);
+      }
+      ++rank;
+    });
+  }
+  /// Bits whose committee contains p, in increasing order.
   [[nodiscard]] std::vector<std::size_t> bits_of(sim::PeerId p) const;
   /// The committee of a bit, in position order.
   [[nodiscard]] std::vector<sim::PeerId> members_of(std::size_t bit) const;
 
  private:
+  /// Calls fn(s) for every residue s < limit (<= P) whose committee
+  /// contains p, in increasing order.
+  template <typename F>
+  void for_each_member_residue(sim::PeerId p, std::size_t limit,
+                               F&& fn) const {
+    ASYNCDR_EXPECTS(p < k_);
+    std::size_t start = 0;  // (s*c) mod k
+    for (std::size_t s = 0; s < limit; ++s) {
+      if ((p >= start ? p - start : p + k_ - start) < c_) fn(s);
+      start += c_;
+      if (start >= k_) start -= k_;
+    }
+  }
+
   std::size_t n_, k_, t_, c_;
+  std::size_t gcd_;     ///< gcd(c, k)
+  std::size_t period_;  ///< P = k / gcd(c, k)
 };
 
 namespace committee {
@@ -50,6 +93,45 @@ struct Votes final : sim::Payload {
   explicit Votes(BitVec v) : values(std::move(v)) {}
   [[nodiscard]] std::size_t size_bits() const override { return values.size() + 64; }
   [[nodiscard]] std::string type_name() const override { return "committee::Votes"; }
+};
+
+/// One peer's count of committee votes. Per bit it counts the votes of
+/// distinct committee members for each value, and decides the bit on the
+/// first value to reach the threshold. A sender counts once: its first
+/// well-formed vector counts on every bit still undecided, and a decided
+/// bit stays decided, so a later vector would count on nothing.
+class Tally {
+ public:
+  /// Decides a bit on `threshold` matching votes, 1 <= threshold <=
+  /// assignment.threshold(); a count never exceeds it, so 16 bits hold it.
+  Tally(CommitteeAssignment assignment, std::size_t threshold);
+
+  [[nodiscard]] const CommitteeAssignment& assignment() const {
+    return assignment_;
+  }
+
+  /// Counts `from`'s vote vector. A vector whose length is not
+  /// load_of(from) can only come from a Byzantine sender: it is dropped
+  /// without marking the sender heard. Returns whether anything was
+  /// counted (false also for a repeat sender or an id >= k).
+  bool add(sim::PeerId from, const BitVec& values);
+  /// Decides `bit` as `value` unless it is decided already (a peer's own
+  /// queries are ground truth).
+  void decide(std::size_t bit, bool value);
+
+  /// Decided values (undecided bits read 0).
+  [[nodiscard]] const BitVec& out() const { return out_; }
+  [[nodiscard]] std::size_t decided_count() const { return decided_count_; }
+
+ private:
+  CommitteeAssignment assignment_;
+  std::size_t threshold_;
+  BitVec out_;
+  BitVec decided_;
+  std::size_t decided_count_ = 0;
+  /// [2*bit + value]: votes for `value` on `bit` from distinct members.
+  std::vector<std::uint16_t> counts_;
+  std::vector<bool> heard_;  ///< per sender: a well-formed vector counted
 };
 
 }  // namespace committee
@@ -76,22 +158,10 @@ class CommitteePeer final : public dr::Peer {
 
  private:
   void init();
-  void process_votes(sim::PeerId from, const committee::Votes& votes);
-  void decide(std::size_t bit, bool value);
   void maybe_finish();
-  [[nodiscard]] std::size_t accept_threshold() const;
 
   Options opts_;
-  std::unique_ptr<CommitteeAssignment> assignment_;
-  BitVec out_;
-  std::vector<bool> decided_;
-  std::size_t decided_count_ = 0;
-  // Per bit: votes received for value 0 / value 1 from distinct members.
-  std::vector<std::uint32_t> votes0_, votes1_;
-  // Per sender: a well-formed Votes has been counted (dedup; a member votes
-  // once for all of its bits).
-  std::vector<bool> heard_;
-  bool started_ = false;
+  std::unique_ptr<committee::Tally> tally_;  ///< built by init()
   // Termination is gated on having broadcast my own votes: an honest member
   // that finished early but silently would strand other peers below the
   // t+1 threshold.

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <sstream>
-#include <tuple>
 
 #include "common/check.hpp"
 #include "dr/world.hpp"
@@ -34,39 +31,28 @@ sim::PeerId hashed_owner(std::size_t b, std::size_t r, std::size_t k) {
   return static_cast<sim::PeerId>(z % k);
 }
 
-const std::vector<BitVec>& owner_masks(std::size_t n, std::size_t k,
-                                       std::size_t r) {
-  // One world is single-threaded, but chaos sweeps fan independent worlds
-  // across a thread pool, so the shared cache takes a lock. Returned
-  // references stay valid under later insertions (node-based map) and the
-  // cached vectors are never mutated after construction.
-  // asyncdr-lint: allow(DR010) shared read-only mask cache across worlds;
-  // lock protects construction only, never schedule-dependent state.
-  static std::mutex cache_mutex;
-  static std::map<std::tuple<std::size_t, std::size_t, std::size_t>,
-                  std::vector<BitVec>>
-      cache;
-  // asyncdr-lint: allow(DR010) see cache_mutex rationale above.
-  std::scoped_lock lock(cache_mutex);
-  auto [it, inserted] = cache.try_emplace(std::tuple{n, k, r});
-  if (inserted) {
-    std::vector<BitVec> masks(k, BitVec(n));
+OwnerLayout::OwnerLayout(std::size_t n, std::size_t k) : n_(n), k_(k) {}
+
+SparseMask OwnerLayout::share(const BitVec& unknown, std::size_t r,
+                              sim::PeerId who) {
+  ASYNCDR_EXPECTS(unknown.size() == n_ && r >= 1 && who < k_);
+  if (phases_.size() < r) phases_.resize(r);
+  std::vector<SparseMask>& owners = phases_[r - 1];
+  if (owners.empty()) {
+    owners.assign(k_, SparseMask(n_));
     if (r == 1) {
-      const SegmentLayout blocks(n, k);
-      for (sim::PeerId q = 0; q < k; ++q) {
-        const Interval b = blocks.bounds(q);
-        if (b.length() > 0) {
-          for (std::size_t i = b.lo; i < b.hi; ++i) masks[q].set(i, true);
-        }
+      const SegmentLayout blocks(n_, k_);
+      for (sim::PeerId q = 0; q < k_; ++q) {
+        const Interval block = blocks.bounds(q);
+        for (std::size_t b = block.lo; b < block.hi; ++b) owners[q].append(b);
       }
     } else {
-      for (std::size_t b = 0; b < n; ++b) {
-        masks[hashed_owner(b, r, k)].set(b, true);
+      for (std::size_t b = 0; b < n_; ++b) {
+        owners[hashed_owner(b, r, k_)].append(b);
       }
     }
-    it->second = std::move(masks);
   }
-  return it->second;
+  return owners[who].intersect(unknown);
 }
 
 }  // namespace crashm
@@ -127,11 +113,13 @@ std::size_t CrashMultiPeer::max_phases() const {
   return std::min<std::size_t>(200, static_cast<std::size_t>(phases) + 3);
 }
 
-BitVec CrashMultiPeer::owned_share(const BitVec& base, std::size_t r,
-                                   sim::PeerId who) const {
-  BitVec share = crashm::owner_masks(n(), k(), r)[who];
-  share.and_with(base);
-  return share;
+crashm::OwnerLayout& CrashMultiPeer::layout() {
+  if (layout_ == nullptr) {
+    layout_ = &world().arena().shared<crashm::OwnerLayout>(
+        "proto.crash_multi.owners",
+        [this] { return crashm::OwnerLayout(n(), k()); });
+  }
+  return *layout_;
 }
 
 void CrashMultiPeer::on_start() {
@@ -158,7 +146,7 @@ void CrashMultiPeer::on_restart(const dr::RecoveryState& state) {
   // FULL rescue, and terminate.
   BitVec rest(n(), true);
   rest.andnot_with(known_);
-  if (!query_mask(rest)) return;  // killed at a sentinel again
+  if (!query_mask(SparseMask(rest))) return;  // killed at a sentinel again
   progress_ = Progress::kDone;
   if (!full_sent_) {
     full_sent_ = true;
@@ -232,7 +220,7 @@ void CrashMultiPeer::start_phase(std::size_t r) {
   phase_unknown_ = std::move(all_unknown);
 
   // Stage 1: query my own share and pull everyone else's.
-  if (!query_mask(owned_share(phase_unknown_, r, id()))) return;
+  if (!query_mask(layout().share(phase_unknown_, r, id()))) return;
   Scratch& sc = scratch();
   if (sc.heard.size() < r) sc.heard.resize(r);
   sc.heard[r - 1].insert(id(), k());
@@ -244,12 +232,11 @@ void CrashMultiPeer::start_phase(std::size_t r) {
   try_advance();
 }
 
-bool CrashMultiPeer::query_mask(const BitVec& mask) {
-  BitVec to_query = mask;
-  to_query.andnot_with(known_);
+bool CrashMultiPeer::query_mask(const SparseMask& mask) {
   std::vector<std::size_t> idx;
-  idx.reserve(to_query.popcount());
-  to_query.for_each_set([&](std::size_t b) { idx.push_back(b); });
+  mask.for_each_set([&](std::size_t b) {
+    if (!known_.get(b)) idx.push_back(b);
+  });
   if (idx.empty()) return true;
   const BitVec values = query_indices(idx);
   // Single query funnel = single journal funnel: everything this protocol
@@ -332,14 +319,14 @@ bool CrashMultiPeer::req2_eligible(const Req2& req) const {
 }
 
 void CrashMultiPeer::handle_req1(sim::PeerId from, const Req1& req) {
-  const BitVec wanted = owned_share(req.unknown, req.phase, id());
+  SparseMask wanted = layout().share(req.unknown, req.phase, id());
   // Claim 1 (structural under the canonical assignment): every bit the
   // requester assigned to me and still lacks is a bit I either knew
   // already or queried in my own stage 1 of that phase.
   ASYNCDR_INVARIANT_MSG(wanted.is_subset_of(known_),
                         "Claim 1 violated: asked for a bit I don't know");
-  send(from,
-       std::make_shared<Resp1>(req.phase, MaskChunk::extract(out_, wanted)));
+  send(from, std::make_shared<Resp1>(
+                 req.phase, MaskChunk::extract(out_, std::move(wanted))));
 }
 
 void CrashMultiPeer::handle_req2(sim::PeerId from, const Req2& req) {
@@ -351,11 +338,12 @@ void CrashMultiPeer::handle_req2(sim::PeerId from, const Req2& req) {
     if (absent >= k()) continue;
     const bool i_heard = have_phase && sc.heard[req.phase - 1].contains(absent);
     if (i_heard) {
-      const BitVec wanted = owned_share(req.unknown, req.phase, absent);
+      SparseMask wanted = layout().share(req.unknown, req.phase, absent);
       ASYNCDR_INVARIANT_MSG(
           wanted.is_subset_of(known_),
           "Claim 1 violated: heard the absent peer but lack its bits");
-      answers.emplace_back(absent, MaskChunk::extract(out_, wanted));
+      answers.emplace_back(absent,
+                           MaskChunk::extract(out_, std::move(wanted)));
     } else {
       answers.emplace_back(absent, std::nullopt);  // "me neither"
     }
@@ -420,7 +408,7 @@ void CrashMultiPeer::complete_now() {
   // Query whatever is still unknown directly.
   BitVec rest(n(), true);
   rest.andnot_with(known_);
-  if (!query_mask(rest)) return;  // killed at a sentinel: no rescue, no finish
+  if (!query_mask(SparseMask(rest))) return;  // killed: no rescue, no finish
   // asyncdr-lint: allow(DR014) the query_mask call above is the journal
   //   funnel — every bit acted on here was appended inside it before this
   //   point; progress_ and full_sent_ are volatile control state re-derived

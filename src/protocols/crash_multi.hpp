@@ -25,6 +25,13 @@
 // shrinks the unknown set by a ~beta factor per phase against ANY crash
 // set. bounds::crash_multi_q() accounts for the concentration slack.
 //
+// Per-message cost. Each world keeps one crashm::OwnerLayout: for every
+// phase reached, each peer's owned bits as a SparseMask. A share (the bits
+// of a requester's unknown set that one peer owns) is cut from the owner's
+// own words: about 3 words for a phase-1 block, min(n/64, n/k) for a hashed
+// phase. Building, checking (Claim 1), packing and hashing a response then
+// cost O(owner words), not O(n).
+//
 // Termination: once the unknown set is at most max(ceil(n/k), 2k) bits (or
 // a phase cap is hit), the peer queries the remainder directly, pushes its
 // full output to everyone (the FULL rescue of Claim 2 that keeps slower
@@ -54,11 +61,26 @@ namespace crashm {
 /// Canonical owner of bit b in phase r >= 2 of a k-peer instance.
 sim::PeerId hashed_owner(std::size_t b, std::size_t r, std::size_t k);
 
-/// Per-peer ownership masks of one phase: masks[q].get(b) iff q owns bit b
-/// in phase r. Depends only on (n, k, r), so instances are shared
-/// process-wide; shares then reduce to word-level AND operations.
-const std::vector<BitVec>& owner_masks(std::size_t n, std::size_t k,
-                                       std::size_t r);
+/// Who owns which bit, in every phase of one (n, k) instance: per phase,
+/// each peer's owned bits as a SparseMask. Phase 1 gives peer q the q-th
+/// block of SegmentLayout(n, k); phase r >= 2 gives bit b to
+/// hashed_owner(b, r, k). A phase's masks are built in one pass over the n
+/// bits the first time a share of that phase is asked for. One layout
+/// serves a whole world (CrashMultiPeer binds it in the world's arena).
+class OwnerLayout {
+ public:
+  OwnerLayout(std::size_t n, std::size_t k);
+
+  /// The bits of `unknown` (length n) that `who` owns in phase r >= 1: the
+  /// owner's words ANDed with the unknown set's, O(min(n/64, n/k)) words.
+  [[nodiscard]] SparseMask share(const BitVec& unknown, std::size_t r,
+                                 sim::PeerId who);
+
+ private:
+  std::size_t n_, k_;
+  /// [r - 1][q]: q's bits in phase r; empty until phase r is first asked.
+  std::vector<std::vector<SparseMask>> phases_;
+};
 
 /// Request header charge: the index sets a request describes are
 /// reconstructible from the requester's per-phase unheard lists (at most k
@@ -251,10 +273,6 @@ class CrashMultiPeer final : public dr::Peer {
   [[nodiscard]] std::size_t direct_threshold() const;
   [[nodiscard]] std::size_t max_phases() const;
 
-  /// Mask of bits in `base` owned by `who` in phase r (word-level AND with
-  /// the shared ownership masks).
-  [[nodiscard]] BitVec owned_share(const BitVec& base, std::size_t r, sim::PeerId who) const;
-
   void ensure_init();
   void start_phase(std::size_t r);
   void try_advance();
@@ -270,7 +288,10 @@ class CrashMultiPeer final : public dr::Peer {
   /// Queries (and journals) the unknown bits of `mask`. Returns false iff a
   /// journal crash-point sentinel killed this peer mid-append — the caller
   /// must stop immediately.
-  bool query_mask(const BitVec& mask);
+  bool query_mask(const SparseMask& mask);
+
+  /// The world's owner layout, bound on first use (like scratch()).
+  [[nodiscard]] crashm::OwnerLayout& layout();
 
   Options opts_;
   Progress progress_ = Progress::kIdle;
@@ -294,6 +315,7 @@ class CrashMultiPeer final : public dr::Peer {
   [[nodiscard]] const Scratch* scratch_if_bound() const { return row_; }
 
   Scratch* row_ = nullptr;
+  crashm::OwnerLayout* layout_ = nullptr;
 };
 
 }  // namespace asyncdr::proto

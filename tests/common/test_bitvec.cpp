@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 
@@ -236,17 +238,19 @@ TEST_P(BitVecKernels, GatherScatterMatchPerBitReference) {
     const BitVec mask =
         trial < 4 ? shaped_mask(n, rng, trial) : random_bits(n, rng);
 
+    const SparseMask sparse(mask);
+
     BitVec want_gather;
     for (std::size_t i = 0; i < n; ++i) {
       if (mask.get(i)) want_gather.push_back(src.get(i));
     }
-    const BitVec gathered = src.gather(mask);
+    const BitVec gathered = src.gather(sparse);
     EXPECT_EQ(gathered, want_gather);
     EXPECT_TRUE(zero_tail(gathered));
 
     const BitVec values = random_bits(mask.popcount(), rng);
     BitVec scattered = src;
-    scattered.scatter(SparseMask(mask), values);
+    scattered.scatter(sparse, values);
     BitVec want_scatter = src;
     std::size_t j = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -254,7 +258,7 @@ TEST_P(BitVecKernels, GatherScatterMatchPerBitReference) {
     }
     EXPECT_EQ(scattered, want_scatter);
     EXPECT_TRUE(zero_tail(scattered));
-    EXPECT_EQ(scattered.gather(mask), values);
+    EXPECT_EQ(scattered.gather(sparse), values);
   }
 }
 
@@ -323,12 +327,52 @@ TEST_P(BitVecKernels, SparseMaskMatchesDense) {
   }
 }
 
+TEST_P(BitVecKernels, SparseMaskAppendIntersectMatchPerBitReference) {
+  const std::size_t n = GetParam();
+  Rng rng(n * 37 + 9);
+  for (std::size_t trial = 0; trial < 8; ++trial) {
+    const BitVec base =
+        trial < 4 ? shaped_mask(n, rng, trial) : random_bits(n, rng);
+
+    // Append a random increasing set: equal to the dense mask of that set.
+    BitVec chosen(n);
+    SparseMask appended(n);
+    const std::uint64_t one_in = 1 + trial % 4;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.below(one_in) != 0) continue;
+      chosen.set(i, true);
+      appended.append(i);
+    }
+    EXPECT_EQ(appended, SparseMask(chosen));
+    EXPECT_EQ(appended.hash(), chosen.hash());
+
+    BitVec want(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      want.set(i, chosen.get(i) && base.get(i));
+    }
+    const SparseMask both = appended.intersect(base);
+    EXPECT_EQ(both, SparseMask(want));
+    EXPECT_EQ(both.hash(), want.hash());
+    EXPECT_EQ(both.memory_bytes(), SparseMask(want).memory_bytes());
+
+    std::vector<std::size_t> visited, want_visited;
+    both.for_each_set([&](std::size_t i) { visited.push_back(i); });
+    want.for_each_set([&](std::size_t i) { want_visited.push_back(i); });
+    EXPECT_EQ(visited, want_visited);
+
+    const BitVec other = random_bits(n, rng);
+    EXPECT_EQ(both.is_subset_of(other), want.is_subset_of(other));
+    EXPECT_TRUE(both.is_subset_of(base));
+    EXPECT_EQ(appended.is_subset_of(base), chosen.is_subset_of(base));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, BitVecKernels,
                          ::testing::Values(0, 1, 63, 64, 65, 127, 16384));
 
 TEST(BitVec, GatherScatterPreconditions) {
   const BitVec v(70);
-  EXPECT_THROW((void)v.gather(BitVec(71)), contract_violation);
+  EXPECT_THROW((void)v.gather(SparseMask(BitVec(71))), contract_violation);
   BitVec w(70);
   const BitVec mask =
       BitVec::from_string(std::string(10, '1') + std::string(60, '0'));
@@ -339,6 +383,20 @@ TEST(BitVec, GatherScatterPreconditions) {
   EXPECT_EQ(w.popcount(), 10u);
   BitVec shorter(69);
   EXPECT_THROW(shorter.or_with(sparse), contract_violation);
+  EXPECT_THROW((void)sparse.is_subset_of(shorter), contract_violation);
+}
+
+TEST(SparseMask, AppendPreconditions) {
+  SparseMask m(100);
+  m.append(3);
+  EXPECT_THROW(m.append(3), contract_violation);
+  EXPECT_THROW(m.append(2), contract_violation);
+  m.append(64);
+  EXPECT_THROW(m.append(63), contract_violation);
+  EXPECT_THROW(m.append(100), contract_violation);
+  m.append(99);
+  EXPECT_EQ(m.popcount(), 3u);
+  EXPECT_THROW((void)m.intersect(BitVec(99)), contract_violation);
 }
 
 TEST(SparseMask, KeepsOnlyNonzeroWords) {

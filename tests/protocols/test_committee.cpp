@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "harness.hpp"
 #include "protocols/bounds.hpp"
 
@@ -57,6 +62,7 @@ TEST(CommitteeAssignment, BitsOfMatchesBruteForce) {
       }
       EXPECT_EQ(a.bits_of(p), want)
           << "n=" << sh.n << " k=" << sh.k << " t=" << sh.t << " p=" << p;
+      EXPECT_EQ(a.load_of(p), want.size());
     }
   }
 }
@@ -244,6 +250,118 @@ TEST(CommitteeDedup, SecondDifferentVectorIsIgnored) {
                                      {3, 4});
   EXPECT_TRUE(out.terminated);
   EXPECT_TRUE(out.correct);
+}
+
+// ---- The tally against a per-bit reference. ----
+
+/// The counting rule spelt out per bit from is_member: a sender's first
+/// vector of the right length counts on every undecided bit of its
+/// committees, and a bit decides on the first value to reach the threshold.
+struct ReferenceTally {
+  ReferenceTally(const CommitteeAssignment& a, std::size_t n, std::size_t k,
+                 std::size_t threshold)
+      : a(a), n(n), threshold(threshold), counts(2 * n, 0),
+        decided(n, false), out(n), heard(k, false) {}
+
+  bool add(sim::PeerId from, const BitVec& values) {
+    if (from >= heard.size() || heard[from]) return false;
+    std::vector<std::size_t> bits;
+    for (std::size_t b = 0; b < n; ++b) {
+      if (a.is_member(from, b)) bits.push_back(b);
+    }
+    if (values.size() != bits.size()) return false;
+    heard[from] = true;
+    for (std::size_t j = 0; j < bits.size(); ++j) {
+      if (decided[bits[j]]) continue;
+      const bool value = values.get(j);
+      if (++counts[2 * bits[j] + (value ? 1 : 0)] >= threshold) {
+        decide(bits[j], value);
+      }
+    }
+    return true;
+  }
+
+  void decide(std::size_t bit, bool value) {
+    if (decided[bit]) return;
+    decided[bit] = true;
+    ++decided_count;
+    out.set(bit, value);
+  }
+
+  const CommitteeAssignment& a;
+  std::size_t n, threshold;
+  std::vector<std::size_t> counts;
+  std::vector<bool> decided;
+  BitVec out;
+  std::vector<bool> heard;
+  std::size_t decided_count = 0;
+};
+
+TEST(CommitteeTally, MatchesPerBitReferenceInAnyArrivalOrder) {
+  struct Shape {
+    std::size_t n, k, t;
+  };
+  // P = k / gcd(2t+1, k): 13, 2, 5, 1 (c = k) and Table 1's k = 96, with n
+  // both a multiple of P and not.
+  const std::vector<Shape> shapes{{200, 13, 3}, {97, 10, 2}, {64, 5, 1},
+                                  {50, 7, 3},   {1000, 96, 12}, {33, 15, 7}};
+  Rng rng(99);
+  for (const Shape& sh : shapes) {
+    const CommitteeAssignment a(sh.n, sh.k, sh.t);
+    for (int trial = 0; trial < 6; ++trial) {
+      const BitVec truth = BitVec::generate(sh.n, [&] { return rng.flip(); });
+      // Honest, liar, random, duplicated and wrong-length vectors.
+      std::vector<std::pair<sim::PeerId, BitVec>> arrivals;
+      for (sim::PeerId p = 0; p < sh.k; ++p) {
+        BitVec honest;
+        for (std::size_t b : a.bits_of(p)) honest.push_back(truth.get(b));
+        BitVec lie = honest;
+        for (std::size_t j = 0; j < lie.size(); ++j) lie.flip(j);
+        const BitVec noise =
+            BitVec::generate(honest.size(), [&] { return rng.flip(); });
+        const std::size_t kind = rng.below(3);
+        arrivals.emplace_back(p, kind == 0 ? honest : kind == 1 ? lie : noise);
+        if (rng.flip(0.3)) arrivals.emplace_back(p, honest);
+        if (rng.flip(0.3)) arrivals.emplace_back(p, lie);
+        if (rng.flip(0.3)) {
+          arrivals.emplace_back(p, BitVec(honest.size() + 1, true));
+        }
+        if (rng.flip(0.2) && !honest.empty()) {
+          arrivals.emplace_back(p, BitVec(honest.size() - 1));
+        }
+      }
+      arrivals.emplace_back(sh.k, BitVec(1));  // sender id out of range
+      rng.shuffle(arrivals);
+
+      const std::size_t threshold =
+          trial % 2 == 0 ? a.threshold() : std::max<std::size_t>(1, sh.t);
+      committee::Tally tally(a, threshold);
+      ReferenceTally ref(a, sh.n, sh.k, threshold);
+      if (trial % 3 == 0) {
+        // A receiver's own queries decide its bits up front.
+        const auto self = static_cast<sim::PeerId>(rng.below(sh.k));
+        for (std::size_t b : a.bits_of(self)) {
+          tally.decide(b, truth.get(b));
+          ref.decide(b, truth.get(b));
+        }
+      }
+      for (const auto& [from, values] : arrivals) {
+        ASSERT_EQ(tally.add(from, values), ref.add(from, values));
+        ASSERT_EQ(tally.out(), ref.out);
+        ASSERT_EQ(tally.decided_count(), ref.decided_count);
+      }
+    }
+  }
+}
+
+TEST(CommitteeTally, CountersAreSixteenBit) {
+  // A count stops at the threshold t+1, so t+1 must fit in 16 bits.
+  EXPECT_THROW(CommitteeAssignment(16, 1 << 18, (1 << 17) - 1),
+               contract_violation);
+  EXPECT_NO_THROW(CommitteeAssignment(16, 1 << 18, 65534));
+  const CommitteeAssignment a(16, 9, 2);
+  EXPECT_THROW(committee::Tally(a, 0), contract_violation);
+  EXPECT_THROW(committee::Tally(a, a.threshold() + 1), contract_violation);
 }
 
 // Beta sweep under the strongest liar.

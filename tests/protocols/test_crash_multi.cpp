@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
+#include "common/check.hpp"
 #include "harness.hpp"
 #include "protocols/bounds.hpp"
+#include "protocols/segments.hpp"
+#include "sim/message.hpp"
 
 namespace asyncdr::proto {
 namespace {
@@ -174,6 +178,81 @@ TEST(CrashMulti, PhaseDiagnosticsShrinkWithCrashes) {
     return max_phase;
   };
   EXPECT_LT(phases_with(0), phases_with(12));
+}
+
+// ---- Owner shares against a per-bit reference. ----
+
+/// owner[b] in phase r: the SegmentLayout block holding b in phase 1,
+/// hashed_owner(b, r, k) after it.
+std::vector<sim::PeerId> reference_owners(std::size_t n, std::size_t k,
+                                          std::size_t r) {
+  std::vector<sim::PeerId> owner(n, k);
+  if (r == 1) {
+    const SegmentLayout blocks(n, k);
+    for (sim::PeerId q = 0; q < k; ++q) {
+      const Interval block = blocks.bounds(q);
+      for (std::size_t b = block.lo; b < block.hi; ++b) owner[b] = q;
+    }
+  } else {
+    for (std::size_t b = 0; b < n; ++b) {
+      owner[b] = crashm::hashed_owner(b, r, k);
+    }
+  }
+  return owner;
+}
+
+TEST(CrashMultiOwnerLayout, SharesMatchPerBitReference) {
+  struct Shape {
+    std::size_t n, k;
+  };
+  // n % 64 != 0, k not dividing n, n < k (empty blocks), blocks ending on
+  // word edges (4096 / 16), one peer, and Table 1's shape; then seeded ones.
+  std::vector<Shape> shapes{{1000, 7}, {130, 3},  {50, 64},    {5, 8},
+                            {64, 64},  {4096, 16}, {77, 1},    {16384, 96}};
+  Rng rng(2024);
+  for (int extra = 0; extra < 6; ++extra) {
+    shapes.push_back({1 + static_cast<std::size_t>(rng.below(3000)),
+                      1 + static_cast<std::size_t>(rng.below(200))});
+  }
+  for (const Shape& sh : shapes) {
+    crashm::OwnerLayout layout(sh.n, sh.k);
+    // Hashed phases out of order: each is built on first use.
+    for (const std::size_t r : {std::size_t{1}, std::size_t{7},
+                                std::size_t{2}, std::size_t{3}}) {
+      const std::vector<sim::PeerId> owner = reference_owners(sh.n, sh.k, r);
+      for (const double density : {1.0, 0.5, 0.05}) {
+        const BitVec unknown =
+            BitVec::generate(sh.n, [&] { return rng.flip(density); });
+        const BitVec src = BitVec::generate(sh.n, [&] { return rng.flip(); });
+        std::vector<BitVec> want(sh.k, BitVec(sh.n));
+        for (std::size_t b = 0; b < sh.n; ++b) {
+          ASSERT_LT(owner[b], sh.k);
+          if (unknown.get(b)) want[owner[b]].set(b, true);
+        }
+        for (sim::PeerId q = 0; q < sh.k; ++q) {
+          const SparseMask share = layout.share(unknown, r, q);
+          ASSERT_EQ(share.to_dense(), want[q])
+              << "n=" << sh.n << " k=" << sh.k << " r=" << r << " q=" << q;
+          EXPECT_EQ(share, SparseMask(want[q]));
+
+          BitVec values;
+          want[q].for_each_set(
+              [&](std::size_t b) { values.push_back(src.get(b)); });
+          const MaskChunk chunk = MaskChunk::extract(src, share);
+          EXPECT_EQ(chunk.values, values);
+          EXPECT_EQ(chunk.hash(),
+                    sim::payload_hash_mix(want[q].hash(), values.hash()));
+        }
+      }
+    }
+  }
+}
+
+TEST(CrashMultiOwnerLayout, Preconditions) {
+  crashm::OwnerLayout layout(100, 8);
+  EXPECT_THROW((void)layout.share(BitVec(99), 1, 0), contract_violation);
+  EXPECT_THROW((void)layout.share(BitVec(100), 0, 0), contract_violation);
+  EXPECT_THROW((void)layout.share(BitVec(100), 2, 8), contract_violation);
 }
 
 // Full sweep: (n, k, beta) x adversary style x seed.

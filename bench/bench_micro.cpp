@@ -136,32 +136,59 @@ void BM_CrashMultiShareHashed(benchmark::State& state) {
 }
 BENCHMARK(BM_CrashMultiShareHashed);
 
-/// One committee vote vector tallied (beta = 1/8, so t = 12 and c = 25:
-/// about 4,267 bits), senders in turn; the tally restarts when all k have
-/// voted.
-void BM_CommitteeTally(benchmark::State& state) {
-  const proto::CommitteeAssignment assignment(kTableN, kTableK, 12);
+/// One committee vote vector tallied per iteration, senders first..k-1 in
+/// turn; when all have voted the tally restarts from a copy holding the
+/// votes of senders 0..first-1. Votes are random bits, or the senders'
+/// true values when `honest` (then a bit decides once t+1 members voted).
+void run_tally(benchmark::State& state, std::size_t n, std::size_t k,
+               std::size_t t, sim::PeerId first, bool honest) {
+  const proto::CommitteeAssignment assignment(n, k, t);
   Rng rng(7);
+  const BitVec truth = BitVec::generate(n, [&] { return rng.flip(); });
   std::vector<BitVec> votes;
-  for (sim::PeerId p = 0; p < kTableK; ++p) {
-    votes.push_back(BitVec::generate(assignment.load_of(p),
-                                     [&] { return rng.flip(); }));
+  for (sim::PeerId p = 0; p < k; ++p) {
+    BitVec v;
+    for (std::size_t b : assignment.bits_of(p)) {
+      v.push_back(honest ? truth.get(b) : rng.flip());
+    }
+    votes.push_back(std::move(v));
   }
-  auto tally = std::make_unique<proto::committee::Tally>(
-      assignment, assignment.threshold());
-  sim::PeerId from = 0;
+  proto::committee::Tally base(assignment, assignment.threshold());
+  for (sim::PeerId p = 0; p < first; ++p) base.add(p, votes[p]);
+  auto tally = std::make_unique<proto::committee::Tally>(base);
+  sim::PeerId from = first;
   for (auto _ : state) {
     benchmark::DoNotOptimize(tally->add(from, votes[from]));
-    if (++from == kTableK) {
+    if (++from == k) {
       state.PauseTiming();
-      tally = std::make_unique<proto::committee::Tally>(
-          assignment, assignment.threshold());
-      from = 0;
+      tally = std::make_unique<proto::committee::Tally>(base);
+      from = first;
       state.ResumeTiming();
     }
   }
 }
+
+/// Table 1's shape (beta = 1/8, so t = 12 and c = 25: about 4,267 bits per
+/// vector, three lane words per residue), random votes from the first
+/// sender on.
+void BM_CommitteeTally(benchmark::State& state) {
+  run_tally(state, kTableN, kTableK, 12, 0, false);
+}
 BENCHMARK(BM_CommitteeTally);
+
+/// Table 1's shape with true votes after 60 senders, as in a run: most
+/// bits are decided when the vector arrives.
+void BM_CommitteeTallyLate(benchmark::State& state) {
+  run_tally(state, kTableN, kTableK, 12, 60, true);
+}
+BENCHMARK(BM_CommitteeTallyLate);
+
+/// k = 200, t = 40: c = 81 member residues per period, two column blocks
+/// of ranks per lane word (about 6,640 bits per vector).
+void BM_CommitteeTallyWide(benchmark::State& state) {
+  run_tally(state, kTableN, 200, 40, 0, false);
+}
+BENCHMARK(BM_CommitteeTallyWide);
 
 void BM_FullCrashProtocolRun(benchmark::State& state) {
   for (auto _ : state) {

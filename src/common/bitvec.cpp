@@ -232,16 +232,6 @@ bool BitVec::operator==(const BitVec& other) const {
   return size_ == other.size_ && words_ == other.words_;
 }
 
-std::uint64_t BitVec::load_bits(std::size_t pos) const {
-  const std::size_t w = pos / kWordBits;
-  const std::size_t shift = pos % kWordBits;
-  std::uint64_t bits = words_[w] >> shift;
-  if (shift != 0 && w + 1 < words_.size()) {
-    bits |= words_[w + 1] << (kWordBits - shift);
-  }
-  return bits;
-}
-
 void BitVec::store_bits(std::size_t pos, std::uint64_t bits,
                         std::size_t count) {
   const std::size_t w = pos / kWordBits;

@@ -76,6 +76,17 @@ class BitVec {
   /// values.size() == mask.popcount().
   void scatter(const SparseMask& mask, const BitVec& values);
 
+  /// The 64 bits starting at `pos` < size(); bits past size() read as zero.
+  [[nodiscard]] std::uint64_t load_bits(std::size_t pos) const {
+    const std::size_t w = pos / kWordBits;
+    const std::size_t shift = pos % kWordBits;
+    std::uint64_t bits = words_[w] >> shift;
+    if (shift != 0 && w + 1 < words_.size()) {
+      bits |= words_[w + 1] << (kWordBits - shift);
+    }
+    return bits;
+  }
+
   /// Number of set bits.
   [[nodiscard]] std::size_t popcount() const;
 
@@ -133,8 +144,6 @@ class BitVec {
   }
   static int count_trailing(std::uint64_t word);
   void trim_tail();
-  /// The 64 bits starting at `pos` < size(); bits past size() read as zero.
-  [[nodiscard]] std::uint64_t load_bits(std::size_t pos) const;
   /// Overwrites the `count` (1..64) bits starting at `pos` with the low
   /// `count` bits of `bits`, whose higher bits must be zero.
   void store_bits(std::size_t pos, std::uint64_t bits, std::size_t count);

@@ -27,13 +27,18 @@ namespace asyncdr::proto {
 /// sits on exactly c / gcd(c, k) committees of each whole period.
 class CommitteeAssignment {
  public:
-  /// Requires 2t+1 <= k, and t+1 <= 65535 (vote counters are 16-bit).
+  /// Requires 2t+1 <= k.
   CommitteeAssignment(std::size_t n, std::size_t k, std::size_t t);
 
   [[nodiscard]] std::size_t n() const { return n_; }
   [[nodiscard]] std::size_t k() const { return k_; }
   [[nodiscard]] std::size_t committee_size() const { return c_; }
   [[nodiscard]] std::size_t threshold() const { return t_ + 1; }
+  /// P = k / gcd(c, k): bit j's committee is that of bit j mod P.
+  [[nodiscard]] std::size_t period() const { return period_; }
+  /// c / gcd(c, k): the member residues of a peer in one period, and the
+  /// stride of its vote vector from one period to the next.
+  [[nodiscard]] std::size_t residues_per_period() const { return c_ / gcd_; }
 
   [[nodiscard]] bool is_member(sim::PeerId p, std::size_t bit) const;
   /// |bits_of(p)|: c/gcd(c, k) bits per whole period, plus the member
@@ -61,7 +66,6 @@ class CommitteeAssignment {
   /// The committee of a bit, in position order.
   [[nodiscard]] std::vector<sim::PeerId> members_of(std::size_t bit) const;
 
- private:
   /// Calls fn(s) for every residue s < limit (<= P) whose committee
   /// contains p, in increasing order.
   template <typename F>
@@ -76,6 +80,7 @@ class CommitteeAssignment {
     }
   }
 
+ private:
   std::size_t n_, k_, t_, c_;
   std::size_t gcd_;     ///< gcd(c, k)
   std::size_t period_;  ///< P = k / gcd(c, k)
@@ -100,10 +105,19 @@ struct Votes final : sim::Payload {
 /// first value to reach the threshold. A sender counts once: its first
 /// well-formed vector counts on every bit still undecided, and a decided
 /// bit stays decided, so a later vector would count on nothing.
+///
+/// The counters are bit-sliced, 64 bits to a word operation. Bit s + m*P
+/// (s < min(P, n)) is lane m mod 64 of lane word (s, m/64), residue-major.
+/// A lane word holds a `decided` mask and, per value, B = bit_width(
+/// threshold) counter planes: plane b has bit b of each lane's count. A
+/// count stops at the threshold, so B planes always hold it. Lanes past a
+/// residue's last period start decided and are never counted. add() cuts
+/// a vote vector into blocks of 64 periods and turns each block into one
+/// lane word per sender residue with a 64x64 bit transpose.
 class Tally {
  public:
   /// Decides a bit on `threshold` matching votes, 1 <= threshold <=
-  /// assignment.threshold(); a count never exceeds it, so 16 bits hold it.
+  /// assignment.threshold().
   Tally(CommitteeAssignment assignment, std::size_t threshold);
 
   [[nodiscard]] const CommitteeAssignment& assignment() const {
@@ -123,15 +137,37 @@ class Tally {
   [[nodiscard]] const BitVec& out() const { return out_; }
   [[nodiscard]] std::size_t decided_count() const { return decided_count_; }
 
+  /// Modeled heap bytes (obs::modeled_alloc_bytes per allocation) of the
+  /// lane words, out() and the heard flags.
+  [[nodiscard]] std::uint64_t memory_bytes() const;
+
  private:
+  /// Counts, for the `count` <= 64 sender residues starting at rank
+  /// `first_rank`, every period block of `values`.
+  void add_block(const BitVec& values, std::size_t first_rank,
+                 const std::size_t* residues, std::size_t count);
+  /// Counts one vote on each lane of `ones` and `zeros` (disjoint sets of
+  /// undecided lanes) of lane word (s, block), and decides the lanes that
+  /// reach the threshold.
+  void count_word(std::size_t s, std::size_t block, std::uint64_t ones,
+                  std::uint64_t zeros);
+  /// Adds one to each lane of `lanes` in the B planes at `planes`; returns
+  /// the lanes that reached the threshold.
+  std::uint64_t increment(std::uint64_t* planes, std::uint64_t lanes) const;
+  [[nodiscard]] std::uint64_t* word(std::size_t s, std::size_t block) {
+    return &lanes_[(s * blocks_ + block) * word_size_];
+  }
+
   CommitteeAssignment assignment_;
   std::size_t threshold_;
+  std::size_t planes_;  ///< B = bit_width(threshold)
+  std::size_t blocks_;  ///< lane words per residue: ceil(periods / 64)
+  std::size_t word_size_;  ///< uint64s per lane word: decided + 2B planes
+  /// Per lane word: decided, then B planes for value 0, B for value 1.
+  std::vector<std::uint64_t> lanes_;
   BitVec out_;
-  BitVec decided_;
+  BitVec heard_;  ///< per sender: a well-formed vector counted
   std::size_t decided_count_ = 0;
-  /// [2*bit + value]: votes for `value` on `bit` from distinct members.
-  std::vector<std::uint16_t> counts_;
-  std::vector<bool> heard_;  ///< per sender: a well-formed vector counted
 };
 
 }  // namespace committee
@@ -152,6 +188,8 @@ class CommitteePeer final : public dr::Peer {
 
   void on_start() override;
   [[nodiscard]] std::string status() const override;
+  /// Adds the tally's lane words, out() and heard flags to the base bytes.
+  [[nodiscard]] std::size_t memory_bytes() const override;
 
  protected:
   void on_message(sim::PeerId from, const sim::Payload& payload) override;

@@ -300,15 +300,34 @@ struct ReferenceTally {
 TEST(CommitteeTally, MatchesPerBitReferenceInAnyArrivalOrder) {
   struct Shape {
     std::size_t n, k, t;
+    std::size_t trials;  ///< minimum; every threshold below gets one
   };
   // P = k / gcd(2t+1, k): 13, 2, 5, 1 (c = k) and Table 1's k = 96, with n
-  // both a multiple of P and not.
-  const std::vector<Shape> shapes{{200, 13, 3}, {97, 10, 2}, {64, 5, 1},
-                                  {50, 7, 3},   {1000, 96, 12}, {33, 15, 7}};
+  // both a multiple of P and not. Then Table 1's full shape (171 periods:
+  // three lane words, the last partial), c = 81 > 64 (two column blocks of
+  // ranks), and n < P (one period, residues below n only).
+  const std::vector<Shape> shapes{
+      {200, 13, 3, 6},    {97, 10, 2, 6},     {64, 5, 1, 6},
+      {50, 7, 3, 6},      {1000, 96, 12, 6},  {33, 15, 7, 6},
+      {16384, 96, 12, 1}, {3000, 200, 40, 1}, {50, 96, 12, 1}};
   Rng rng(99);
   for (const Shape& sh : shapes) {
     const CommitteeAssignment a(sh.n, sh.k, sh.t);
-    for (int trial = 0; trial < 6; ++trial) {
+    // t + 1, t, and every plane edge 2^p - 1, 2^p up to t + 1 (1 included).
+    std::vector<std::size_t> thresholds{a.threshold(),
+                                        std::max<std::size_t>(1, sh.t)};
+    for (std::size_t edge = 2; edge <= a.threshold(); edge *= 2) {
+      for (std::size_t th : {edge - 1, edge}) {
+        if (std::find(thresholds.begin(), thresholds.end(), th) ==
+            thresholds.end()) {
+          thresholds.push_back(th);
+        }
+      }
+    }
+    const std::size_t trials = std::max(sh.trials, thresholds.size());
+    for (std::size_t trial = 0; trial < trials; ++trial) {
+      SCOPED_TRACE(::testing::Message() << "n=" << sh.n << " k=" << sh.k
+                                        << " t=" << sh.t << " trial=" << trial);
       const BitVec truth = BitVec::generate(sh.n, [&] { return rng.flip(); });
       // Honest, liar, random, duplicated and wrong-length vectors.
       std::vector<std::pair<sim::PeerId, BitVec>> arrivals;
@@ -333,8 +352,7 @@ TEST(CommitteeTally, MatchesPerBitReferenceInAnyArrivalOrder) {
       arrivals.emplace_back(sh.k, BitVec(1));  // sender id out of range
       rng.shuffle(arrivals);
 
-      const std::size_t threshold =
-          trial % 2 == 0 ? a.threshold() : std::max<std::size_t>(1, sh.t);
+      const std::size_t threshold = thresholds[trial % thresholds.size()];
       committee::Tally tally(a, threshold);
       ReferenceTally ref(a, sh.n, sh.k, threshold);
       if (trial % 3 == 0) {
@@ -354,14 +372,58 @@ TEST(CommitteeTally, MatchesPerBitReferenceInAnyArrivalOrder) {
   }
 }
 
-TEST(CommitteeTally, CountersAreSixteenBit) {
-  // A count stops at the threshold t+1, so t+1 must fit in 16 bits.
-  EXPECT_THROW(CommitteeAssignment(16, 1 << 18, (1 << 17) - 1),
+TEST(CommitteeTally, WideThresholdDecidesOnItsLastVote) {
+  // k = c = 2^17 - 1: P = 1, every peer sits on every bit, and the
+  // threshold t + 1 = 2^16 takes 17 counter planes.
+  EXPECT_NO_THROW(CommitteeAssignment(16, 1 << 18, (1 << 17) - 1));
+  const CommitteeAssignment a(16, 131071, 65535);
+  ASSERT_EQ(a.threshold(), 65536u);
+  committee::Tally tally(a, a.threshold());
+  const BitVec ones(16, true);
+  const BitVec zeros(16);
+  BitVec split(16);  // 1 on bits 0..7, 0 on bits 8..15
+  for (std::size_t b = 0; b < 8; ++b) split.set(b, true);
+
+  sim::PeerId from = 0;
+  for (; from < 65535; ++from) ASSERT_TRUE(tally.add(from, ones));
+  EXPECT_EQ(tally.decided_count(), 0u);
+  // The 65536th vote for 1 decides bits 0..7, and only those.
+  ASSERT_TRUE(tally.add(from++, split));
+  EXPECT_EQ(tally.decided_count(), 8u);
+  EXPECT_EQ(tally.out(), split);
+  // Bits 8..15 hold 65535 votes for 1 and one for 0; 65535 more for 0
+  // decide them on the last.
+  for (; from < 131070; ++from) ASSERT_TRUE(tally.add(from, zeros));
+  EXPECT_EQ(tally.decided_count(), 8u);
+  ASSERT_TRUE(tally.add(from, zeros));
+  EXPECT_EQ(tally.decided_count(), 16u);
+  EXPECT_EQ(tally.out(), split);
+
+  const CommitteeAssignment small(16, 9, 2);
+  EXPECT_THROW(committee::Tally(small, 0), contract_violation);
+  EXPECT_THROW(committee::Tally(small, small.threshold() + 1),
                contract_violation);
-  EXPECT_NO_THROW(CommitteeAssignment(16, 1 << 18, 65534));
-  const CommitteeAssignment a(16, 9, 2);
-  EXPECT_THROW(committee::Tally(a, 0), contract_violation);
-  EXPECT_THROW(committee::Tally(a, a.threshold() + 1), contract_violation);
+}
+
+TEST(CommitteeTally, PeerStateChargesEveryHonestTally) {
+  Scenario s;
+  s.cfg = cfg(2048, 12, 0.25, 5);
+  s.honest = make_committee();
+  s.byzantine = make_committee_liar(CommitteeLiarPeer::Mode::kFlipAll);
+  s.byz_ids = pick_faulty(s.cfg, s.cfg.max_faulty());
+  std::uint64_t peak = 0;
+  s.post_run = [&](dr::World& world, const dr::RunReport&) {
+    for (const obs::MemPoolStats& p : world.mem().snapshot()) {
+      if (p.name == "dr.peer.state") peak = p.peak;
+    }
+  };
+  expect_ok(s, "mem");
+  // Every honest peer builds the same tally at its start and keeps it.
+  const CommitteeAssignment a(s.cfg.n, s.cfg.k, s.cfg.max_faulty());
+  const committee::Tally one(a, a.threshold());
+  const std::uint64_t honest = s.cfg.k - s.byz_ids.size();
+  EXPECT_GE(peak, honest * one.memory_bytes());
+  EXPECT_GT(one.memory_bytes(), 0u);
 }
 
 // Beta sweep under the strongest liar.

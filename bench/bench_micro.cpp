@@ -102,39 +102,70 @@ BENCHMARK(BM_DecisionTreeBuildAndDetermine)->Arg(4)->Arg(32)->Arg(128);
 constexpr std::size_t kTableN = 1 << 14;
 constexpr std::size_t kTableK = 96;
 
-/// One crash_multi response chunk: cut the owner's share of the requester's
-/// unknown set, check it against what the owner knows (Claim 1), pack the
-/// values and hash the chunk (payload interning), for owners in turn.
+/// One crash_multi response chunk per owner in turn, with the responder's
+/// Claim 1 and value checks. `cold` times first builds: each iteration
+/// takes a fresh layout (owner masks and snapshot ready, untimed) and builds
+/// all k owners' chunks, so the time is per k chunks. Otherwise the time is
+/// per warm call: a lookup of the kept chunk plus both checks.
 void run_share_chunks(benchmark::State& state, std::size_t phase,
-                      double unknown_density) {
+                      double unknown_density, bool cold) {
   Rng rng(6);
-  const BitVec out = BitVec::generate(kTableN, [&] { return rng.flip(); });
+  const BitVec out = rng.fair_bits(kTableN);
   const BitVec known(kTableN, true);
   const BitVec unknown =
       BitVec::generate(kTableN, [&] { return rng.flip(unknown_density); });
-  proto::crashm::OwnerLayout layout(kTableN, kTableK);
+  const auto ready_layout = [&] {
+    auto layout =
+        std::make_unique<proto::crashm::OwnerLayout>(kTableN, kTableK);
+    benchmark::DoNotOptimize(layout->share(unknown, phase, 0));
+    return layout;
+  };
+  auto layout = ready_layout();
+  auto snap = layout->snapshot(unknown, phase);
   sim::PeerId owner = 0;
   for (auto _ : state) {
-    SparseMask share = layout.share(unknown, phase, owner);
-    benchmark::DoNotOptimize(share.is_subset_of(known));
-    const auto chunk = proto::MaskChunk::extract(out, std::move(share));
-    benchmark::DoNotOptimize(chunk.hash());
-    owner = (owner + 1) % kTableK;
+    if (cold) {
+      state.PauseTiming();
+      layout = ready_layout();
+      snap = layout->snapshot(unknown, phase);
+      state.ResumeTiming();
+      for (sim::PeerId q = 0; q < kTableK; ++q) {
+        benchmark::DoNotOptimize(
+            layout->chunk(snap, phase, q, out, known, "Claim 1"));
+      }
+    } else {
+      benchmark::DoNotOptimize(
+          layout->chunk(snap, phase, owner, out, known, "Claim 1"));
+      owner = (owner + 1) % kTableK;
+    }
   }
 }
 
 /// Phase 1: a whole block of n/k bits, nothing known yet.
-void BM_CrashMultiShareBlock(benchmark::State& state) {
-  run_share_chunks(state, 1, 1.0);
+void BM_CrashMultiShareBlock(benchmark::State& state, bool cold) {
+  run_share_chunks(state, 1, 1.0, cold);
 }
-BENCHMARK(BM_CrashMultiShareBlock);
+BENCHMARK_CAPTURE(BM_CrashMultiShareBlock, cold, true)->Iterations(300);
+BENCHMARK_CAPTURE(BM_CrashMultiShareBlock, warm, false);
 
 /// Phase 2: a hashed owner's list filtered by a sparse unknown set (about
 /// 20 bits per chunk, as on table1-uniform).
-void BM_CrashMultiShareHashed(benchmark::State& state) {
-  run_share_chunks(state, 2, 0.12);
+void BM_CrashMultiShareHashed(benchmark::State& state, bool cold) {
+  run_share_chunks(state, 2, 0.12, cold);
 }
-BENCHMARK(BM_CrashMultiShareHashed);
+BENCHMARK_CAPTURE(BM_CrashMultiShareHashed, cold, true)->Iterations(300);
+BENCHMARK_CAPTURE(BM_CrashMultiShareHashed, warm, false);
+
+/// Table 1's input array: n fair bits, drawn as proto::random_input does
+/// for every world.
+void BM_RandomInput(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(proto::random_input(n, ++seed));
+  }
+}
+BENCHMARK(BM_RandomInput)->Arg(kTableN);
 
 /// One committee vote vector tallied per iteration, senders first..k-1 in
 /// turn; when all have voted the tally restarts from a copy holding the

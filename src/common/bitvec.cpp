@@ -48,29 +48,6 @@ std::size_t count_and_words(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
-/// True iff the nonzero word m is one contiguous run of set bits (a full
-/// word included): gather and scatter then move it with one shift.
-bool is_run(std::uint64_t m) {
-  const std::uint64_t low = m & (~m + 1);
-  return ((m + low) & m) == 0;
-}
-
-/// Set bits of a run: its span between the highest and lowest set bit.
-std::size_t run_length(std::uint64_t run) {
-  return static_cast<std::size_t>(64 - std::countl_zero(run) -
-                                  std::countr_zero(run));
-}
-
-/// kFnvPrime^z mod 2^64, by squaring: the FNV state's factor over z zero
-/// words.
-std::uint64_t fnv_prime_pow(std::size_t z) {
-  std::uint64_t result = 1;
-  for (std::uint64_t base = kFnvPrime; z != 0; z >>= 1, base *= base) {
-    if ((z & 1u) != 0) result *= base;
-  }
-  return result;
-}
-
 }  // namespace
 
 BitVec::BitVec(std::size_t n, bool value)
@@ -112,54 +89,6 @@ void BitVec::splice(std::size_t pos, const BitVec& src) {
   }
 }
 
-BitVec BitVec::gather(const SparseMask& mask) const {
-  ASYNCDR_EXPECTS(mask.size_ == size_);
-  BitVec out(mask.popcount());
-  std::size_t at = 0;
-  for (const SparseMask::Word& word : mask.words_) {
-    const std::uint64_t src = words_[word.index];
-    std::uint64_t m = word.bits;
-    if (is_run(m)) {
-      const std::size_t count = run_length(m);
-      out.store_bits(at, (src & m) >> std::countr_zero(m), count);
-      at += count;
-      continue;
-    }
-    // Pack the selected bits low-first, as a software PEXT.
-    std::uint64_t packed = 0;
-    std::size_t count = 0;
-    for (; m != 0; m &= m - 1, ++count) {
-      packed |= ((src >> std::countr_zero(m)) & 1u) << count;
-    }
-    out.store_bits(at, packed, count);
-    at += count;
-  }
-  return out;
-}
-
-void BitVec::scatter(const SparseMask& mask, const BitVec& values) {
-  ASYNCDR_EXPECTS(mask.size_ == size_);
-  ASYNCDR_EXPECTS(mask.popcount() == values.size_);
-  std::size_t at = 0;
-  for (const SparseMask::Word& word : mask.words_) {
-    const std::size_t w = word.index;
-    std::uint64_t m = word.bits;
-    std::uint64_t next = values.load_bits(at);
-    if (is_run(m)) {
-      words_[w] = (words_[w] & ~m) | ((next << std::countr_zero(m)) & m);
-      at += run_length(m);
-      continue;
-    }
-    // Deposit the next values at the mask's bits, as a software PDEP.
-    const std::uint64_t keep = words_[w] & ~m;
-    std::uint64_t deposited = 0;
-    for (; m != 0; m &= m - 1, next >>= 1, ++at) {
-      deposited |= (next & 1u) << std::countr_zero(m);
-    }
-    words_[w] = keep | deposited;
-  }
-}
-
 std::size_t BitVec::popcount() const {
   return popcount_words(words_.data(), words_.size());
 }
@@ -167,11 +96,6 @@ std::size_t BitVec::popcount() const {
 void BitVec::or_with(const BitVec& other) {
   ASYNCDR_EXPECTS(size_ == other.size_);
   for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
-}
-
-void BitVec::or_with(const SparseMask& other) {
-  ASYNCDR_EXPECTS(size_ == other.size_);
-  for (const SparseMask::Word& m : other.words_) words_[m.index] |= m.bits;
 }
 
 void BitVec::and_with(const BitVec& other) {
@@ -278,43 +202,6 @@ SparseMask SparseMask::intersect(const BitVec& other) const {
   return build(size_, [&](auto&& push) {
     for (const Word& m : words_) push(m.index, m.bits & other.words_[m.index]);
   });
-}
-
-std::size_t SparseMask::popcount() const {
-  std::size_t count = 0;
-  for (const Word& m : words_) {
-    count += static_cast<std::size_t>(std::popcount(m.bits));
-  }
-  return count;
-}
-
-BitVec SparseMask::to_dense() const {
-  BitVec dense(size_);
-  dense.or_with(*this);
-  return dense;
-}
-
-std::uint64_t SparseMask::hash() const {
-  // BitVec::hash over the dense words. An absent word reads as zero, so
-  // its step (h ^= 0; h *= kFnvPrime) is a multiply, and a run of z of them
-  // multiplies by kFnvPrime^z.
-  std::uint64_t h = kFnvOffset ^ size_;
-  std::size_t next = 0;  // first dense word not yet hashed
-  for (const Word& m : words_) {
-    h *= fnv_prime_pow(m.index - next);
-    h ^= m.bits;
-    h *= kFnvPrime;
-    next = m.index + 1;
-  }
-  return h * fnv_prime_pow(BitVec::word_count(size_) - next);
-}
-
-bool SparseMask::is_subset_of(const BitVec& other) const {
-  ASYNCDR_EXPECTS(size_ == other.size_);
-  for (const Word& m : words_) {
-    if ((m.bits & ~other.words_[m.index]) != 0) return false;
-  }
-  return true;
 }
 
 }  // namespace asyncdr

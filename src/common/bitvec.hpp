@@ -3,6 +3,7 @@
 // in *bits* throughout, matching the paper's query/message accounting.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -37,6 +38,18 @@ class BitVec {
     return v;
   }
 
+  /// Builds an n-bit vector a word at a time: next_word(count) returns the
+  /// next `count` (1..64) bits, lowest index in bit 0, higher bits zero.
+  template <typename F>
+  static BitVec generate_words(std::size_t n, F&& next_word) {
+    BitVec v(n);
+    for (std::size_t w = 0; w < v.words_.size(); ++w) {
+      v.words_[w] = next_word(std::min(kWordBits, n - w * kWordBits));
+    }
+    v.trim_tail();
+    return v;
+  }
+
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
@@ -67,14 +80,19 @@ class BitVec {
   /// Overwrites bits [pos, pos+src.size()) with the contents of `src`.
   void splice(std::size_t pos, const BitVec& src);
 
-  /// The values at the set bits of `mask`, packed in increasing index order
-  /// (mask.popcount() bits). `mask` must have this vector's size.
-  [[nodiscard]] BitVec gather(const SparseMask& mask) const;
-
-  /// Inverse of gather: writes values.get(j) to the j-th set bit of `mask`
-  /// and leaves the other bits alone. Requires mask.size() == size() and
-  /// values.size() == mask.popcount().
-  void scatter(const SparseMask& mask, const BitVec& values);
+  /// Storage word w: bits [64w, 64w + 64), bit i - 64w holding bit i.
+  [[nodiscard]] std::uint64_t word(std::size_t w) const {
+    ASYNCDR_EXPECTS(w < words_.size());
+    return words_[w];
+  }
+  /// Overwrites the bits of storage word w that `mask` selects with those
+  /// of `bits`; the mask must select no bit at or past size().
+  void set_word_bits(std::size_t w, std::uint64_t mask, std::uint64_t bits) {
+    ASYNCDR_EXPECTS(w < words_.size() &&
+                    (w + 1 < words_.size() || size_ % kWordBits == 0 ||
+                     (mask >> (size_ % kWordBits)) == 0));
+    words_[w] = (words_[w] & ~mask) | (bits & mask);
+  }
 
   /// The 64 bits starting at `pos` < size(); bits past size() read as zero.
   [[nodiscard]] std::uint64_t load_bits(std::size_t pos) const {
@@ -94,7 +112,6 @@ class BitVec {
 
   /// this |= other.
   void or_with(const BitVec& other);
-  void or_with(const SparseMask& other);
   /// this &= other.
   void and_with(const BitVec& other);
   /// this &= ~other.
@@ -155,11 +172,11 @@ class BitVec {
 };
 
 /// A length-n bit mask that keeps only its nonzero 64-bit words. It has the
-/// content, equality and hash() of the BitVec it was built from, in heap
+/// content and equality of the BitVec it was built from, in heap
 /// proportional to the words holding set bits instead of to n: the form for
-/// sparse masks that are kept alive in bulk, such as the index sets of
-/// in-flight crash_multi responses (protocols/chunk.hpp). Every operation
-/// costs O(nonzero words), except the dense constructor and to_dense().
+/// sparse masks that are kept alive in bulk, such as crash_multi's per-phase
+/// owner sets (protocols/crash_multi.hpp). Every operation costs
+/// O(nonzero words), except the dense constructor.
 class SparseMask {
  public:
   SparseMask() = default;
@@ -176,12 +193,13 @@ class SparseMask {
 
   /// Length n of the mask (not its heap size).
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t popcount() const;
-  [[nodiscard]] BitVec to_dense() const;
-  /// Equals to_dense().hash().
-  [[nodiscard]] std::uint64_t hash() const;
-  /// True if every set bit of *this is also set in `other` (same size).
-  [[nodiscard]] bool is_subset_of(const BitVec& other) const;
+
+  /// Calls fn(w, bits) for every nonzero storage word, in increasing w:
+  /// bits holds the mask's bits [64w, 64w + 64), as in BitVec::word(w).
+  template <typename F>
+  void for_each_word(F&& fn) const {
+    for (const Word& m : words_) fn(m.index, m.bits);
+  }
 
   /// Calls fn(index) for every set bit, in increasing index order.
   template <typename F>
@@ -202,7 +220,6 @@ class SparseMask {
   }
 
  private:
-  friend class BitVec;
   struct Word {
     std::size_t index;   ///< position in the dense word array
     std::uint64_t bits;  ///< nonzero

@@ -66,6 +66,16 @@ double Rng::uniform(double lo, double hi) {
 
 bool Rng::flip(double p) { return uniform01() < p; }
 
+BitVec Rng::fair_bits(std::size_t n) {
+  // flip() is uniform01() < 0.5 with uniform01() = (x >> 11) * 2^-53, so it
+  // comes up true exactly when bit 63 of x = next() is clear.
+  return BitVec::generate_words(n, [this](std::size_t count) {
+    std::uint64_t word = 0;
+    for (std::size_t j = 0; j < count; ++j) word |= (~next() >> 63) << j;
+    return word;
+  });
+}
+
 Rng Rng::split(std::uint64_t tag) const {
   std::uint64_t sm = seed_ ^ (0x6a09e667f3bcc909ull + tag * 0x3c6ef372fe94f82bull);
   return Rng(splitmix64(sm));

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitvec.hpp"
+
 namespace asyncdr {
 
 /// SplitMix64 — used to expand seeds into stream states.
@@ -40,6 +42,10 @@ class Rng {
   double uniform(double lo, double hi);
 
   bool flip(double p = 0.5);
+
+  /// n fair coin flips: bit i is the i-th flip() call's result, and the
+  /// stream advances exactly as n flip() calls would. Packed 64 to a word.
+  [[nodiscard]] BitVec fair_bits(std::size_t n);
 
   /// Derives an independent child stream; deterministic in (this seed, tag).
   [[nodiscard]] Rng split(std::uint64_t tag) const;

@@ -37,9 +37,8 @@ void CommitteeLiarPeer::on_start() {
       break;
     }
     case Mode::kRandom: {
-      const BitVec lie =
-          BitVec::generate(truth.size(), [&] { return rng().flip(); });
-      broadcast(std::make_shared<committee::Votes>(lie));
+      broadcast(std::make_shared<committee::Votes>(
+          rng().fair_bits(truth.size())));
       break;
     }
     case Mode::kEquivocate: {
@@ -87,9 +86,8 @@ void EquivocatorPeer::on_start() {
     for (sim::PeerId to = 0; to < k(); ++to) {
       if (to == id()) continue;
       const auto seg = static_cast<std::size_t>(rng().below(layout.count()));
-      const BitVec fake = BitVec::generate(layout.length(seg),
-                                           [&] { return rng().flip(); });
-      send(to, std::make_shared<rnd::Report>(cycle, seg, fake));
+      send(to, std::make_shared<rnd::Report>(
+                   cycle, seg, rng().fair_bits(layout.length(seg))));
     }
     if (layout.count() == 1) break;
     layout = layout.coarsen();

@@ -1,5 +1,7 @@
 #include "protocols/chunk.hpp"
 
+#include <bit>
+
 #include "common/check.hpp"
 #include "sim/message.hpp"
 
@@ -31,22 +33,52 @@ void BitChunk::apply_to(BitVec& out, IntervalSet& known) const {
   known.unite(indices);
 }
 
-MaskChunk::MaskChunk(SparseMask m, BitVec vals)
-    : mask(std::move(m)), values(std::move(vals)) {
-  ASYNCDR_EXPECTS(mask.popcount() == values.size());
+MaskChunk::MaskChunk(std::size_t size, std::vector<Word> words)
+    : words_(std::move(words)), size_(size) {
+  hash_ = sim::payload_hash_mix(0x0c, size_);
+  for (const Word& w : words_) {
+    count_ += static_cast<std::size_t>(std::popcount(w.mask));
+    hash_ = sim::payload_hash_mix(hash_, w.index);
+    hash_ = sim::payload_hash_mix(hash_, w.mask);
+    hash_ = sim::payload_hash_mix(hash_, w.values);
+  }
+}
+
+MaskChunk MaskChunk::extract(const BitVec& src, const SparseMask& mask) {
+  ASYNCDR_EXPECTS(src.size() == mask.size());
+  std::size_t nonzero = 0;
+  mask.for_each_word([&](std::size_t, std::uint64_t) { ++nonzero; });
+  std::vector<Word> words;
+  words.reserve(nonzero);
+  mask.for_each_word([&](std::size_t w, std::uint64_t bits) {
+    words.push_back(Word{w, bits, src.word(w) & bits});
+  });
+  return MaskChunk(mask.size(), std::move(words));
 }
 
 void MaskChunk::apply_to(BitVec& out, BitVec& known_mask) const {
-  ASYNCDR_EXPECTS(mask.size() == out.size());
-  ASYNCDR_EXPECTS(mask.size() == known_mask.size());
-  out.scatter(mask, values);
-  known_mask.or_with(mask);
+  ASYNCDR_EXPECTS(size_ == out.size());
+  ASYNCDR_EXPECTS(size_ == known_mask.size());
+  for (const Word& w : words_) {
+    out.set_word_bits(w.index, w.mask, w.values);
+    known_mask.set_word_bits(w.index, w.mask, w.mask);
+  }
 }
 
-MaskChunk MaskChunk::extract(const BitVec& src, SparseMask mask) {
-  ASYNCDR_EXPECTS(src.size() == mask.size());
-  BitVec values = src.gather(mask);
-  return MaskChunk(std::move(mask), std::move(values));
+bool MaskChunk::is_subset_of(const BitVec& known_mask) const {
+  ASYNCDR_EXPECTS(size_ == known_mask.size());
+  for (const Word& w : words_) {
+    if ((w.mask & ~known_mask.word(w.index)) != 0) return false;
+  }
+  return true;
+}
+
+bool MaskChunk::agrees_with(const BitVec& src) const {
+  ASYNCDR_EXPECTS(size_ == src.size());
+  for (const Word& w : words_) {
+    if ((src.word(w.index) & w.mask) != w.values) return false;
+  }
+  return true;
 }
 
 BitChunk BitChunk::extract(const BitVec& src, const IntervalSet& idx) {
@@ -60,10 +92,6 @@ BitChunk BitChunk::extract(const BitVec& src, const IntervalSet& idx) {
 
 std::uint64_t BitChunk::hash() const {
   return sim::payload_hash_mix(indices.hash(), values.hash());
-}
-
-std::uint64_t MaskChunk::hash() const {
-  return sim::payload_hash_mix(mask.hash(), values.hash());
 }
 
 }  // namespace asyncdr::proto

@@ -3,6 +3,9 @@
 // interval sets, so contiguous assignments stay compact.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "common/bitvec.hpp"
 #include "common/interval_set.hpp"
 
@@ -42,31 +45,59 @@ struct BitChunk {
 /// intervals. The mask is never charged on the wire: in Algorithm 2 every
 /// index set is deducible from the protocol's shared rules plus the short
 /// unheard-peer history the requests already carry, so only the data bits
-/// (plus a small header) count — exactly the paper's accounting. In memory
-/// the mask is a SparseMask: a chunk holds one peer's share of the unknown
-/// bits, a sliver of n, and thousands of chunks can be in flight at once.
-struct MaskChunk {
-  SparseMask mask;  ///< length-n mask: 1 = value present
-  BitVec values;    ///< mask.popcount() values, in increasing index order
+/// (plus a small header) count — exactly the paper's accounting.
+///
+/// In memory a chunk keeps one {index, mask, values} triple per nonzero
+/// 64-bit word of its mask, the values in place, so extracting, checking
+/// and applying it cost one word operation per triple. A chunk is immutable
+/// once built; crash_multi builds each one once per world and shares it by
+/// pointer among the responses that carry it (crashm::OwnerLayout).
+class MaskChunk {
+ public:
+  /// Word `index` of the length-n index space: `mask` (nonzero) selects
+  /// the bits present, `values` holds their values (values & ~mask == 0).
+  struct Word {
+    std::size_t index;
+    std::uint64_t mask;
+    std::uint64_t values;
+    bool operator==(const Word&) const = default;
+  };
 
-  MaskChunk() = default;
-  MaskChunk(SparseMask m, BitVec vals);
+  /// The chunk of src's values at the set positions of `mask`.
+  static MaskChunk extract(const BitVec& src, const SparseMask& mask);
 
-  [[nodiscard]] std::size_t count() const { return values.size(); }
-  [[nodiscard]] bool empty() const { return values.empty(); }
+  /// Length n of the index space.
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// Number of values carried.
+  [[nodiscard]] std::size_t count() const { return count_; }
+  [[nodiscard]] bool empty() const { return count_ == 0; }
 
-  /// Wire size: data bits + constant header (see struct comment).
-  [[nodiscard]] std::size_t size_bits() const { return values.size() + 64; }
+  /// Wire size: data bits + constant header (see class comment).
+  [[nodiscard]] std::size_t size_bits() const { return count_ + 64; }
 
   /// Writes values into `out`, sets the corresponding bits of `known_mask`.
   void apply_to(BitVec& out, BitVec& known_mask) const;
 
-  /// Builds the chunk of src's values at the mask's set positions.
-  static MaskChunk extract(const BitVec& src, SparseMask mask);
+  /// True if every index of the chunk is set in `known_mask` (same size).
+  [[nodiscard]] bool is_subset_of(const BitVec& known_mask) const;
 
-  bool operator==(const MaskChunk&) const = default;
-  /// Content hash feeding Payload::content_hash (payload interning).
-  [[nodiscard]] std::uint64_t hash() const;
+  /// True if `src` (same size) holds the chunk's value at every index.
+  [[nodiscard]] bool agrees_with(const BitVec& src) const;
+
+  bool operator==(const MaskChunk& other) const {
+    return size_ == other.size_ && words_ == other.words_;
+  }
+  /// Content hash feeding Payload::content_hash (payload interning),
+  /// computed once at construction.
+  [[nodiscard]] std::uint64_t hash() const { return hash_; }
+
+ private:
+  MaskChunk(std::size_t size, std::vector<Word> words);
+
+  std::vector<Word> words_;  ///< increasing index
+  std::size_t size_ = 0;
+  std::size_t count_ = 0;
+  std::uint64_t hash_ = 0;
 };
 
 }  // namespace asyncdr::proto

@@ -11,6 +11,7 @@
 
 namespace asyncdr::proto {
 
+using crashm::ChunkPtr;
 using crashm::Full;
 using crashm::Req1;
 using crashm::Req2;
@@ -33,11 +34,30 @@ sim::PeerId hashed_owner(std::size_t b, std::size_t r, std::size_t k) {
 
 OwnerLayout::OwnerLayout(std::size_t n, std::size_t k) : n_(n), k_(k) {}
 
+OwnerLayout::Phase& OwnerLayout::phase(std::size_t r) {
+  ASYNCDR_EXPECTS(r >= 1);
+  if (phases_.size() < r) phases_.resize(r);
+  return phases_[r - 1];
+}
+
+Snapshot OwnerLayout::snapshot(BitVec unknown, std::size_t r) {
+  ASYNCDR_EXPECTS(unknown.size() == n_);
+  auto& snapshots = phase(r).snapshots;
+  const std::uint64_t hash = unknown.hash();
+  const auto [first, last] = snapshots.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (*it->second == unknown) return it->second;
+  }
+  auto kept = std::make_shared<const BitVec>(std::move(unknown));
+  snapshots.emplace(hash, kept);
+  chunks_.emplace(kept.get(), Chunks{r, std::vector<ChunkPtr>(k_)});
+  return kept;
+}
+
 SparseMask OwnerLayout::share(const BitVec& unknown, std::size_t r,
                               sim::PeerId who) {
   ASYNCDR_EXPECTS(unknown.size() == n_ && r >= 1 && who < k_);
-  if (phases_.size() < r) phases_.resize(r);
-  std::vector<SparseMask>& owners = phases_[r - 1];
+  std::vector<SparseMask>& owners = phase(r).owners;
   if (owners.empty()) {
     owners.assign(k_, SparseMask(n_));
     if (r == 1) {
@@ -55,6 +75,27 @@ SparseMask OwnerLayout::share(const BitVec& unknown, std::size_t r,
   return owners[who].intersect(unknown);
 }
 
+ChunkPtr OwnerLayout::chunk(const Snapshot& unknown, std::size_t r,
+                            sim::PeerId owner, const BitVec& out,
+                            const BitVec& known, const char* claim1) {
+  const auto it = chunks_.find(unknown.get());
+  ASYNCDR_EXPECTS_MSG(it != chunks_.end() && it->second.phase == r,
+                      "not a snapshot of this layout's phase");
+  ASYNCDR_EXPECTS(owner < k_ && out.size() == n_ && known.size() == n_);
+  ChunkPtr& kept = it->second.by_owner[owner];
+  ChunkPtr chunk = kept;
+  if (chunk == nullptr || !chunk->agrees_with(out)) {
+    // A responder whose values differ from the kept chunk's (a mutating
+    // source) answers with its own, as it would without the layout.
+    chunk = std::make_shared<const MaskChunk>(
+        MaskChunk::extract(out, share(*unknown, r, owner)));
+    ++chunks_built_;
+  }
+  ASYNCDR_INVARIANT_MSG(chunk->is_subset_of(known), claim1);
+  if (kept == nullptr) kept = chunk;
+  return chunk;
+}
+
 }  // namespace crashm
 
 CrashMultiPeer::CrashMultiPeer() : CrashMultiPeer(Options{}) {}
@@ -69,12 +110,14 @@ std::uint64_t CrashMultiPeer::Scratch::row_bytes(const Scratch& s) {
     if (c.memory_bytes() > 0) bytes += modeled_alloc_bytes(c.memory_bytes());
   }
   bytes += modeled_alloc_bytes(s.deferred.capacity() * sizeof(Deferred));
+  // A parked request shares the world's snapshot, but is charged for its
+  // bytes as if it held its own copy (the model the mem goldens pin).
   for (const Deferred& d : s.deferred) {
     if (d.req1.has_value()) {
-      bytes += modeled_alloc_bytes(d.req1->unknown.memory_bytes());
+      bytes += modeled_alloc_bytes(d.req1->unknown->memory_bytes());
     }
     if (d.req2.has_value()) {
-      bytes += modeled_alloc_bytes(d.req2->unknown.memory_bytes());
+      bytes += modeled_alloc_bytes(d.req2->unknown->memory_bytes());
       bytes += modeled_alloc_bytes(d.req2->missing.capacity() *
                                    sizeof(sim::PeerId));
     }
@@ -116,7 +159,7 @@ std::size_t CrashMultiPeer::max_phases() const {
 crashm::OwnerLayout& CrashMultiPeer::layout() {
   if (layout_ == nullptr) {
     layout_ = &world().arena().shared<crashm::OwnerLayout>(
-        "proto.crash_multi.owners",
+        crashm::OwnerLayout::kArenaName,
         [this] { return crashm::OwnerLayout(n(), k()); });
   }
   return *layout_;
@@ -160,7 +203,9 @@ std::size_t CrashMultiPeer::memory_bytes() const {
   std::uint64_t bytes = dr::Peer::memory_bytes();
   bytes += modeled_alloc_bytes(out_.memory_bytes());
   bytes += modeled_alloc_bytes(known_.memory_bytes());
-  bytes += modeled_alloc_bytes(phase_unknown_.memory_bytes());
+  if (phase_unknown_ != nullptr) {
+    bytes += modeled_alloc_bytes(phase_unknown_->memory_bytes());
+  }
   bytes += modeled_alloc_bytes(missing_.capacity() * sizeof(sim::PeerId));
   // The heard/deferred working set lives in the arena column
   // "proto.crash_multi"; the arena charges it to dr.peer.state directly.
@@ -217,10 +262,10 @@ void CrashMultiPeer::start_phase(std::size_t r) {
   // Snapshot the unknown set: the phase's assignment is defined on it.
   BitVec all_unknown(n(), true);
   all_unknown.andnot_with(known_);
-  phase_unknown_ = std::move(all_unknown);
+  phase_unknown_ = layout().snapshot(std::move(all_unknown), r);
 
   // Stage 1: query my own share and pull everyone else's.
-  if (!query_mask(layout().share(phase_unknown_, r, id()))) return;
+  if (!query_mask(layout().share(*phase_unknown_, r, id()))) return;
   Scratch& sc = scratch();
   if (sc.heard.size() < r) sc.heard.resize(r);
   sc.heard[r - 1].insert(id(), k());
@@ -267,8 +312,8 @@ void CrashMultiPeer::on_message(sim::PeerId from, const sim::Payload& payload) {
     return;
   }
   if (const auto* resp1 = sim::payload_as<Resp1>(payload)) {
-    if (resp1->chunk.mask.size() == n()) {
-      resp1->chunk.apply_to(out_, known_);
+    if (resp1->chunk->size() == n()) {
+      resp1->chunk->apply_to(out_, known_);
       Scratch& sc = scratch();
       if (sc.heard.size() < resp1->phase) sc.heard.resize(resp1->phase);
       sc.heard[resp1->phase - 1].insert(from, k());
@@ -278,7 +323,7 @@ void CrashMultiPeer::on_message(sim::PeerId from, const sim::Payload& payload) {
   }
   if (const auto* resp2 = sim::payload_as<Resp2>(payload)) {
     for (const auto& [peer, chunk] : resp2->answers) {
-      if (chunk && chunk->mask.size() == n()) chunk->apply_to(out_, known_);
+      if (chunk && chunk->size() == n()) chunk->apply_to(out_, known_);
     }
     if (resp2->phase == phase_ && progress_ == Progress::kWait2) {
       ++resp2_count_;
@@ -287,7 +332,7 @@ void CrashMultiPeer::on_message(sim::PeerId from, const sim::Payload& payload) {
     return;
   }
   if (const auto* req1 = sim::payload_as<Req1>(payload)) {
-    if (req1->unknown.size() != n()) return;
+    if (req1->unknown == nullptr || req1->unknown->size() != n()) return;
     if (req1_eligible(*req1)) {
       handle_req1(from, *req1);
     } else {
@@ -296,7 +341,7 @@ void CrashMultiPeer::on_message(sim::PeerId from, const sim::Payload& payload) {
     return;
   }
   if (const auto* req2 = sim::payload_as<Req2>(payload)) {
-    if (req2->unknown.size() != n()) return;
+    if (req2->unknown == nullptr || req2->unknown->size() != n()) return;
     if (req2_eligible(*req2)) {
       handle_req2(from, *req2);
     } else {
@@ -319,33 +364,31 @@ bool CrashMultiPeer::req2_eligible(const Req2& req) const {
 }
 
 void CrashMultiPeer::handle_req1(sim::PeerId from, const Req1& req) {
-  SparseMask wanted = layout().share(req.unknown, req.phase, id());
   // Claim 1 (structural under the canonical assignment): every bit the
   // requester assigned to me and still lacks is a bit I either knew
   // already or queried in my own stage 1 of that phase.
-  ASYNCDR_INVARIANT_MSG(wanted.is_subset_of(known_),
-                        "Claim 1 violated: asked for a bit I don't know");
-  send(from, std::make_shared<Resp1>(
-                 req.phase, MaskChunk::extract(out_, std::move(wanted))));
+  ChunkPtr mine =
+      layout().chunk(req.unknown, req.phase, id(), out_, known_,
+                     "Claim 1 violated: asked for a bit I don't know");
+  send(from, std::make_shared<Resp1>(req.phase, std::move(mine)));
 }
 
 void CrashMultiPeer::handle_req2(sim::PeerId from, const Req2& req) {
   Scratch& sc = scratch();
   const bool have_phase = sc.heard.size() >= req.phase;
-  std::vector<std::pair<sim::PeerId, std::optional<MaskChunk>>> answers;
+  std::vector<Resp2::Answer> answers;
   answers.reserve(req.missing.size());
   for (sim::PeerId absent : req.missing) {
     if (absent >= k()) continue;
     const bool i_heard = have_phase && sc.heard[req.phase - 1].contains(absent);
     if (i_heard) {
-      SparseMask wanted = layout().share(req.unknown, req.phase, absent);
-      ASYNCDR_INVARIANT_MSG(
-          wanted.is_subset_of(known_),
-          "Claim 1 violated: heard the absent peer but lack its bits");
-      answers.emplace_back(absent,
-                           MaskChunk::extract(out_, std::move(wanted)));
+      answers.emplace_back(
+          absent,
+          layout().chunk(
+              req.unknown, req.phase, absent, out_, known_,
+              "Claim 1 violated: heard the absent peer but lack its bits"));
     } else {
-      answers.emplace_back(absent, std::nullopt);  // "me neither"
+      answers.emplace_back(absent, nullptr);  // "me neither"
     }
   }
   send(from, std::make_shared<Resp2>(req.phase, std::move(answers)));

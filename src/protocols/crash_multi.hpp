@@ -26,11 +26,15 @@
 // set. bounds::crash_multi_q() accounts for the concentration slack.
 //
 // Per-message cost. Each world keeps one crashm::OwnerLayout: for every
-// phase reached, each peer's owned bits as a SparseMask. A share (the bits
-// of a requester's unknown set that one peer owns) is cut from the owner's
-// own words: about 3 words for a phase-1 block, min(n/64, n/k) for a hashed
-// phase. Building, checking (Claim 1), packing and hashing a response then
-// cost O(owner words), not O(n).
+// phase reached, each peer's owned bits as a SparseMask, the phase's
+// distinct unknown-set snapshots, and the response chunks cut from them. A
+// share (the bits of a requester's unknown set that one peer owns) is cut
+// from the owner's own words: about 3 words for a phase-1 block,
+// min(n/64, n/k) for a hashed phase. Peers that start a phase with equal
+// unknown sets hold one snapshot, so a chunk is built once per (snapshot,
+// owner) and every response carrying it shares it by pointer. A responder
+// still checks Claim 1 and its own values against the kept chunk, one word
+// operation per chunk word, and builds its own chunk if the values differ.
 //
 // Termination: once the unknown set is at most max(ceil(n/k), 2k) bits (or
 // a phase cap is hit), the peer queries the remainder directly, pushes its
@@ -42,9 +46,11 @@
 // waiting for, instead of having to collect the full response quorum.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "dr/arena.hpp"
@@ -61,25 +67,68 @@ namespace crashm {
 /// Canonical owner of bit b in phase r >= 2 of a k-peer instance.
 sim::PeerId hashed_owner(std::size_t b, std::size_t r, std::size_t k);
 
-/// Who owns which bit, in every phase of one (n, k) instance: per phase,
-/// each peer's owned bits as a SparseMask. Phase 1 gives peer q the q-th
-/// block of SegmentLayout(n, k); phase r >= 2 gives bit b to
-/// hashed_owner(b, r, k). A phase's masks are built in one pass over the n
-/// bits the first time a share of that phase is asked for. One layout
-/// serves a whole world (CrashMultiPeer binds it in the world's arena).
+/// A phase's unknown-set snapshot, interned per world (OwnerLayout::snapshot).
+using Snapshot = std::shared_ptr<const BitVec>;
+/// A response chunk, shared by every response that carries it.
+using ChunkPtr = std::shared_ptr<const MaskChunk>;
+
+/// Who owns which bit, in every phase of one (n, k) instance, and the
+/// chunks cut from those shares. Per phase: each peer's owned bits as a
+/// SparseMask, built in one pass over the n bits the first time a share of
+/// that phase is asked for; phase 1 gives peer q the q-th block of
+/// SegmentLayout(n, k), phase r >= 2 gives bit b to hashed_owner(b, r, k).
+/// Also per phase: the distinct unknown sets peers started it with, and per
+/// (snapshot, owner) the chunk of the owner's share. Everything is kept for
+/// the world's lifetime, so a snapshot or chunk pointer never names two
+/// contents. One layout serves a whole world (CrashMultiPeer binds it in
+/// the world's arena).
 class OwnerLayout {
  public:
+  /// Name of the world's layout in its arena (dr::PeerArena::shared).
+  static constexpr const char* kArenaName = "proto.crash_multi.owners";
+
   OwnerLayout(std::size_t n, std::size_t k);
+
+  /// The phase-r snapshot with `unknown`'s content (length n): the one
+  /// already kept if an equal set was snapshotted in phase r, else a new one.
+  [[nodiscard]] Snapshot snapshot(BitVec unknown, std::size_t r);
 
   /// The bits of `unknown` (length n) that `who` owns in phase r >= 1: the
   /// owner's words ANDed with the unknown set's, O(min(n/64, n/k)) words.
   [[nodiscard]] SparseMask share(const BitVec& unknown, std::size_t r,
                                  sim::PeerId who);
 
+  /// `owner`'s share of `unknown`, a phase-r snapshot of this layout, with
+  /// the values of `out`. Returns the kept chunk if its values agree with
+  /// `out`; otherwise builds one from `out`, and keeps it if none was kept.
+  /// Either way the chunk must lie within `known` (Claim 1), else an
+  /// invariant violation with message `claim1` is thrown.
+  [[nodiscard]] ChunkPtr chunk(const Snapshot& unknown, std::size_t r,
+                               sim::PeerId owner, const BitVec& out,
+                               const BitVec& known, const char* claim1);
+
+  /// Chunks built so far, kept or not.
+  [[nodiscard]] std::size_t chunks_built() const { return chunks_built_; }
+
  private:
+  struct Phase {
+    /// [q]: q's bits; empty until a share of the phase is first asked.
+    std::vector<SparseMask> owners;
+    /// The phase's snapshots, by content hash.
+    std::unordered_multimap<std::uint64_t, Snapshot> snapshots;
+  };
+  /// Per snapshot: its phase and, per owner, the kept chunk (or null).
+  struct Chunks {
+    std::size_t phase;
+    std::vector<ChunkPtr> by_owner;
+  };
+
+  [[nodiscard]] Phase& phase(std::size_t r);
+
   std::size_t n_, k_;
-  /// [r - 1][q]: q's bits in phase r; empty until phase r is first asked.
-  std::vector<std::vector<SparseMask>> phases_;
+  std::vector<Phase> phases_;  ///< [r - 1]
+  std::unordered_map<const BitVec*, Chunks> chunks_;
+  std::size_t chunks_built_ = 0;
 };
 
 /// Request header charge: the index sets a request describes are
@@ -91,9 +140,9 @@ inline std::size_t request_header_bits(std::size_t k) { return 64 + 16 * k; }
 /// Stage-1 pull request: "send me your share of my unknown bits".
 struct Req1 final : sim::Payload {
   std::size_t phase;
-  BitVec unknown;  ///< requester's unknown-bit mask at phase start
+  Snapshot unknown;  ///< requester's unknown-bit mask at phase start
 
-  Req1(std::size_t ph, BitVec u) : phase(ph), unknown(std::move(u)) {}
+  Req1(std::size_t ph, Snapshot u) : phase(ph), unknown(std::move(u)) {}
   [[nodiscard]] std::size_t size_bits() const override {
     return 8 + request_header_bits(16);
   }
@@ -102,31 +151,33 @@ struct Req1 final : sim::Payload {
   // the same request (phase 1: everyone, before any bits resolve).
   [[nodiscard]] std::uint64_t content_hash() const override {
     return sim::payload_hash_mix(sim::payload_hash_mix(0x0101, phase),
-                                 unknown.hash()) |
+                                 unknown->hash()) |
            1;
   }
   [[nodiscard]] bool content_equals(const sim::Payload& other) const override {
     const auto* o = sim::payload_as<Req1>(other);
-    return o != nullptr && o->phase == phase && o->unknown == unknown;
+    return o != nullptr && o->phase == phase &&
+           (o->unknown == unknown || *o->unknown == *unknown);
   }
 };
 
 /// Answer to Req1: the requested bit values.
 struct Resp1 final : sim::Payload {
   std::size_t phase;
-  MaskChunk chunk;
+  ChunkPtr chunk;  ///< never null
 
-  Resp1(std::size_t ph, MaskChunk c) : phase(ph), chunk(std::move(c)) {}
-  [[nodiscard]] std::size_t size_bits() const override { return 8 + chunk.size_bits(); }
+  Resp1(std::size_t ph, ChunkPtr c) : phase(ph), chunk(std::move(c)) {}
+  [[nodiscard]] std::size_t size_bits() const override { return 8 + chunk->size_bits(); }
   [[nodiscard]] std::string type_name() const override { return "crashm::Resp1"; }
   [[nodiscard]] std::uint64_t content_hash() const override {
     return sim::payload_hash_mix(sim::payload_hash_mix(0x0102, phase),
-                                 chunk.hash()) |
+                                 chunk->hash()) |
            1;
   }
   [[nodiscard]] bool content_equals(const sim::Payload& other) const override {
     const auto* o = sim::payload_as<Resp1>(other);
-    return o != nullptr && o->phase == phase && o->chunk == chunk;
+    return o != nullptr && o->phase == phase &&
+           (o->chunk == chunk || *o->chunk == *chunk);
   }
 };
 
@@ -134,9 +185,9 @@ struct Resp1 final : sim::Payload {
 struct Req2 final : sim::Payload {
   std::size_t phase;
   std::vector<sim::PeerId> missing;
-  BitVec unknown;  ///< requester's unknown-bit mask at phase start
+  Snapshot unknown;  ///< requester's unknown-bit mask at phase start
 
-  Req2(std::size_t ph, std::vector<sim::PeerId> m, BitVec u)
+  Req2(std::size_t ph, std::vector<sim::PeerId> m, Snapshot u)
       : phase(ph), missing(std::move(m)), unknown(std::move(u)) {}
   [[nodiscard]] std::size_t size_bits() const override {
     return 8 + request_header_bits(16) + 16 * missing.size();
@@ -148,45 +199,54 @@ struct Req2 final : sim::Payload {
     std::uint64_t h = sim::payload_hash_mix(0x0103, phase);
     h = sim::payload_hash_mix(h, missing.size());
     for (sim::PeerId m : missing) h = sim::payload_hash_mix(h, m);
-    return sim::payload_hash_mix(h, unknown.hash()) | 1;
+    return sim::payload_hash_mix(h, unknown->hash()) | 1;
   }
   [[nodiscard]] bool content_equals(const sim::Payload& other) const override {
     const auto* o = sim::payload_as<Req2>(other);
     return o != nullptr && o->phase == phase && o->missing == missing &&
-           o->unknown == unknown;
+           (o->unknown == unknown || *o->unknown == *unknown);
   }
 };
 
 /// Answer to Req2: per missing peer, either its bits or "me neither".
 struct Resp2 final : sim::Payload {
+  /// (missing peer, its chunk); a null chunk is "me neither".
+  using Answer = std::pair<sim::PeerId, ChunkPtr>;
   std::size_t phase;
-  std::vector<std::pair<sim::PeerId, std::optional<MaskChunk>>> answers;
+  const std::vector<Answer> answers;
 
-  Resp2(std::size_t ph,
-        std::vector<std::pair<sim::PeerId, std::optional<MaskChunk>>> a)
-      : phase(ph), answers(std::move(a)) {}
-  [[nodiscard]] std::size_t size_bits() const override {
-    std::size_t bits = 8;
+  // A response names up to t missing peers, and the network asks for its
+  // size and hash on every send and charge: both are computed once here.
+  Resp2(std::size_t ph, std::vector<Answer> a)
+      : phase(ph), answers(std::move(a)) {
+    hash_ = sim::payload_hash_mix(sim::payload_hash_mix(0x0104, phase),
+                                  answers.size());
     for (const auto& [peer, chunk] : answers) {
-      bits += 17;  // peer id + me-neither flag
-      if (chunk) bits += chunk->size_bits();
+      bits_ += 17;  // peer id + me-neither flag
+      if (chunk) bits_ += chunk->size_bits();
+      hash_ = sim::payload_hash_mix(hash_, peer);
+      hash_ = sim::payload_hash_mix(hash_, chunk ? chunk->hash() : 0);
     }
-    return bits;
+    hash_ |= 1;
   }
+  [[nodiscard]] std::size_t size_bits() const override { return bits_; }
   [[nodiscard]] std::string type_name() const override { return "crashm::Resp2"; }
-  [[nodiscard]] std::uint64_t content_hash() const override {
-    std::uint64_t h = sim::payload_hash_mix(0x0104, phase);
-    h = sim::payload_hash_mix(h, answers.size());
-    for (const auto& [peer, chunk] : answers) {
-      h = sim::payload_hash_mix(h, peer);
-      h = sim::payload_hash_mix(h, chunk ? chunk->hash() : 0);
-    }
-    return h | 1;
-  }
+  [[nodiscard]] std::uint64_t content_hash() const override { return hash_; }
   [[nodiscard]] bool content_equals(const sim::Payload& other) const override {
     const auto* o = sim::payload_as<Resp2>(other);
-    return o != nullptr && o->phase == phase && o->answers == answers;
+    return o != nullptr && o->phase == phase &&
+           std::equal(answers.begin(), answers.end(), o->answers.begin(),
+                      o->answers.end(), [](const Answer& a, const Answer& b) {
+                        return a.first == b.first &&
+                               (a.second == b.second ||
+                                (a.second && b.second &&
+                                 *a.second == *b.second));
+                      });
   }
+
+ private:
+  std::size_t bits_ = 8;
+  std::uint64_t hash_ = 0;
 };
 
 /// Terminating push of the full output array (Claim 2's rescue).
@@ -300,7 +360,7 @@ class CrashMultiPeer final : public dr::Peer {
   BitVec out_;
   BitVec known_;  // mask
 
-  BitVec phase_unknown_;  // unknown mask snapshot at current phase start
+  crashm::Snapshot phase_unknown_;  // unknown mask at current phase start
   std::vector<sim::PeerId> missing_;  // D of the current phase
   std::size_t resp2_count_ = 0;
 

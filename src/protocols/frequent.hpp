@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -44,9 +43,11 @@ class StringBank {
 
  private:
   struct SegmentVotes {
-    std::unordered_map<BitVec, std::unordered_set<sim::PeerId>, BitVecHash>
-        by_string;
-    std::unordered_set<sim::PeerId> voters;
+    /// Distinct supporters per string: each voter counts once, at its first
+    /// report, so a count is all the string needs.
+    std::unordered_map<BitVec, std::size_t, BitVecHash> by_string;
+    std::vector<bool> voted;  ///< [peer]: reported for this segment
+    std::size_t voters = 0;   ///< set entries of `voted`
   };
   std::vector<SegmentVotes> per_segment_;
 };

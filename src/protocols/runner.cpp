@@ -10,8 +10,7 @@
 namespace asyncdr::proto {
 
 BitVec random_input(std::size_t n, std::uint64_t seed) {
-  Rng rng = Rng(seed).split(0xda7aull);
-  return BitVec::generate(n, [&] { return rng.flip(); });
+  return Rng(seed).split(0xda7aull).fair_bits(n);
 }
 
 std::vector<sim::PeerId> pick_faulty(const dr::Config& cfg, std::size_t count,

@@ -230,35 +230,53 @@ BitVec shaped_mask(std::size_t n, Rng& rng, std::size_t phase) {
 
 class BitVecKernels : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(BitVecKernels, GatherScatterMatchPerBitReference) {
+/// The dense mask a SparseMask stands for, rebuilt from its words.
+BitVec dense_of(const SparseMask& sparse) {
+  BitVec dense(sparse.size());
+  sparse.for_each_word([&](std::size_t w, std::uint64_t bits) {
+    for (std::size_t j = 0; j < 64; ++j) {
+      if (((bits >> j) & 1u) != 0) dense.set(w * 64 + j, true);
+    }
+  });
+  return dense;
+}
+
+TEST_P(BitVecKernels, WordAccessMatchesPerBitReference) {
   const std::size_t n = GetParam();
   Rng rng(n * 13 + 5);
+  const std::size_t words = (n + 63) / 64;
   for (std::size_t trial = 0; trial < 8; ++trial) {
     const BitVec src = random_bits(n, rng);
     const BitVec mask =
         trial < 4 ? shaped_mask(n, rng, trial) : random_bits(n, rng);
-
-    const SparseMask sparse(mask);
-
-    BitVec want_gather;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mask.get(i)) want_gather.push_back(src.get(i));
+    BitVec written = src;
+    BitVec want = src;
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t want_word = 0;
+      for (std::size_t j = 0; j < 64 && w * 64 + j < n; ++j) {
+        want_word |= std::uint64_t{src.get(w * 64 + j)} << j;
+      }
+      EXPECT_EQ(src.word(w), want_word);
+      // Write the complement of src through the mask.
+      written.set_word_bits(w, mask.word(w), ~src.word(w));
     }
-    const BitVec gathered = src.gather(sparse);
-    EXPECT_EQ(gathered, want_gather);
-    EXPECT_TRUE(zero_tail(gathered));
-
-    const BitVec values = random_bits(mask.popcount(), rng);
-    BitVec scattered = src;
-    scattered.scatter(sparse, values);
-    BitVec want_scatter = src;
-    std::size_t j = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (mask.get(i)) want_scatter.set(i, values.get(j++));
+      if (mask.get(i)) want.flip(i);
     }
-    EXPECT_EQ(scattered, want_scatter);
-    EXPECT_TRUE(zero_tail(scattered));
-    EXPECT_EQ(scattered.gather(sparse), values);
+    EXPECT_EQ(written, want);
+    EXPECT_TRUE(zero_tail(written));
+
+    // generate_words draws the same bits as generate, a word at a time.
+    std::size_t next = 0;
+    const BitVec rebuilt = BitVec::generate_words(n, [&](std::size_t count) {
+      std::uint64_t bits = 0;
+      for (std::size_t j = 0; j < count; ++j) {
+        bits |= std::uint64_t{src.get(next++)} << j;
+      }
+      return bits;
+    });
+    EXPECT_EQ(next, n);
+    EXPECT_EQ(rebuilt, src);
   }
 }
 
@@ -311,16 +329,11 @@ TEST_P(BitVecKernels, SparseMaskMatchesDense) {
         trial < 4 ? shaped_mask(n, rng, trial) : random_bits(n, rng);
     const SparseMask sparse(mask);
     EXPECT_EQ(sparse.size(), n);
-    EXPECT_EQ(sparse.popcount(), mask.popcount());
-    EXPECT_EQ(sparse.to_dense(), mask);
-    EXPECT_EQ(sparse.hash(), mask.hash());
-
-    const BitVec src = random_bits(n, rng);
-    BitVec dense_or = src;
-    dense_or.or_with(mask);
-    BitVec sparse_or = src;
-    sparse_or.or_with(sparse);
-    EXPECT_EQ(sparse_or, dense_or);
+    EXPECT_EQ(dense_of(sparse), mask);
+    sparse.for_each_word([&](std::size_t w, std::uint64_t bits) {
+      EXPECT_NE(bits, 0u);
+      EXPECT_EQ(bits, mask.word(w));
+    });
 
     const BitVec other = random_bits(n, rng);
     EXPECT_EQ(SparseMask(other) == sparse, other == mask);
@@ -344,7 +357,6 @@ TEST_P(BitVecKernels, SparseMaskAppendIntersectMatchPerBitReference) {
       appended.append(i);
     }
     EXPECT_EQ(appended, SparseMask(chosen));
-    EXPECT_EQ(appended.hash(), chosen.hash());
 
     BitVec want(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -352,7 +364,7 @@ TEST_P(BitVecKernels, SparseMaskAppendIntersectMatchPerBitReference) {
     }
     const SparseMask both = appended.intersect(base);
     EXPECT_EQ(both, SparseMask(want));
-    EXPECT_EQ(both.hash(), want.hash());
+    EXPECT_EQ(dense_of(both), want);
     EXPECT_EQ(both.memory_bytes(), SparseMask(want).memory_bytes());
 
     std::vector<std::size_t> visited, want_visited;
@@ -360,30 +372,24 @@ TEST_P(BitVecKernels, SparseMaskAppendIntersectMatchPerBitReference) {
     want.for_each_set([&](std::size_t i) { want_visited.push_back(i); });
     EXPECT_EQ(visited, want_visited);
 
-    const BitVec other = random_bits(n, rng);
-    EXPECT_EQ(both.is_subset_of(other), want.is_subset_of(other));
-    EXPECT_TRUE(both.is_subset_of(base));
-    EXPECT_EQ(appended.is_subset_of(base), chosen.is_subset_of(base));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BitVecKernels,
                          ::testing::Values(0, 1, 63, 64, 65, 127, 16384));
 
-TEST(BitVec, GatherScatterPreconditions) {
-  const BitVec v(70);
-  EXPECT_THROW((void)v.gather(SparseMask(BitVec(71))), contract_violation);
-  BitVec w(70);
-  const BitVec mask =
-      BitVec::from_string(std::string(10, '1') + std::string(60, '0'));
-  const SparseMask sparse(mask);
-  EXPECT_THROW(w.scatter(sparse, BitVec(9)), contract_violation);
-  EXPECT_THROW(w.scatter(SparseMask(BitVec(69)), BitVec()), contract_violation);
-  w.scatter(sparse, BitVec(10, true));
-  EXPECT_EQ(w.popcount(), 10u);
-  BitVec shorter(69);
-  EXPECT_THROW(shorter.or_with(sparse), contract_violation);
-  EXPECT_THROW((void)sparse.is_subset_of(shorter), contract_violation);
+TEST(BitVec, WordAccessPreconditions) {
+  BitVec v(70);
+  EXPECT_THROW((void)v.word(2), contract_violation);
+  EXPECT_THROW(v.set_word_bits(2, 1, 1), contract_violation);
+  // Word 1 holds bits 64..69: bit 70 and up lie past size().
+  EXPECT_THROW(v.set_word_bits(1, std::uint64_t{1} << 6, ~std::uint64_t{0}),
+               contract_violation);
+  v.set_word_bits(1, 0x3f, ~std::uint64_t{0});
+  EXPECT_EQ(v.popcount(), 6u);
+  BitVec full(128);
+  full.set_word_bits(1, ~std::uint64_t{0}, ~std::uint64_t{0});
+  EXPECT_EQ(full.popcount(), 64u);
 }
 
 TEST(SparseMask, AppendPreconditions) {
@@ -395,7 +401,9 @@ TEST(SparseMask, AppendPreconditions) {
   EXPECT_THROW(m.append(63), contract_violation);
   EXPECT_THROW(m.append(100), contract_violation);
   m.append(99);
-  EXPECT_EQ(m.popcount(), 3u);
+  std::vector<std::size_t> set;
+  m.for_each_set([&](std::size_t i) { set.push_back(i); });
+  EXPECT_EQ(set, (std::vector<std::size_t>{3, 64, 99}));
   EXPECT_THROW((void)m.intersect(BitVec(99)), contract_violation);
 }
 
@@ -406,7 +414,6 @@ TEST(SparseMask, KeepsOnlyNonzeroWords) {
   // 170 bits from 4000 on touch words 62..65: four words, not n/64 = 256.
   EXPECT_EQ(sparse.memory_bytes(), 4 * (sizeof(std::size_t) + 8));
   EXPECT_EQ(SparseMask(BitVec(1 << 14)).memory_bytes(), 0u);
-  EXPECT_EQ(SparseMask(BitVec(1 << 14)).hash(), BitVec(1 << 14).hash());
   EXPECT_NE(SparseMask(BitVec(64)), SparseMask(BitVec(65)));
 }
 

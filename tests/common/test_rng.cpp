@@ -128,5 +128,20 @@ TEST(Rng, SampleCoversUniverse) {
   EXPECT_EQ(uniq.size(), 10u);
 }
 
+TEST(Rng, FairBitsAreThePerBitFlipStream) {
+  // Same bits, and the same stream position after, as one flip() per bit.
+  std::size_t mismatches = 0;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    for (const std::size_t n : {0, 1, 63, 64, 65, 1000, 8191, 16384}) {
+      Rng words(seed * 7919 + n);
+      Rng bits(seed * 7919 + n);
+      const BitVec packed = words.fair_bits(n);
+      const BitVec reference = BitVec::generate(n, [&] { return bits.flip(); });
+      mismatches += packed == reference && words.next() == bits.next() ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
 }  // namespace
 }  // namespace asyncdr

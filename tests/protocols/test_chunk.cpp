@@ -61,8 +61,9 @@ TEST(MaskChunk, ExtractApplyRoundTrip) {
   mask.set(2, true);
   mask.set(9, true);
   const MaskChunk chunk = MaskChunk::extract(src, SparseMask(mask));
+  EXPECT_EQ(chunk.size(), 10u);
   EXPECT_EQ(chunk.count(), 3u);
-  EXPECT_EQ(chunk.values.to_string(), "110");
+  EXPECT_FALSE(chunk.empty());
 
   BitVec out(10);
   BitVec known(10);
@@ -72,13 +73,14 @@ TEST(MaskChunk, ExtractApplyRoundTrip) {
 }
 
 TEST(MaskChunk, MismatchedThrow) {
-  EXPECT_THROW(MaskChunk(SparseMask(BitVec(5, true)), BitVec(4)),
-               contract_violation);
   EXPECT_THROW((void)MaskChunk::extract(BitVec(5), SparseMask(BitVec(6))),
                contract_violation);
   const MaskChunk c = MaskChunk::extract(BitVec(5), SparseMask(BitVec(5)));
+  EXPECT_TRUE(c.empty());
   BitVec out(6), known(6);
   EXPECT_THROW(c.apply_to(out, known), contract_violation);
+  EXPECT_THROW((void)c.is_subset_of(known), contract_violation);
+  EXPECT_THROW((void)c.agrees_with(out), contract_violation);
 }
 
 TEST(MaskChunk, WireSizeChargesValuesOnly) {
@@ -87,15 +89,32 @@ TEST(MaskChunk, WireSizeChargesValuesOnly) {
   EXPECT_EQ(c.size_bits(), 1000u + 64u);
 }
 
-TEST(MaskChunk, HashIsTheDenseMasksHash) {
+TEST(MaskChunk, EqualityAndHashFollowContent) {
   Rng rng(5);
   const BitVec src = BitVec::generate(300, [&] { return rng.flip(); });
   const BitVec mask = BitVec::generate(300, [&] { return rng.flip(0.1); });
   const MaskChunk chunk = MaskChunk::extract(src, SparseMask(mask));
-  BitVec values;
-  mask.for_each_set([&](std::size_t i) { values.push_back(src.get(i)); });
-  EXPECT_EQ(chunk.mask.to_dense(), mask);
-  EXPECT_EQ(chunk.hash(), sim::payload_hash_mix(mask.hash(), values.hash()));
+  const MaskChunk same = MaskChunk::extract(src, SparseMask(mask));
+  EXPECT_EQ(chunk, same);
+  EXPECT_EQ(chunk.hash(), same.hash());
+
+  std::size_t first = 0;
+  while (!mask.get(first)) ++first;
+  BitVec flipped = src;
+  flipped.flip(first);
+  const MaskChunk other_value = MaskChunk::extract(flipped, SparseMask(mask));
+  EXPECT_FALSE(chunk == other_value);
+  EXPECT_NE(chunk.hash(), other_value.hash());
+  // A value outside the mask is not part of the chunk.
+  std::size_t gap = 0;
+  while (mask.get(gap)) ++gap;
+  BitVec outside = src;
+  outside.flip(gap);
+  EXPECT_EQ(MaskChunk::extract(outside, SparseMask(mask)), chunk);
+  BitVec fewer = mask;
+  fewer.set(first, false);
+  EXPECT_FALSE(chunk == MaskChunk::extract(src, SparseMask(fewer)));
+  EXPECT_FALSE(chunk == MaskChunk::extract(BitVec(301), SparseMask(BitVec(301))));
 }
 
 TEST(MaskChunk, RandomRoundTripProperty) {
@@ -105,11 +124,43 @@ TEST(MaskChunk, RandomRoundTripProperty) {
     const BitVec src = BitVec::generate(n, [&] { return rng.flip(); });
     const BitVec mask = BitVec::generate(n, [&] { return rng.flip(0.3); });
     const MaskChunk chunk = MaskChunk::extract(src, SparseMask(mask));
+    EXPECT_EQ(chunk.count(), mask.popcount());
+    EXPECT_EQ(chunk.size_bits(), mask.popcount() + 64);
     BitVec out(n), known(n);
     chunk.apply_to(out, known);
     EXPECT_EQ(known, mask);
     mask.for_each_set(
         [&](std::size_t i) { EXPECT_EQ(out.get(i), src.get(i)); });
+  }
+}
+
+TEST(MaskChunk, ChecksMatchPerBitReference) {
+  // is_subset_of (Claim 1) and agrees_with (value agreement) against their
+  // per-bit definitions, with n % 64 != 0 and masks of every density.
+  Rng rng(91);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 1 + rng.below(400);
+    const BitVec src = BitVec::generate(n, [&] { return rng.flip(); });
+    const BitVec mask =
+        BitVec::generate(n, [&, p = rng.uniform01()] { return rng.flip(p); });
+    const MaskChunk chunk = MaskChunk::extract(src, SparseMask(mask));
+    BitVec known = mask;
+    BitVec other = src;
+    for (int edits = 0; edits < 2; ++edits) {
+      known.flip(static_cast<std::size_t>(rng.below(n)));
+      other.flip(static_cast<std::size_t>(rng.below(n)));
+    }
+    bool subset = true;
+    bool agrees = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!mask.get(i)) continue;
+      subset = subset && known.get(i);
+      agrees = agrees && other.get(i) == src.get(i);
+    }
+    EXPECT_EQ(chunk.is_subset_of(known), subset);
+    EXPECT_EQ(chunk.agrees_with(other), agrees);
+    EXPECT_TRUE(chunk.is_subset_of(mask));
+    EXPECT_TRUE(chunk.agrees_with(src));
   }
 }
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "dr/world.hpp"
 #include "harness.hpp"
 #include "protocols/bounds.hpp"
 #include "protocols/segments.hpp"
@@ -201,7 +204,14 @@ std::vector<sim::PeerId> reference_owners(std::size_t n, std::size_t k,
   return owner;
 }
 
-TEST(CrashMultiOwnerLayout, SharesMatchPerBitReference) {
+/// The chunk's index set and values, read back by applying it to blanks.
+std::pair<BitVec, BitVec> applied(const MaskChunk& chunk) {
+  BitVec out(chunk.size()), known(chunk.size());
+  chunk.apply_to(out, known);
+  return {known, out};
+}
+
+TEST(CrashMultiOwnerLayout, SharesAndChunksMatchPerBitReference) {
   struct Shape {
     std::size_t n, k;
   };
@@ -216,6 +226,7 @@ TEST(CrashMultiOwnerLayout, SharesMatchPerBitReference) {
   }
   for (const Shape& sh : shapes) {
     crashm::OwnerLayout layout(sh.n, sh.k);
+    const BitVec known(sh.n, true);
     // Hashed phases out of order: each is built on first use.
     for (const std::size_t r : {std::size_t{1}, std::size_t{7},
                                 std::size_t{2}, std::size_t{3}}) {
@@ -229,23 +240,108 @@ TEST(CrashMultiOwnerLayout, SharesMatchPerBitReference) {
           ASSERT_LT(owner[b], sh.k);
           if (unknown.get(b)) want[owner[b]].set(b, true);
         }
+        const crashm::Snapshot snap = layout.snapshot(unknown, r);
         for (sim::PeerId q = 0; q < sh.k; ++q) {
-          const SparseMask share = layout.share(unknown, r, q);
-          ASSERT_EQ(share.to_dense(), want[q])
+          EXPECT_EQ(layout.share(unknown, r, q), SparseMask(want[q]))
               << "n=" << sh.n << " k=" << sh.k << " r=" << r << " q=" << q;
-          EXPECT_EQ(share, SparseMask(want[q]));
 
-          BitVec values;
-          want[q].for_each_set(
-              [&](std::size_t b) { values.push_back(src.get(b)); });
-          const MaskChunk chunk = MaskChunk::extract(src, share);
-          EXPECT_EQ(chunk.values, values);
-          EXPECT_EQ(chunk.hash(),
-                    sim::payload_hash_mix(want[q].hash(), values.hash()));
+          const crashm::ChunkPtr chunk =
+              layout.chunk(snap, r, q, src, known, "claim 1");
+          BitVec values(sh.n);
+          want[q].for_each_set([&](std::size_t b) { values.set(b, src.get(b)); });
+          EXPECT_EQ(applied(*chunk), std::make_pair(want[q], values))
+              << "n=" << sh.n << " k=" << sh.k << " r=" << r << " q=" << q;
+          EXPECT_EQ(chunk->count(), want[q].popcount());
         }
       }
     }
   }
+}
+
+TEST(CrashMultiOwnerLayout, ChunkIsBuiltOncePerSnapshotAndOwner) {
+  const std::size_t n = 1000, k = 7;
+  crashm::OwnerLayout layout(n, k);
+  Rng rng(8);
+  const BitVec out = rng.fair_bits(n);
+  const BitVec known(n, true);
+  const crashm::Snapshot snap = layout.snapshot(BitVec(n, true), 1);
+  const crashm::ChunkPtr first = layout.chunk(snap, 1, 3, out, known, "c1");
+  EXPECT_EQ(layout.chunks_built(), 1u);
+  EXPECT_EQ(layout.chunk(snap, 1, 3, out, known, "c1"), first);
+  EXPECT_EQ(layout.chunks_built(), 1u);
+  // Another owner, or the same owner of another snapshot, is another chunk.
+  EXPECT_NE(layout.chunk(snap, 1, 4, out, known, "c1"), first);
+  BitVec fewer(n, true);
+  fewer.set(0, false);
+  const crashm::Snapshot other = layout.snapshot(fewer, 1);
+  EXPECT_NE(layout.chunk(other, 1, 3, out, known, "c1"), first);
+  EXPECT_EQ(layout.chunks_built(), 3u);
+}
+
+TEST(CrashMultiOwnerLayout, DisagreeingResponderGetsItsOwnValues) {
+  // A mutating source can leave two honest responders with different values
+  // for one share bit: each must answer with its own.
+  const std::size_t n = 1000, k = 7;
+  crashm::OwnerLayout layout(n, k);
+  Rng rng(9);
+  const BitVec out = rng.fair_bits(n);
+  const BitVec known(n, true);
+  const crashm::Snapshot snap = layout.snapshot(BitVec(n, true), 2);
+  const crashm::ChunkPtr kept = layout.chunk(snap, 2, 5, out, known, "c1");
+  std::size_t bit = 0;
+  while (crashm::hashed_owner(bit, 2, k) != 5) ++bit;
+  BitVec mine = out;
+  mine.flip(bit);
+  const crashm::ChunkPtr own = layout.chunk(snap, 2, 5, mine, known, "c1");
+  EXPECT_NE(own, kept);
+  EXPECT_TRUE(own->agrees_with(mine));
+  EXPECT_FALSE(own->agrees_with(out));
+  EXPECT_EQ(applied(*own).first, applied(*kept).first);
+  EXPECT_EQ(layout.chunks_built(), 2u);
+  // The first chunk stays kept; its own values still find it.
+  EXPECT_EQ(layout.chunk(snap, 2, 5, out, known, "c1"), kept);
+  EXPECT_TRUE(kept->agrees_with(out));
+}
+
+TEST(CrashMultiOwnerLayout, Claim1BreachThrows) {
+  const std::size_t n = 1000, k = 7;
+  crashm::OwnerLayout layout(n, k);
+  const BitVec out(n);
+  BitVec known(n, true);
+  known.set(0, false);  // bit 0 lies in peer 0's phase-1 block
+  const crashm::Snapshot snap = layout.snapshot(BitVec(n, true), 1);
+  EXPECT_THROW((void)layout.chunk(snap, 1, 0, out, known, "c1"),
+               contract_violation);
+  // Nothing was kept: a responder that does know the bit gets a chunk.
+  const crashm::ChunkPtr chunk =
+      layout.chunk(snap, 1, 0, out, BitVec(n, true), "c1");
+  EXPECT_TRUE(applied(*chunk).first.get(0));
+  // A kept chunk is checked again on every call.
+  EXPECT_THROW((void)layout.chunk(snap, 1, 0, out, known, "c1"),
+               contract_violation);
+}
+
+TEST(CrashMultiOwnerLayout, EqualSnapshotsSharePointerOnlyWithinPhase) {
+  const std::size_t n = 300, k = 5;
+  crashm::OwnerLayout layout(n, k);
+  Rng rng(12);
+  const BitVec unknown = rng.fair_bits(n);
+  const crashm::Snapshot a = layout.snapshot(unknown, 2);
+  EXPECT_EQ(*a, unknown);
+  EXPECT_EQ(layout.snapshot(unknown, 2), a);
+  const crashm::Snapshot later = layout.snapshot(unknown, 3);
+  EXPECT_NE(later, a);
+  EXPECT_EQ(*later, *a);
+  BitVec changed = unknown;
+  changed.flip(17);
+  EXPECT_NE(layout.snapshot(changed, 2), a);
+  // A snapshot answers only for its own phase.
+  const BitVec out(n), known(n, true);
+  EXPECT_THROW((void)layout.chunk(a, 3, 0, out, known, "c1"),
+               contract_violation);
+  EXPECT_THROW((void)layout.chunk(std::make_shared<const BitVec>(unknown), 2,
+                                  0, out, known, "c1"),
+               contract_violation);
 }
 
 TEST(CrashMultiOwnerLayout, Preconditions) {
@@ -253,6 +349,45 @@ TEST(CrashMultiOwnerLayout, Preconditions) {
   EXPECT_THROW((void)layout.share(BitVec(99), 1, 0), contract_violation);
   EXPECT_THROW((void)layout.share(BitVec(100), 0, 0), contract_violation);
   EXPECT_THROW((void)layout.share(BitVec(100), 2, 8), contract_violation);
+  EXPECT_THROW((void)layout.snapshot(BitVec(99), 1), contract_violation);
+  EXPECT_THROW((void)layout.snapshot(BitVec(100), 0), contract_violation);
+  const crashm::Snapshot snap = layout.snapshot(BitVec(100, true), 1);
+  const BitVec full(100, true);
+  EXPECT_THROW((void)layout.chunk(snap, 1, 8, full, full, "c1"),
+               contract_violation);
+  EXPECT_THROW((void)layout.chunk(snap, 1, 0, BitVec(99), full, "c1"),
+               contract_violation);
+  EXPECT_THROW((void)layout.chunk(nullptr, 1, 0, full, full, "c1"),
+               contract_violation);
+}
+
+TEST(CrashMultiOwnerLayout, Table1WorldBuildsFewChunks) {
+  // Table 1's crash_multi row (n = 2^14, k = 96, beta = 0.5, random
+  // crashes, uniform latency) as the table1-uniform benchmark workload runs
+  // it at seed 1: peers that start a phase with equal unknown sets share
+  // one snapshot, so the world builds a few hundred chunks where its
+  // responses carry hundreds of thousands.
+  Scenario s;
+  s.cfg = cfg(1 << 14, 96, 0.5, 22, 4096);
+  s.honest = make_crash_multi();
+  s.latency = uniform_latency();
+  Rng rng(1 * 31 + 7);
+  s.crashes = adv::CrashPlan::random(s.cfg, rng, s.cfg.max_faulty(), 10.0);
+  std::size_t built = 0;
+  s.post_run = [&](dr::World& world, const dr::RunReport&) {
+    bool made = false;
+    built = world.arena()
+                .shared<crashm::OwnerLayout>(crashm::OwnerLayout::kArenaName,
+                                             [&] {
+                                               made = true;
+                                               return crashm::OwnerLayout(1, 1);
+                                             })
+                .chunks_built();
+    EXPECT_FALSE(made);
+  };
+  expect_ok(s, "table 1 crash_multi");
+  EXPECT_GT(built, 0u);
+  EXPECT_LE(built, 245u);
 }
 
 // Full sweep: (n, k, beta) x adversary style x seed.

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace asyncdr::proto {
 namespace {
@@ -70,9 +75,49 @@ TEST(StringBank, SegmentsIndependent) {
   EXPECT_EQ(bank.votes(2), 1u);
 }
 
+TEST(StringBank, CountsMatchReferenceMultiset) {
+  // Random reports (re-votes and unseen peers included) against a reference
+  // that keeps each segment's first report per peer.
+  Rng rng(41);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t segments = 1 + rng.below(4);
+    StringBank bank(segments);
+    std::vector<std::map<sim::PeerId, std::string>> first(segments);
+    for (int report = 0; report < 300; ++report) {
+      const auto seg = static_cast<std::size_t>(rng.below(segments));
+      const auto from = static_cast<sim::PeerId>(rng.below(40));
+      const BitVec value = BitVec::generate(2, [&] { return rng.flip(0.3); });
+      const bool fresh = first[seg].emplace(from, value.to_string()).second;
+      EXPECT_EQ(bank.record(seg, from, value), fresh);
+    }
+    for (std::size_t seg = 0; seg < segments; ++seg) {
+      std::map<std::string, std::size_t> support;
+      for (const auto& [peer, value] : first[seg]) ++support[value];
+      EXPECT_EQ(bank.votes(seg), first[seg].size());
+      EXPECT_EQ(bank.distinct(seg), support.size());
+      for (const char* value : {"00", "01", "10", "11"}) {
+        const auto it = support.find(value);
+        EXPECT_EQ(bank.support(seg, BitVec::from_string(value)),
+                  it == support.end() ? 0u : it->second);
+      }
+      for (std::size_t tau = 1; tau <= 12; ++tau) {
+        std::vector<std::string> want, got;
+        for (const auto& [value, count] : support) {
+          if (count >= tau) want.push_back(value);
+        }
+        for (const BitVec& v : bank.frequent(seg, tau)) {
+          got.push_back(v.to_string());
+        }
+        EXPECT_EQ(got, want) << "seg " << seg << " tau " << tau;
+      }
+    }
+  }
+}
+
 TEST(StringBank, BoundsChecked) {
   StringBank bank(2);
   EXPECT_THROW(bank.record(2, 0, BitVec(1)), contract_violation);
+  EXPECT_THROW(bank.record(0, sim::kNoPeer, BitVec(1)), contract_violation);
   EXPECT_THROW((void)bank.votes(5), contract_violation);
   EXPECT_THROW(bank.frequent(0, 0), contract_violation);
   EXPECT_THROW(StringBank(0), contract_violation);

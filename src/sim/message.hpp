@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <typeinfo>
 
 #include "sim/types.hpp"
 
@@ -73,10 +75,18 @@ struct Message {
 
 /// Downcasts a delivered payload to the protocol's concrete type; returns
 /// nullptr if the payload is of another type (e.g. garbage injected by a
-/// Byzantine peer using a different payload class).
+/// Byzantine peer using a different payload class). A `final` T has no
+/// subclasses, so its test is one typeid comparison; a handler's chain of
+/// attempts then costs no dynamic_cast hierarchy walk per miss. Other
+/// types keep dynamic_cast, which also matches their subclasses.
 template <typename T>
 const T* payload_as(const Payload& p) {
-  return dynamic_cast<const T*>(&p);
+  static_assert(std::is_base_of_v<Payload, T>);
+  if constexpr (std::is_final_v<T>) {
+    return typeid(p) == typeid(T) ? static_cast<const T*>(&p) : nullptr;
+  } else {
+    return dynamic_cast<const T*>(&p);
+  }
 }
 
 }  // namespace asyncdr::sim

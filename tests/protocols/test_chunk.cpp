@@ -164,5 +164,57 @@ TEST(MaskChunk, ChecksMatchPerBitReference) {
   }
 }
 
+TEST(MaskChunk, FusedCheckIsBothChecks) {
+  // check() against agrees_with && is_subset_of on random chunks, value
+  // arrays and known masks; 0 to 3 flips each, so every outcome occurs.
+  Rng rng(93);
+  std::size_t outcomes[2][2] = {};
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + rng.below(700);
+    const BitVec src = rng.fair_bits(n);
+    const BitVec mask =
+        BitVec::generate(n, [&, p = rng.uniform01()] { return rng.flip(p); });
+    const MaskChunk chunk = MaskChunk::extract(src, SparseMask(mask));
+    BitVec known = rng.flip() ? BitVec(n, true) : mask;
+    BitVec other = src;
+    for (std::uint64_t e = rng.below(4); e > 0; --e) {
+      known.flip(static_cast<std::size_t>(rng.below(n)));
+    }
+    for (std::uint64_t e = rng.below(4); e > 0; --e) {
+      other.flip(static_cast<std::size_t>(rng.below(n)));
+    }
+    const MaskChunk::Checks checks = chunk.check(other, known);
+    EXPECT_EQ(checks.agrees, chunk.agrees_with(other)) << "trial " << trial;
+    EXPECT_EQ(checks.held, chunk.is_subset_of(known)) << "trial " << trial;
+    ++outcomes[checks.agrees][checks.held];
+  }
+  for (const auto& row : outcomes) {
+    for (const std::size_t count : row) EXPECT_GT(count, 0u);
+  }
+  const MaskChunk chunk =
+      MaskChunk::extract(BitVec(100), SparseMask(BitVec(100, true)));
+  EXPECT_THROW((void)chunk.check(BitVec(99), BitVec(100)), contract_violation);
+  EXPECT_THROW((void)chunk.check(BitVec(100), BitVec(99)), contract_violation);
+}
+
+TEST(MaskChunk, ApplyCountsNewlyKnownBits) {
+  Rng rng(94);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n = 1 + rng.below(700);
+    const BitVec src = rng.fair_bits(n);
+    const BitVec mask = BitVec::generate(n, [&] { return rng.flip(0.3); });
+    const MaskChunk chunk = MaskChunk::extract(src, SparseMask(mask));
+    BitVec known =
+        BitVec::generate(n, [&, p = rng.uniform01()] { return rng.flip(p); });
+    BitVec fresh = mask;
+    fresh.andnot_with(known);
+    const std::size_t before = known.popcount();
+    BitVec out(n);
+    EXPECT_EQ(chunk.apply_to(out, known), fresh.popcount());
+    EXPECT_EQ(known.popcount(), before + fresh.popcount());
+    EXPECT_EQ(chunk.apply_to(out, known), 0u);  // nothing new the second time
+  }
+}
+
 }  // namespace
 }  // namespace asyncdr::proto

@@ -512,6 +512,39 @@ TEST_F(Fixture, PayloadBankDrainsUnderDuplicationStressor) {
   EXPECT_EQ(net.payload_bank().live_payloads(), 0u);
 }
 
+// ---- payload_as: typeid for final types, dynamic_cast otherwise ----
+
+struct OpenPayload : Payload {
+  std::size_t size_bits() const override { return 1; }
+  std::string type_name() const override { return "OpenPayload"; }
+};
+struct DerivedPayload final : OpenPayload {
+  std::string type_name() const override { return "DerivedPayload"; }
+};
+
+TEST(PayloadAs, FinalTypesMatchExactlyAndOpenTypesMatchSubclasses) {
+  const TestPayload test;
+  const InternedPayload interned(3);
+  const OpenPayload open;
+  const DerivedPayload derived;
+  const Payload& as_test = test;
+  const Payload& as_interned = interned;
+  const Payload& as_open = open;
+  const Payload& as_derived = derived;
+  // Final target: a hit returns the object itself, any other type misses.
+  EXPECT_EQ(payload_as<TestPayload>(as_test), &test);
+  EXPECT_EQ(payload_as<InternedPayload>(as_interned), &interned);
+  EXPECT_EQ(payload_as<TestPayload>(as_interned), nullptr);
+  EXPECT_EQ(payload_as<InternedPayload>(as_test), nullptr);
+  EXPECT_EQ(payload_as<DerivedPayload>(as_open), nullptr);
+  EXPECT_EQ(payload_as<DerivedPayload>(as_derived), &derived);
+  // Non-final target: dynamic_cast, so a subclass object still matches.
+  EXPECT_EQ(payload_as<OpenPayload>(as_open), &open);
+  EXPECT_EQ(payload_as<OpenPayload>(as_derived),
+            static_cast<const OpenPayload*>(&derived));
+  EXPECT_EQ(payload_as<OpenPayload>(as_test), nullptr);
+}
+
 TEST(NetworkInvalid, RejectsBadConstruction) {
   Engine e;
   EXPECT_THROW(Network(e, 1, 64), contract_violation);

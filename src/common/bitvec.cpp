@@ -93,6 +93,28 @@ std::size_t BitVec::popcount() const {
   return popcount_words(words_.data(), words_.size());
 }
 
+std::size_t BitVec::assign_masked(std::span<const MaskedWord> words,
+                                  BitVec& known) {
+  ASYNCDR_EXPECTS(known.size_ == size_);
+  // Words below `whole` lie inside size(); only a later one needs checking.
+  const std::size_t whole = size_ / kWordBits;
+  std::size_t learned = 0;
+  for (const MaskedWord& w : words) {
+    if (w.index >= whole) {
+      ASYNCDR_EXPECTS(w.index < words_.size() &&
+                      (w.mask >> (size_ % kWordBits)) == 0);
+    }
+    // Most words a peer applies are already known (repeated answers), and
+    // without a hardware popcount std::popcount is a library call: skip it
+    // for them.
+    const std::uint64_t fresh = w.mask & ~known.words_[w.index];
+    if (fresh != 0) learned += static_cast<std::size_t>(std::popcount(fresh));
+    words_[w.index] = (words_[w.index] & ~w.mask) | (w.values & w.mask);
+    known.words_[w.index] |= w.mask;
+  }
+  return learned;
+}
+
 void BitVec::or_with(const BitVec& other) {
   ASYNCDR_EXPECTS(size_ == other.size_);
   for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];

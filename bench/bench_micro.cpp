@@ -12,6 +12,8 @@
 #include "common/bitvec.hpp"
 #include "common/interval_set.hpp"
 #include "common/rng.hpp"
+#include "dr/journal.hpp"
+#include "dr/world.hpp"
 #include "protocols/chunk.hpp"
 #include "protocols/committee.hpp"
 #include "protocols/crash_multi.hpp"
@@ -190,6 +192,34 @@ void BM_CrashMultiReq2(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrashMultiReq2);
+
+/// One cold crash_multi restart at bench_recovery's shape (n = 2^14, k =
+/// 16): the revived peer replays an empty journal, then queries, journals
+/// and stores all n bits, pushes its FULL rescue and terminates. The world
+/// is built untimed per iteration; the time is the restart handler alone.
+void BM_CrashMultiColdRestart(benchmark::State& state) {
+  const dr::Config cfg{.n = 1 << 14, .k = 16, .beta = 0.5,
+                       .message_bits = 1024, .seed = 3};
+  const BitVec input = proto::random_input(cfg.n, cfg.seed);
+  const dr::RecoveryState cold;
+  std::unique_ptr<dr::World> world;
+  for (auto _ : state) {
+    state.PauseTiming();
+    world = std::make_unique<dr::World>(cfg, input);  // drops the last one
+    world->enable_recovery(
+        [](const dr::Config&, sim::PeerId) -> std::unique_ptr<dr::Peer> {
+          return std::make_unique<proto::CrashMultiPeer>();
+        });
+    for (sim::PeerId id = 0; id < cfg.k; ++id) {
+      world->set_peer(id, std::make_unique<proto::CrashMultiPeer>());
+    }
+    world->mark_faulty(0);  // a revived peer is a crash victim
+    state.ResumeTiming();
+    world->peer(0).on_restart(cold);
+    benchmark::DoNotOptimize(world->peer(0).output());
+  }
+}
+BENCHMARK(BM_CrashMultiColdRestart);
 
 /// Table 1's input array: n fair bits, drawn as proto::random_input does
 /// for every world.

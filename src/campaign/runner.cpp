@@ -100,7 +100,11 @@ std::vector<RunRecord> Campaign::run(const Job& job) {
       const bool failed = rec.outcome.status == obs::RunStatus::kFailed;
       collector.add_run(i, seed, rec.outcome.label, rec.outcome.status,
                         rec.outcome.detail, rec.outcome.report);
-      collector.add_timing(rec.wall_ms, peak_rss_mb());
+      // The timing section is emitted only on request, and reading VmHWM
+      // opens /proc/self/status: skip both otherwise.
+      if (options_.telemetry.include_timing) {
+        collector.add_timing(rec.wall_ms, peak_rss_mb());
+      }
       if (events_) {
         obs::Json fields = obs::Json::object();
         fields["run"] = static_cast<std::uint64_t>(i);

@@ -81,24 +81,45 @@ BitVec BitVec::slice(std::size_t pos, std::size_t len) const {
   return out;
 }
 
-void BitVec::splice(std::size_t pos, const BitVec& src) {
-  ASYNCDR_EXPECTS(pos + src.size() <= size_);
-  for (std::size_t w = 0; w < src.words_.size(); ++w) {
-    const std::size_t at = w * kWordBits;
-    store_bits(pos + at, src.words_[w], std::min(kWordBits, src.size_ - at));
+void BitVec::copy_range(std::size_t pos, const BitVec& src,
+                        std::size_t src_pos, std::size_t len) {
+  // Overflow-safe forms of pos + len <= size() and src_pos + len <=
+  // src.size(); a forward word copy within one vector could read bits it
+  // already overwrote.
+  ASYNCDR_EXPECTS(len <= size_ && pos <= size_ - len);
+  ASYNCDR_EXPECTS(len <= src.size_ && src_pos <= src.size_ - len);
+  ASYNCDR_EXPECTS(&src != this);
+  for (std::size_t at = 0; at < len; at += kWordBits) {
+    const std::size_t count = std::min(kWordBits, len - at);
+    store_bits(pos + at, src.load_bits(src_pos + at) & low_bits(count), count);
   }
+}
+
+void BitVec::fill(std::size_t lo, std::size_t hi, bool value) {
+  ASYNCDR_EXPECTS(lo <= hi && hi <= size_);
+  for (std::size_t at = lo; at < hi; at += kWordBits) {
+    const std::size_t count = std::min(kWordBits, hi - at);
+    store_bits(at, value ? low_bits(count) : 0, count);
+  }
+}
+
+void BitVec::store(std::size_t pos, std::uint64_t bits, std::size_t count) {
+  ASYNCDR_EXPECTS(count <= kWordBits && count <= size_ &&
+                  pos <= size_ - count);
+  if (count > 0) store_bits(pos, bits & low_bits(count), count);
 }
 
 std::size_t BitVec::popcount() const {
   return popcount_words(words_.data(), words_.size());
 }
 
-std::size_t BitVec::assign_masked(std::span<const MaskedWord> words,
-                                  BitVec& known) {
+BitVec::Assigned BitVec::assign_masked(std::span<const MaskedWord> words,
+                                       BitVec& known) {
   ASYNCDR_EXPECTS(known.size_ == size_);
   // Words below `whole` lie inside size(); only a later one needs checking.
   const std::size_t whole = size_ / kWordBits;
-  std::size_t learned = 0;
+  Assigned out;
+  std::uint64_t changed = 0;
   for (const MaskedWord& w : words) {
     if (w.index >= whole) {
       ASYNCDR_EXPECTS(w.index < words_.size() &&
@@ -107,12 +128,17 @@ std::size_t BitVec::assign_masked(std::span<const MaskedWord> words,
     // Most words a peer applies are already known (repeated answers), and
     // without a hardware popcount std::popcount is a library call: skip it
     // for them.
-    const std::uint64_t fresh = w.mask & ~known.words_[w.index];
-    if (fresh != 0) learned += static_cast<std::size_t>(std::popcount(fresh));
+    const std::uint64_t held = known.words_[w.index];
+    const std::uint64_t fresh = w.mask & ~held;
+    if (fresh != 0) {
+      out.learned += static_cast<std::size_t>(std::popcount(fresh));
+    }
+    changed |= (words_[w.index] ^ w.values) & w.mask & held;
     words_[w.index] = (words_[w.index] & ~w.mask) | (w.values & w.mask);
-    known.words_[w.index] |= w.mask;
+    known.words_[w.index] = held | w.mask;
   }
-  return learned;
+  out.rewrote = changed != 0;
+  return out;
 }
 
 void BitVec::or_with(const BitVec& other) {
@@ -178,12 +204,15 @@ bool BitVec::operator==(const BitVec& other) const {
   return size_ == other.size_ && words_ == other.words_;
 }
 
+std::uint64_t BitVec::low_bits(std::size_t count) {
+  return count == kWordBits ? kAllOnes : (std::uint64_t{1} << count) - 1;
+}
+
 void BitVec::store_bits(std::size_t pos, std::uint64_t bits,
                         std::size_t count) {
   const std::size_t w = pos / kWordBits;
   const std::size_t shift = pos % kWordBits;
-  const std::uint64_t field =
-      count == kWordBits ? kAllOnes : (std::uint64_t{1} << count) - 1;
+  const std::uint64_t field = low_bits(count);
   words_[w] = (words_[w] & ~(field << shift)) | (bits << shift);
   if (shift + count > kWordBits) {
     const std::size_t spill = kWordBits - shift;

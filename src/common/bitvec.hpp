@@ -79,7 +79,21 @@ class BitVec {
   [[nodiscard]] BitVec slice(std::size_t pos, std::size_t len) const;
 
   /// Overwrites bits [pos, pos+src.size()) with the contents of `src`.
-  void splice(std::size_t pos, const BitVec& src);
+  void splice(std::size_t pos, const BitVec& src) {
+    copy_range(pos, src, 0, src.size());
+  }
+
+  /// Overwrites bits [pos, pos+len) with src's bits [src_pos, src_pos+len),
+  /// a word at a time. `src` must be another vector.
+  void copy_range(std::size_t pos, const BitVec& src, std::size_t src_pos,
+                  std::size_t len);
+
+  /// Sets bits [lo, hi) to `value`, a word at a time.
+  void fill(std::size_t lo, std::size_t hi, bool value);
+
+  /// Overwrites the `count` (0..64) bits starting at `pos` with the low
+  /// `count` bits of `bits`; higher bits of `bits` are ignored.
+  void store(std::size_t pos, std::uint64_t bits, std::size_t count);
 
   /// The storage words, word w holding bits [64w, 64w + 64), for read-only
   /// kernels that check sizes once and then index words directly
@@ -99,10 +113,16 @@ class BitVec {
     std::uint64_t values;
     bool operator==(const MaskedWord&) const = default;
   };
+  /// What one assign_masked pass did.
+  struct Assigned {
+    std::size_t learned = 0;  ///< selected bits `known` lacked before
+    bool rewrote = false;     ///< some bit `known` held changed its value
+    bool operator==(const Assigned&) const = default;
+  };
   /// For each word: overwrites the bits it selects with its values here and
-  /// sets them in `known` (same size). Returns how many of those bits
-  /// `known` lacked. No mask may select a bit at or past size().
-  std::size_t assign_masked(std::span<const MaskedWord> words, BitVec& known);
+  /// sets them in `known` (same size). No mask may select a bit at or past
+  /// size().
+  Assigned assign_masked(std::span<const MaskedWord> words, BitVec& known);
 
   /// The 64 bits starting at `pos` < size(); bits past size() read as zero.
   [[nodiscard]] std::uint64_t load_bits(std::size_t pos) const {
@@ -170,6 +190,8 @@ class BitVec {
     return (n + kWordBits - 1) / kWordBits;
   }
   static int count_trailing(std::uint64_t word);
+  /// The `count` (0..64) lowest bits set.
+  static std::uint64_t low_bits(std::size_t count);
   void trim_tail();
   /// Overwrites the `count` (1..64) bits starting at `pos` with the low
   /// `count` bits of `bits`, whose higher bits must be zero.

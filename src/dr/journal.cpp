@@ -17,34 +17,47 @@ constexpr std::uint8_t kKindBits = 0xB1;
 constexpr std::uint8_t kKindCheckpoint = 0xC9;
 constexpr std::size_t kHeaderBytes = 5;   // kind + payload_len
 constexpr std::size_t kCrcBytes = 4;
+// A bits record's payload: | lo:8 LE | count:8 LE | values | with value i
+// in bit i % 8 of byte i / 8 (so byte b holds bits [8b, 8b + 8), and eight
+// bytes read little-endian hold one 64-bit word).
+constexpr std::size_t kBitsFieldBytes = 16;
+constexpr std::size_t kBitsPrefixBytes = kHeaderBytes + kBitsFieldBytes;
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+/// Writes the `bytes` low bytes of v at p, little-endian.
+void store_le(std::uint8_t* p, std::uint64_t v, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
+/// Reads `bytes` (<= 8) little-endian bytes at p.
+std::uint64_t load_le(const std::uint8_t* p, std::size_t bytes) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  for (std::size_t i = 0; i < bytes; ++i) v |= std::uint64_t{p[i]} << (8 * i);
   return v;
+}
+
+/// Writes bytes [first, last) of the packed values of bits [from, from +
+/// count) of `values` to dst, one 64-bit load per eight bytes; bits past
+/// `count` in the last byte are zero.
+void pack_bytes(std::uint8_t* dst, const BitVec& values, std::size_t from,
+                std::size_t count, std::size_t first, std::size_t last) {
+  while (first < last) {
+    const std::size_t bit = 8 * first;  // < count
+    std::uint64_t word = values.load_bits(from + bit);
+    if (count - bit < 64) word &= (std::uint64_t{1} << (count - bit)) - 1;
+    const std::size_t end = std::min(last, first + 8);
+    for (; first < end; ++first, word >>= 8) {
+      *dst++ = static_cast<std::uint8_t>(word);
+    }
+  }
+}
+
+/// Appends the `bytes` low bytes of v, little-endian.
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v,
+            std::size_t bytes) {
+  out.resize(out.size() + bytes);
+  store_le(out.data() + out.size() - bytes, v, bytes);
 }
 
 /// Frame for one record, CRC included.
@@ -53,9 +66,9 @@ std::vector<std::uint8_t> frame(std::uint8_t kind,
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes + payload.size() + kCrcBytes);
   out.push_back(kind);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_le(out, payload.size(), 4);
   out.insert(out.end(), payload.begin(), payload.end());
-  put_u32(out, Journal::crc32(out.data(), out.size()));
+  put_le(out, Journal::crc32(out.data(), out.size()), 4);
   return out;
 }
 
@@ -130,33 +143,52 @@ Journal::Journal(JournalStore& store, sim::PeerId id)
 }
 
 bool Journal::append_bits(std::size_t lo, const BitVec& values) {
+  return append_bits(lo, values, 0, values.size());
+}
+
+bool Journal::append_bits(std::size_t lo, const BitVec& values,
+                          std::size_t from, std::size_t count) {
+  ASYNCDR_EXPECTS(count <= values.size() && from <= values.size() - count);
   if (store_.killed_at(id_, CrashPoint::kAppendStart)) return false;
 
-  std::vector<std::uint8_t> payload;
-  payload.reserve(16 + (values.size() + 7) / 8);
-  put_u64(payload, lo);
-  put_u64(payload, values.size());
-  std::uint8_t acc = 0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values.get(i)) acc |= static_cast<std::uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      payload.push_back(acc);
-      acc = 0;
-    }
-  }
-  if (values.size() % 8 != 0) payload.push_back(acc);
-  const std::vector<std::uint8_t> rec = frame(kKindBits, payload);
-
+  // The record is written straight into the log: the fixed prefix (frame
+  // header, lo, count), then the values packed from their words, then the
+  // CRC over everything before it.
+  std::array<std::uint8_t, kBitsPrefixBytes> prefix{};
+  const std::size_t data = (count + 7) / 8;
+  const std::size_t payload = kBitsFieldBytes + data;
+  prefix[0] = kKindBits;
+  store_le(&prefix[1], payload, 4);
+  store_le(&prefix[kHeaderBytes], lo, 8);
+  store_le(&prefix[kHeaderBytes + 8], count, 8);
   std::vector<std::uint8_t>& log = store_.logs_[id_];
+  const std::size_t start = log.size();
+  // Writes record bytes [first, last), which the log already holds room for.
+  const auto write = [&](std::size_t first, std::size_t last) {
+    std::uint8_t* rec = log.data() + start;
+    for (; first < last && first < kBitsPrefixBytes; ++first) {
+      rec[first] = prefix[first];
+    }
+    if (first < last) {
+      pack_bytes(rec + first, values, from, count, first - kBitsPrefixBytes,
+                 last - kBitsPrefixBytes);
+    }
+  };
+
   // A mid-record kill must leave a *genuinely* torn tail: header plus part
-  // of the payload, no CRC. Write in two halves with the sentinel between.
-  const std::size_t half = kHeaderBytes + payload.size() / 2;
-  log.insert(log.end(), rec.begin(), rec.begin() + static_cast<std::ptrdiff_t>(half));
+  // of the payload, no CRC. Write in two halves with the sentinel between;
+  // the log grows by each half in turn, as two appends would grow it.
+  const std::size_t half = kHeaderBytes + payload / 2;
+  const std::size_t body = kHeaderBytes + payload;
+  log.resize(start + half);
+  write(0, half);
   if (store_.killed_at(id_, CrashPoint::kMidRecord)) {
     store_.settle(id_);  // the torn tail still occupies journal bytes
     return false;
   }
-  log.insert(log.end(), rec.begin() + static_cast<std::ptrdiff_t>(half), rec.end());
+  log.resize(start + body + kCrcBytes);
+  write(half, body);
+  store_le(log.data() + start + body, crc32(log.data() + start, body), 4);
   store_.settle(id_);
   return !store_.killed_at(id_, CrashPoint::kAppendCommit);
 }
@@ -166,8 +198,8 @@ bool Journal::checkpoint(const std::string& name, std::uint64_t value) {
   if (store_.killed_at(id_, CrashPoint::kCheckpoint)) return false;
   std::vector<std::uint8_t> payload;
   payload.reserve(10 + name.size());
-  put_u64(payload, value);
-  put_u16(payload, static_cast<std::uint16_t>(name.size()));
+  put_le(payload, value, 8);
+  put_le(payload, name.size(), 2);
   payload.insert(payload.end(), name.begin(), name.end());
   const std::vector<std::uint8_t> rec = frame(kKindCheckpoint, payload);
   std::vector<std::uint8_t>& log = store_.logs_[id_];
@@ -190,24 +222,29 @@ JournalReplay Journal::replay(const std::vector<std::uint8_t>& log,
     };
     if (log.size() - pos < kHeaderBytes + kCrcBytes) return torn();
     const std::uint8_t kind = log[pos];
-    const std::size_t len = get_u32(&log[pos + 1]);
+    const std::size_t len = load_le(&log[pos + 1], 4);
     if (kind != kKindBits && kind != kKindCheckpoint) return torn();
     if (log.size() - pos < kHeaderBytes + len + kCrcBytes) return torn();
-    const std::uint32_t stored = get_u32(&log[pos + kHeaderBytes + len]);
+    const auto stored = load_le(&log[pos + kHeaderBytes + len], 4);
     if (crc32(&log[pos], kHeaderBytes + len) != stored) return torn();
 
     const std::uint8_t* payload = &log[pos + kHeaderBytes];
     if (kind == kKindBits) {
-      if (len < 16) return torn();
-      const std::uint64_t lo = get_u64(payload);
-      const std::uint64_t count = get_u64(payload + 8);
+      if (len < kBitsFieldBytes) return torn();
+      const std::uint64_t lo = load_le(payload, 8);
+      const std::uint64_t count = load_le(payload + 8, 8);
       // Bounds are part of the trust decision: a record claiming bits the
       // input does not have is corruption, not data.
       if (count > n || lo > n - count) return torn();
-      if (len != 16 + (count + 7) / 8) return torn();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const bool bit = (payload[16 + i / 8] >> (i % 8)) & 1u;
-        out.bits.set(static_cast<std::size_t>(lo + i), bit);
+      if (len != kBitsFieldBytes + (count + 7) / 8) return torn();
+      // Decoded a word (eight payload bytes) at a time; padding bits past
+      // `count` in the last byte are ignored.
+      const std::uint8_t* data = payload + kBitsFieldBytes;
+      for (std::uint64_t at = 0; at < count; at += 64) {
+        const std::uint64_t bits = std::min<std::uint64_t>(64, count - at);
+        out.bits.store(static_cast<std::size_t>(lo + at),
+                       load_le(data + at / 8, (bits + 7) / 8),
+                       static_cast<std::size_t>(bits));
       }
       if (count > 0) {
         out.intervals.insert(static_cast<std::size_t>(lo),
@@ -215,7 +252,7 @@ JournalReplay Journal::replay(const std::vector<std::uint8_t>& log,
       }
     } else {
       if (len < 10) return torn();
-      const std::uint64_t value = get_u64(payload);
+      const std::uint64_t value = load_le(payload, 8);
       const std::size_t name_len = payload[8] | (std::size_t{payload[9]} << 8);
       if (len != 10 + name_len) return torn();
       out.checkpoints.emplace_back(

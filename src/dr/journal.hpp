@@ -117,6 +117,10 @@ class Journal {
   /// given values. Returns false iff a crash-point sentinel killed the
   /// peer mid-append — the caller must stop immediately (it is crashed).
   bool append_bits(std::size_t lo, const BitVec& values);
+  /// The same for the slice values[from, from + count): one record claiming
+  /// bits [lo, lo + count), packed from the slice's words.
+  bool append_bits(std::size_t lo, const BitVec& values, std::size_t from,
+                   std::size_t count);
 
   /// Appends a protocol phase checkpoint. Same return convention.
   bool checkpoint(const std::string& name, std::uint64_t value);

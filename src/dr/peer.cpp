@@ -1,6 +1,7 @@
 #include "dr/peer.hpp"
 
 #include "common/check.hpp"
+#include "common/interval_set.hpp"
 #include "dr/world.hpp"
 #include "obs/mem.hpp"
 
@@ -67,18 +68,12 @@ bool Peer::journal_indices(const std::vector<std::size_t>& indices,
   if (!journaling()) return true;
   ASYNCDR_EXPECTS(indices.size() == values.size());
   Journal journal = world_->journal_for(id_);
-  std::size_t i = 0;
-  while (i < indices.size()) {
-    std::size_t j = i + 1;
-    while (j < indices.size() && indices[j] == indices[j - 1] + 1) ++j;
-    BitVec run(j - i);
-    for (std::size_t b = i; b < j; ++b) run.set(b - i, values.get(b));
-    // A kill between runs leaves a valid prefix: strictly fewer claimed
-    // bits than downloaded, never more.
-    if (!journal.append_bits(indices[i], run)) return false;
-    i = j;
-  }
-  return true;
+  // A kill between runs leaves a valid prefix: strictly fewer claimed bits
+  // than downloaded, never more.
+  return for_each_run(
+      indices, [&](std::size_t at, std::size_t lo, std::size_t len) {
+        return journal.append_bits(lo, values, at, len);
+      });
 }
 
 bool Peer::journal_checkpoint(const std::string& name, std::uint64_t value) {

@@ -1,5 +1,7 @@
 #include "dr/source.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "obs/mem.hpp"
 
@@ -30,7 +32,8 @@ bool Source::query(sim::PeerId by, std::size_t index) {
                       "Source::query: unknown peer id " + std::to_string(by));
   ASYNCDR_EXPECTS_MSG(index < data_.size(),
                       oob_message("query", index, data_.size()));
-  account(by, index, index + 1);
+  record(by, index, index + 1);
+  account(by, 1);
   return view_for(by).get(index);
 }
 
@@ -45,7 +48,8 @@ BitVec Source::query_range(sim::PeerId by, std::size_t lo, std::size_t len) {
       "Source::query_range: range [" + std::to_string(lo) + ", " +
           std::to_string(lo) + "+" + std::to_string(len) +
           ") exceeds the n=" + std::to_string(data_.size()) + "-bit array");
-  account(by, lo, lo + len);
+  record(by, lo, lo + len);
+  account(by, len);
   return view_for(by).slice(lo, len);
 }
 
@@ -55,13 +59,24 @@ BitVec Source::query_indices(sim::PeerId by,
                       "Source::query_indices: unknown peer id " +
                           std::to_string(by));
   const BitVec& view = view_for(by);
+  const std::size_t n = data_.size();
+  // Every run is bounds-checked before anything is charged, so a rejected
+  // batch costs nothing. The first index out of bounds in a run is its
+  // first one, or else n.
   BitVec out(indices.size());
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    ASYNCDR_EXPECTS_MSG(indices[j] < data_.size(),
-                        oob_message("query_indices", indices[j], data_.size()));
-    account(by, indices[j], indices[j] + 1);
-    out.set(j, view.get(indices[j]));
+  for_each_run(indices, [&](std::size_t at, std::size_t lo, std::size_t len) {
+    ASYNCDR_EXPECTS_MSG(lo < n && len <= n - lo,
+                        oob_message("query_indices", std::max(lo, n), n));
+    out.copy_range(at, view, lo, len);
+    return true;
+  });
+  if (record_indices_) {
+    for_each_run(indices, [&](std::size_t, std::size_t lo, std::size_t len) {
+      record(by, lo, lo + len);
+      return true;
+    });
   }
+  if (!indices.empty()) account(by, indices.size());
   return out;
 }
 
@@ -109,11 +124,14 @@ std::size_t Source::memory_bytes() const {
   return static_cast<std::size_t>(total);
 }
 
-void Source::account(sim::PeerId by, std::size_t lo, std::size_t hi) {
-  counts_[by] += hi - lo;
-  total_bits_served_ += hi - lo;
+void Source::record(sim::PeerId by, std::size_t lo, std::size_t hi) {
   if (record_indices_) indices_[by].insert(lo, hi);
-  if (query_observer_) query_observer_(by, hi - lo);
+}
+
+void Source::account(sim::PeerId by, std::size_t bits) {
+  counts_[by] += bits;
+  total_bits_served_ += bits;
+  if (query_observer_) query_observer_(by, bits);
 }
 
 }  // namespace asyncdr::dr

@@ -35,7 +35,10 @@ class Source {
   BitVec query_range(sim::PeerId by, std::size_t lo, std::size_t len);
 
   /// Queries an arbitrary index list; costs indices.size() bits. The result
-  /// bit j is X[indices[j]].
+  /// bit j is X[indices[j]]. The list is read, checked and recorded a run
+  /// of consecutive indices at a time, and the whole list is one accounted
+  /// batch (one observer call). An index out of bounds throws before any
+  /// bit of the list is charged.
   BitVec query_indices(sim::PeerId by, const std::vector<std::size_t>& indices);
 
   /// Bits queried so far by one peer.
@@ -51,8 +54,9 @@ class Source {
   void enable_index_recording(bool on) { record_indices_ = on; }
   [[nodiscard]] const IntervalSet& queried_indices(sim::PeerId by) const;
 
-  /// Observer invoked on every accounted query batch (peer, bits) — wired
-  /// to the execution trace when tracing is enabled.
+  /// Observer invoked once per accounted query batch (peer, bits): once per
+  /// query, query_range or non-empty query_indices call — wired to the
+  /// phase tracker, the execution trace and the world's query listeners.
   using QueryObserver = std::function<void(sim::PeerId, std::size_t)>;
   void set_query_observer(QueryObserver observer) {
     query_observer_ = std::move(observer);
@@ -80,7 +84,10 @@ class Source {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  void account(sim::PeerId by, std::size_t lo, std::size_t hi);
+  /// Adds [lo, hi) to the peer's recorded index set, if recording.
+  void record(sim::PeerId by, std::size_t lo, std::size_t hi);
+  /// Charges one query batch of `bits` bits and notifies the observer.
+  void account(sim::PeerId by, std::size_t bits);
 
   [[nodiscard]] const BitVec& view_for(sim::PeerId by) const;
 

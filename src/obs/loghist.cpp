@@ -1,5 +1,6 @@
 #include "obs/loghist.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -34,8 +35,15 @@ double LogHistogram::bucket_value(std::size_t index) {
 }
 
 void LogHistogram::observe(double v) {
-  if (counts_.empty()) counts_.assign(kBucketCount, 0);
-  ++counts_[bucket_index(v)];
+  const std::size_t index = bucket_index(v);
+  const auto it = std::lower_bound(
+      buckets_.begin(), buckets_.end(), index,
+      [](const auto& bucket, std::size_t i) { return bucket.first < i; });
+  if (it != buckets_.end() && it->first == index) {
+    ++it->second;
+  } else {
+    buckets_.emplace(it, index, 1);
+  }
   if (count_ == 0 || v < min_) min_ = v;
   if (count_ == 0 || v > max_) max_ = v;
   ++count_;
@@ -44,10 +52,24 @@ void LogHistogram::observe(double v) {
 
 void LogHistogram::merge(const LogHistogram& other) {
   if (other.count_ == 0) return;
-  if (counts_.empty()) counts_.assign(kBucketCount, 0);
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    counts_[i] += other.counts_[i];
+  // Merge of two ascending lists, adding the counts of shared indices.
+  std::vector<std::pair<std::size_t, std::uint64_t>> merged;
+  merged.reserve(buckets_.size() + other.buckets_.size());
+  auto a = buckets_.begin();
+  auto b = other.buckets_.begin();
+  while (a != buckets_.end() || b != other.buckets_.end()) {
+    if (b == other.buckets_.end() ||
+        (a != buckets_.end() && a->first < b->first)) {
+      merged.push_back(*a++);
+    } else if (a == buckets_.end() || b->first < a->first) {
+      merged.push_back(*b++);
+    } else {
+      merged.emplace_back(a->first, a->second + b->second);
+      ++a;
+      ++b;
+    }
   }
+  buckets_ = std::move(merged);
   if (count_ == 0 || other.min_ < min_) min_ = other.min_;
   if (count_ == 0 || other.max_ > max_) max_ = other.max_;
   count_ += other.count_;
@@ -63,10 +85,10 @@ double LogHistogram::percentile(std::uint64_t q) const {
   if (rank == 0) rank = 1;
   std::uint64_t cum = 0;
   double value = max_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
+  for (const auto& [index, count] : buckets_) {
+    cum += count;
     if (cum >= rank) {
-      value = bucket_value(i);
+      value = bucket_value(index);
       break;
     }
   }
@@ -80,21 +102,10 @@ double LogHistogram::percentile(std::uint64_t q) const {
 double LogHistogram::mean_est() const {
   if (count_ == 0) return 0;
   double total = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] > 0) {
-      total += static_cast<double>(counts_[i]) * bucket_value(i);
-    }
+  for (const auto& [index, count] : buckets_) {
+    total += static_cast<double>(count) * bucket_value(index);
   }
   return total / static_cast<double>(count_);
-}
-
-std::vector<std::pair<std::size_t, std::uint64_t>>
-LogHistogram::sparse_counts() const {
-  std::vector<std::pair<std::size_t, std::uint64_t>> out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] > 0) out.emplace_back(i, counts_[i]);
-  }
-  return out;
 }
 
 namespace {

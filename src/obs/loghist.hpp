@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -67,15 +68,20 @@ class LogHistogram {
   [[nodiscard]] double mean_est() const;
 
   /// Sparse counts, ascending index: {index, count} pairs with count > 0.
-  [[nodiscard]] std::vector<std::pair<std::size_t, std::uint64_t>>
-  sparse_counts() const;
+  [[nodiscard]] const std::vector<std::pair<std::size_t, std::uint64_t>>&
+  sparse_counts() const {
+    return buckets_;
+  }
 
   /// Deterministic snapshot: {"count", "min", "max", "p50", "p90", "p99",
   /// "mean_est", "buckets": {"<index>": count, ...} (sparse, ascending)}.
   [[nodiscard]] Json snapshot_json() const;
 
  private:
-  std::vector<std::uint64_t> counts_;  ///< sized kBucketCount on first use
+  /// The nonzero buckets as {index, count}, ascending index: a campaign's
+  /// histograms hold a handful of the kBucketCount buckets each, so
+  /// observe, merge and the percentile walks cost O(nonzero buckets).
+  std::vector<std::pair<std::size_t, std::uint64_t>> buckets_;
   std::uint64_t count_ = 0;
   double sum_ = 0;
   double min_ = 0;

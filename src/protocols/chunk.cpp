@@ -26,10 +26,8 @@ bool BitChunk::covers(const IntervalSet& wanted) const {
 void BitChunk::apply_to(BitVec& out, IntervalSet& known) const {
   std::size_t j = 0;
   for (const Interval& iv : indices.intervals()) {
-    for (std::size_t i = iv.lo; i < iv.hi; ++i) {
-      ASYNCDR_EXPECTS(i < out.size());
-      out.set(i, values.get(j++));
-    }
+    out.copy_range(iv.lo, values, j, iv.length());  // checks iv.hi <= n
+    j += iv.length();
   }
   known.unite(indices);
 }
@@ -57,7 +55,7 @@ MaskChunk MaskChunk::extract(const BitVec& src, const SparseMask& mask) {
   return MaskChunk(mask.size(), std::move(words));
 }
 
-std::size_t MaskChunk::apply_to(BitVec& out, BitVec& known_mask) const {
+BitVec::Assigned MaskChunk::apply_to(BitVec& out, BitVec& known_mask) const {
   ASYNCDR_EXPECTS(size_ == out.size());
   return out.assign_masked(words_, known_mask);
 }
@@ -100,7 +98,8 @@ BitChunk BitChunk::extract(const BitVec& src, const IntervalSet& idx) {
   BitVec vals(idx.count());
   std::size_t j = 0;
   for (const Interval& iv : idx.intervals()) {
-    for (std::size_t i = iv.lo; i < iv.hi; ++i) vals.set(j++, src.get(i));
+    vals.copy_range(j, src, iv.lo, iv.length());
+    j += iv.length();
   }
   return BitChunk(idx, std::move(vals));
 }

@@ -29,10 +29,11 @@ struct BitChunk {
   /// True if this chunk provides a value for every index in `wanted`.
   [[nodiscard]] bool covers(const IntervalSet& wanted) const;
 
-  /// Writes the chunk's values into `out` and adds the indices to `known`.
+  /// Writes the chunk's values into `out` and adds the indices to `known`,
+  /// an interval at a time. Every interval must lie within `out`.
   void apply_to(BitVec& out, IntervalSet& known) const;
 
-  /// Builds the chunk carrying src's values at `idx`.
+  /// Builds the chunk carrying src's values at `idx`, an interval at a time.
   static BitChunk extract(const BitVec& src, const IntervalSet& idx);
 
   bool operator==(const BitChunk&) const = default;
@@ -70,9 +71,10 @@ class MaskChunk {
   /// Wire size: data bits + constant header (see class comment).
   [[nodiscard]] std::size_t size_bits() const { return count_ + 64; }
 
-  /// Writes values into `out`, sets the corresponding bits of `known_mask`,
-  /// and returns how many of those bits were not set before.
-  std::size_t apply_to(BitVec& out, BitVec& known_mask) const;
+  /// Writes values into `out` and sets the corresponding bits of
+  /// `known_mask`; reports how many of those bits were not set before, and
+  /// whether a bit that was set changed its value in `out`.
+  BitVec::Assigned apply_to(BitVec& out, BitVec& known_mask) const;
 
   /// True if every index of the chunk is set in `known_mask` (same size).
   [[nodiscard]] bool is_subset_of(const BitVec& known_mask) const;

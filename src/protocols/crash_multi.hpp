@@ -41,7 +41,10 @@
 // layout looks a request's snapshot up once for all its heard peers (it
 // keeps the last one found). A requester keeps its count of known bits as
 // it learns them, so the stage checks after every message read a counter
-// instead of an n-bit popcount.
+// instead of an n-bit popcount, and skips a missing peer's chunk it already
+// applied for that phase (most RESP2 entries repeat one kept chunk). It
+// queries, journals and stores downloaded bits a run of consecutive
+// indices at a time.
 //
 // Termination: once the unknown set is at most max(ceil(n/k), 2k) bits (or
 // a phase cap is hit), the peer queries the remainder directly, pushes its
@@ -54,6 +57,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -372,6 +376,12 @@ class CrashMultiPeer final : public dr::Peer {
   /// must stop immediately.
   bool query_mask(const SparseMask& mask);
 
+  /// Applies `owner`'s chunk from a phase-`phase` response, unless the
+  /// owner was missing in that phase, the chunk is the one last applied for
+  /// it, and no apply has yet rewritten a known bit with a different value.
+  void learn(std::size_t phase, sim::PeerId owner,
+             const crashm::ChunkPtr& chunk);
+
   /// The world's owner layout, bound on first use (like scratch()).
   [[nodiscard]] crashm::OwnerLayout& layout();
 
@@ -382,9 +392,20 @@ class CrashMultiPeer final : public dr::Peer {
   BitVec out_;
   BitVec known_;  // mask
   std::size_t known_count_ = 0;  // known_.popcount(), kept as bits arrive
+  bool rewrote_ = false;  // some apply changed a known bit's value
 
   crashm::Snapshot phase_unknown_;  // unknown mask at current phase start
   std::vector<sim::PeerId> missing_;  // D of the current phase
+  /// Per phase that sent a REQ2: its missing list and, per listed peer, the
+  /// chunk last applied for it (learn). The list is the REQ2's own and the
+  /// chunks are charged where they are built, so memory_bytes leaves these
+  /// pointers out.
+  struct Applied {
+    std::size_t phase = 0;
+    crashm::MissingPtr missing;
+    std::vector<crashm::ChunkPtr> chunks;
+  };
+  std::array<Applied, 2> applied_;  // [r % 2]: phase r, the last two kept
   std::size_t resp2_count_ = 0;
 
   bool full_sent_ = false;

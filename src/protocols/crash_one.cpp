@@ -57,7 +57,7 @@ void CrashOnePeer::on_restart(const dr::RecoveryState& state) {
   // interval was queried (and persisted) by a previous incarnation.
   const dr::JournalReplay& journal = state.journal;
   for (const Interval& iv : journal.intervals.intervals()) {
-    out_.splice(iv.lo, journal.bits.slice(iv.lo, iv.length()));
+    out_.copy_range(iv.lo, journal.bits, iv.lo, iv.length());
   }
   known_.unite(journal.intervals);
   credit_queries_saved(known_.count());
@@ -70,10 +70,9 @@ void CrashOnePeer::on_restart(const dr::RecoveryState& state) {
   missing.subtract(known_);
   if (!missing.empty()) {
     const std::vector<std::size_t> idx = missing.to_indices();
-    const BitVec values = query_indices(idx);
-    for (std::size_t j = 0; j < idx.size(); ++j) out_.set(idx[j], values.get(j));
-    known_.unite(missing);
-    if (!journal_indices(idx, values)) return;  // killed at a sentinel again
+    const BitChunk got(std::move(missing), query_indices(idx));
+    got.apply_to(out_, known_);
+    if (!journal_indices(idx, got.values)) return;  // killed at a sentinel again
   }
   if (crashed()) return;
   broadcast(std::make_shared<Stage1>(
@@ -245,10 +244,9 @@ void CrashOnePeer::enter_phase2() {
     to_query.subtract(known_);
     if (!to_query.empty()) {
       const std::vector<std::size_t> idx = to_query.to_indices();
-      const BitVec values = query_indices(idx);
-      for (std::size_t j = 0; j < idx.size(); ++j) out_.set(idx[j], values.get(j));
-      known_.unite(to_query);
-      if (!journal_indices(idx, values)) return;
+      const BitChunk got(std::move(to_query), query_indices(idx));
+      got.apply_to(out_, known_);
+      if (!journal_indices(idx, got.values)) return;
     }
     broadcast(std::make_shared<Stage1>(2, BitChunk::extract(out_, share)));
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -154,6 +155,52 @@ TEST(LogHistogram, MergeIsOrderIndependent) {
     for (const std::size_t s : order) merged.merge(shards[s]);
     EXPECT_EQ(merged.snapshot_json().dump(), expected) << "trial " << trial;
   }
+}
+
+TEST(LogHistogram, SparseCountsMatchDenseReference) {
+  // The kept (index, count) pairs against a dense array of kBucketCount
+  // counters fed the same values, observed directly and through merges;
+  // percentiles and the mean walk the dense array in bucket order.
+  Rng rng(77);
+  std::vector<std::uint64_t> dense(LogHistogram::kBucketCount, 0);
+  LogHistogram direct, merged;
+  double lo = 0, hi = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const double v = i % 50 == 0 ? 0.0
+                                 : std::ldexp(1.0 + rng.uniform01(),
+                                              static_cast<int>(rng.below(60)) - 15);
+    ++dense[LogHistogram::bucket_index(v)];
+    lo = i == 0 ? v : std::min(lo, v);
+    hi = i == 0 ? v : std::max(hi, v);
+    direct.observe(v);
+    LogHistogram one;
+    one.observe(v);
+    merged.merge(one);
+  }
+  std::vector<std::pair<std::size_t, std::uint64_t>> want;
+  double mean = 0;
+  for (std::size_t b = 0; b < dense.size(); ++b) {
+    if (dense[b] == 0) continue;
+    want.emplace_back(b, dense[b]);
+    mean += static_cast<double>(dense[b]) * LogHistogram::bucket_value(b);
+  }
+  EXPECT_EQ(direct.sparse_counts(), want);
+  EXPECT_EQ(merged.sparse_counts(), want);
+  EXPECT_EQ(direct.mean_est(), mean / 2000.0);
+  for (const std::uint64_t q : {0u, 1u, 50u, 90u, 99u, 100u}) {
+    const std::uint64_t rank = std::max<std::uint64_t>(1, (2000 * q + 99) / 100);
+    std::uint64_t cum = 0;
+    double value = hi;
+    for (const auto& [index, count] : want) {
+      cum += count;
+      if (cum >= rank) {
+        value = LogHistogram::bucket_value(index);
+        break;
+      }
+    }
+    EXPECT_EQ(direct.percentile(q), std::clamp(value, lo, hi)) << "q " << q;
+  }
+  EXPECT_EQ(merged.snapshot_json().dump(), direct.snapshot_json().dump());
 }
 
 TEST(LogHistogram, SnapshotJsonShape) {

@@ -267,19 +267,22 @@ TEST_P(BitVecKernels, WordAccessMatchesPerBitReference) {
     EXPECT_EQ(src.words().size(), words);
     BitVec written = src;
     BitVec known = known_before;
-    const std::size_t learned = written.assign_masked(complement, known);
+    const BitVec::Assigned assigned = written.assign_masked(complement, known);
     BitVec want = src;
     BitVec want_known = known_before;
     std::size_t want_learned = 0;
+    bool want_rewrote = false;  // every masked bit flips
     for (std::size_t i = 0; i < n; ++i) {
       if (!mask.get(i)) continue;
       want.flip(i);
       if (!known_before.get(i)) ++want_learned;
+      want_rewrote = want_rewrote || known_before.get(i);
       want_known.set(i, true);
     }
     EXPECT_EQ(written, want);
     EXPECT_EQ(known, want_known);
-    EXPECT_EQ(learned, want_learned);
+    EXPECT_EQ(assigned.learned, want_learned);
+    EXPECT_EQ(assigned.rewrote, want_rewrote);
     EXPECT_TRUE(zero_tail(written));
     EXPECT_TRUE(zero_tail(known));
 
@@ -319,6 +322,68 @@ TEST_P(BitVecKernels, SliceSpliceMatchPerBitReference) {
     EXPECT_EQ(spliced, want_splice);
     EXPECT_TRUE(zero_tail(spliced));
   }
+}
+
+TEST_P(BitVecKernels, CopyRangeFillStoreMatchPerBitReference) {
+  const std::size_t n = GetParam();
+  Rng rng(n * 31 + 5);
+  for (int trial = 0; trial < 24; ++trial) {
+    const BitVec v = random_bits(n, rng);
+    const auto pos = static_cast<std::size_t>(rng.below(n + 1));
+    const auto len = static_cast<std::size_t>(rng.below(n - pos + 1));
+
+    // A range of another vector, at an unrelated offset there.
+    const BitVec src = random_bits(len + rng.below(130), rng);
+    const auto src_pos =
+        static_cast<std::size_t>(rng.below(src.size() - len + 1));
+    BitVec copied = v;
+    copied.copy_range(pos, src, src_pos, len);
+    BitVec want = v;
+    for (std::size_t i = 0; i < len; ++i) {
+      want.set(pos + i, src.get(src_pos + i));
+    }
+    EXPECT_EQ(copied, want);
+    EXPECT_TRUE(zero_tail(copied));
+
+    for (const bool value : {false, true}) {
+      BitVec filled = v;
+      filled.fill(pos, pos + len, value);
+      BitVec want_fill = v;
+      for (std::size_t i = pos; i < pos + len; ++i) want_fill.set(i, value);
+      EXPECT_EQ(filled, want_fill);
+      EXPECT_TRUE(zero_tail(filled));
+    }
+
+    const auto count = std::min<std::size_t>(len, 64);
+    const std::uint64_t bits = rng.next();  // high bits beyond count ignored
+    BitVec stored = v;
+    stored.store(pos, bits, count);
+    BitVec want_store = v;
+    for (std::size_t i = 0; i < count; ++i) {
+      want_store.set(pos + i, (bits >> i) & 1u);
+    }
+    EXPECT_EQ(stored, want_store);
+    EXPECT_TRUE(zero_tail(stored));
+  }
+}
+
+TEST(BitVec, RangePreconditions) {
+  BitVec v(70);
+  const BitVec src(10);
+  const std::size_t huge = ~std::size_t{0};
+  EXPECT_THROW(v.copy_range(61, src, 0, 10), contract_violation);
+  EXPECT_THROW(v.copy_range(0, src, 1, 10), contract_violation);
+  EXPECT_THROW(v.copy_range(huge, src, 0, 2), contract_violation);
+  EXPECT_THROW(v.copy_range(0, v, 1, 2), contract_violation);  // aliasing
+  EXPECT_THROW(v.fill(5, 71, true), contract_violation);
+  EXPECT_THROW(v.fill(6, 5, true), contract_violation);
+  EXPECT_THROW(v.store(7, 0, 64), contract_violation);
+  EXPECT_THROW(v.store(0, 0, 65), contract_violation);
+  EXPECT_EQ(v, BitVec(70));
+  v.copy_range(70, src, 10, 0);  // empty ranges at the ends are fine
+  v.fill(70, 70, true);
+  v.store(70, ~std::uint64_t{0}, 0);
+  EXPECT_EQ(v, BitVec(70));
 }
 
 TEST_P(BitVecKernels, PopcountAndCountAndMatchPerBitReference) {
@@ -410,12 +475,22 @@ TEST(BitVec, WordAccessPreconditions) {
   BitVec short_known(69);
   EXPECT_THROW((void)v.assign_masked(Words{{0, 1, 1}}, short_known),
                contract_violation);
-  EXPECT_EQ(v.assign_masked(Words{{0, 1, 0}, {1, 0x3f, kOnes}}, known), 7u);
+  EXPECT_EQ(v.assign_masked(Words{{0, 1, 0}, {1, 0x3f, kOnes}}, known),
+            (BitVec::Assigned{7, false}));
   EXPECT_EQ(v.popcount(), 6u);
   EXPECT_EQ(known.popcount(), 7u);
+  // Known bits written again: the same values rewrite nothing, a changed
+  // one does.
+  EXPECT_EQ(v.assign_masked(Words{{1, 0x3f, kOnes}}, known),
+            (BitVec::Assigned{0, false}));
+  EXPECT_EQ(v.assign_masked(Words{{0, 3, 2}}, known),
+            (BitVec::Assigned{1, false}));  // bit 1 new, bit 0 stays 0
+  EXPECT_EQ(v.assign_masked(Words{{1, 0x30, 0x10}}, known),
+            (BitVec::Assigned{0, true}));
   BitVec full(128);
   BitVec full_known(128);
-  EXPECT_EQ(full.assign_masked(Words{{1, kOnes, kOnes}}, full_known), 64u);
+  EXPECT_EQ(full.assign_masked(Words{{1, kOnes, kOnes}}, full_known).learned,
+            64u);
   EXPECT_EQ(full.popcount(), 64u);
 }
 

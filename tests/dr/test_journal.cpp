@@ -67,6 +67,73 @@ TEST(Journal, BitsRoundTrip) {
   }
 }
 
+/// The bits record a per-bit encoder writes for values[from, from+count)
+/// claiming [lo, lo+count): | 0xB1 | payload_len:4 LE | lo:8 LE | count:8 LE
+/// | value i in bit i % 8 of byte i / 8 | crc:4 LE |.
+std::vector<std::uint8_t> reference_bits_record(std::size_t lo,
+                                                const BitVec& values,
+                                                std::size_t from,
+                                                std::size_t count) {
+  const auto put = [](std::vector<std::uint8_t>& out, std::uint64_t v,
+                      int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  std::vector<std::uint8_t> rec{0xB1};
+  put(rec, 16 + (count + 7) / 8, 4);
+  put(rec, lo, 8);
+  put(rec, count, 8);
+  for (std::size_t i = 0; i < count; i += 8) {
+    std::uint8_t byte = 0;
+    for (std::size_t b = 0; b < 8 && i + b < count; ++b) {
+      if (values.get(from + i + b)) byte |= static_cast<std::uint8_t>(1u << b);
+    }
+    rec.push_back(byte);
+  }
+  put(rec, Journal::crc32(rec.data(), rec.size()), 4);
+  return rec;
+}
+
+TEST(Journal, BitsRecordBytesMatchPerBitEncoder) {
+  // Whole vectors and unaligned slices of every length class, appended one
+  // after another: the log is exactly the per-bit encoder's records.
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(seed);
+    const BitVec values =
+        BitVec::generate(1 + rng.below(kN - 16), [&] { return rng.flip(); });
+    JournalStore store(1);
+    Journal j(store, 0);
+    std::vector<std::uint8_t> want;
+    for (int r = 0; r < 6; ++r) {
+      const std::size_t count =
+          r == 0 ? values.size() : rng.below(values.size() + 1);
+      const std::size_t from =
+          r == 0 ? 0 : rng.below(values.size() - count + 1);
+      const std::size_t lo = rng.below(kN - count + 1);
+      if (r == 0) {
+        ASSERT_TRUE(j.append_bits(lo, values));
+      } else {
+        ASSERT_TRUE(j.append_bits(lo, values, from, count));
+      }
+      const std::vector<std::uint8_t> rec =
+          reference_bits_record(lo, values, from, count);
+      want.insert(want.end(), rec.begin(), rec.end());
+      ASSERT_EQ(store.log(0), want) << "seed " << seed << " record " << r;
+    }
+  }
+}
+
+TEST(Journal, BitsRecordSlicePreconditions) {
+  JournalStore store(1);
+  Journal j(store, 0);
+  const BitVec values(70);
+  EXPECT_THROW((void)j.append_bits(0, values, 60, 11), contract_violation);
+  EXPECT_THROW((void)j.append_bits(0, values, 71, 0), contract_violation);
+  EXPECT_TRUE(store.log(0).empty());
+  EXPECT_TRUE(j.append_bits(0, values, 70, 0));  // an empty record is valid
+}
+
 TEST(Journal, CheckpointRoundTrip) {
   JournalStore store(1);
   Journal j(store, 0);

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace asyncdr::dr {
 namespace {
@@ -115,6 +118,79 @@ TEST(Source, QueryIndicesRejectsAnyOutOfRangeIndex) {
     EXPECT_NE(std::string(e.what()).find("index 9"), std::string::npos)
         << e.what();
   }
+}
+
+/// Random index lists mixing runs of consecutive indices with singletons,
+/// in any order (repeats allowed).
+std::vector<std::size_t> random_index_list(Rng& rng, std::size_t n) {
+  std::vector<std::size_t> out;
+  const std::size_t pieces = rng.below(12);
+  for (std::size_t p = 0; p < pieces; ++p) {
+    const std::size_t len = rng.flip() ? 1 : 1 + rng.below(150);
+    const std::size_t lo = rng.below(n - len + 1);
+    for (std::size_t i = 0; i < len; ++i) out.push_back(lo + i);
+  }
+  return out;
+}
+
+TEST(Source, QueryIndicesMatchesPerIndexReference) {
+  // One query_indices call against the same list queried an index at a
+  // time: same answers, counts and recorded indices, and one observer call
+  // carrying the whole batch (an empty list is no batch).
+  constexpr std::size_t kN = 700;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed);
+    const BitVec data = BitVec::generate(kN, [&] { return rng.flip(); });
+    const std::vector<std::size_t> indices = random_index_list(rng, kN);
+    Source batch(data, 2);
+    Source single(data, 2);
+    for (Source* s : {&batch, &single}) s->enable_index_recording(true);
+    std::vector<std::pair<sim::PeerId, std::size_t>> calls;
+    batch.set_query_observer([&](sim::PeerId peer, std::size_t bits) {
+      calls.emplace_back(peer, bits);
+    });
+    const BitVec got = batch.query_indices(1, indices);
+    ASSERT_EQ(got.size(), indices.size());
+    for (std::size_t j = 0; j < indices.size(); ++j) {
+      ASSERT_EQ(got.get(j), single.query(1, indices[j])) << "seed " << seed;
+    }
+    EXPECT_EQ(batch.bits_queried(1), single.bits_queried(1));
+    EXPECT_EQ(batch.bits_queried(0), 0u);
+    EXPECT_EQ(batch.total_bits_served(), single.total_bits_served());
+    EXPECT_EQ(batch.queried_indices(1), single.queried_indices(1));
+    using Calls = std::vector<std::pair<sim::PeerId, std::size_t>>;
+    const Calls want =
+        indices.empty() ? Calls{} : Calls{{1, indices.size()}};
+    EXPECT_EQ(calls, want) << "seed " << seed;
+  }
+}
+
+TEST(Source, QueryIndicesOutOfBoundsChargesNothing) {
+  // A list with any index out of bounds throws before anything is charged,
+  // recorded or observed, wherever in the list (or in a run) that index is.
+  Source src(BitVec(8), 1);
+  src.enable_index_recording(true);
+  std::size_t observed = 0;
+  src.set_query_observer([&](sim::PeerId, std::size_t) { ++observed; });
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  const std::vector<std::pair<std::vector<std::size_t>, std::string>> lists = {
+      {{0, 1, 2, 8}, "index 8"},     {{6, 7, 8, 9}, "index 8"},
+      {{9, 0, 1}, "index 9"},        {{3, 12, 13, 4}, "index 12"},
+      {{huge}, "index " + std::to_string(huge)},
+      {{huge, 0}, "index " + std::to_string(huge)}};
+  for (const auto& [list, named] : lists) {
+    try {
+      (void)src.query_indices(0, list);
+      ADD_FAILURE() << "expected contract_violation for " << named;
+    } catch (const contract_violation& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(src.bits_queried(0), 0u);
+  EXPECT_EQ(src.total_bits_served(), 0u);
+  EXPECT_TRUE(src.queried_indices(0).empty());
+  EXPECT_EQ(observed, 0u);
 }
 
 }  // namespace

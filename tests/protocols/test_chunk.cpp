@@ -54,6 +54,47 @@ TEST(BitChunk, SizeBitsCountsValuesAndBounds) {
   EXPECT_EQ(chunk.size_bits(), 8u + 2 * 128u);
 }
 
+TEST(BitChunk, ExtractApplyMatchPerBitReference) {
+  // Random interval sets of every alignment over random arrays, against
+  // the per-bit definitions: values.get(j) is src at the j-th smallest
+  // index, and apply_to writes exactly those indices.
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 1 + rng.below(600);
+    const BitVec src = BitVec::generate(n, [&] { return rng.flip(); });
+    IntervalSet idx;
+    const std::size_t pieces = rng.below(8);
+    for (std::size_t p = 0; p < pieces; ++p) {
+      const std::size_t lo = rng.below(n);
+      idx.insert(lo, lo + 1 + rng.below(std::min<std::size_t>(n - lo, 200)));
+    }
+    const BitChunk chunk = BitChunk::extract(src, idx);
+    const std::vector<std::size_t> at = idx.to_indices();
+    ASSERT_EQ(chunk.values.size(), at.size());
+    for (std::size_t j = 0; j < at.size(); ++j) {
+      ASSERT_EQ(chunk.values.get(j), src.get(at[j])) << "seed " << seed;
+    }
+
+    const BitVec before = BitVec::generate(n, [&] { return rng.flip(); });
+    BitVec want = before;
+    for (std::size_t j = 0; j < at.size(); ++j) {
+      want.set(at[j], chunk.values.get(j));
+    }
+    BitVec out = before;
+    IntervalSet known = IntervalSet::of(0, 1);
+    chunk.apply_to(out, known);
+    EXPECT_EQ(out, want) << "seed " << seed;
+    IntervalSet want_known = IntervalSet::of(0, 1);
+    want_known.unite(idx);
+    EXPECT_EQ(known, want_known);
+  }
+  // An interval past the target array is rejected.
+  const BitChunk wide = BitChunk::extract(BitVec(20), IntervalSet::of(8, 20));
+  BitVec short_out(19);
+  IntervalSet known;
+  EXPECT_THROW(wide.apply_to(short_out, known), contract_violation);
+}
+
 TEST(MaskChunk, ExtractApplyRoundTrip) {
   const BitVec src = BitVec::from_string("1011001110");
   BitVec mask(10);
@@ -210,9 +251,9 @@ TEST(MaskChunk, ApplyCountsNewlyKnownBits) {
     fresh.andnot_with(known);
     const std::size_t before = known.popcount();
     BitVec out(n);
-    EXPECT_EQ(chunk.apply_to(out, known), fresh.popcount());
+    EXPECT_EQ(chunk.apply_to(out, known).learned, fresh.popcount());
     EXPECT_EQ(known.popcount(), before + fresh.popcount());
-    EXPECT_EQ(chunk.apply_to(out, known), 0u);  // nothing new the second time
+    EXPECT_EQ(chunk.apply_to(out, known).learned, 0u);  // nothing new the second time
   }
 }
 

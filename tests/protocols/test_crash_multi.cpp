@@ -695,17 +695,18 @@ TEST(CrashMultiKnownCount, MatchesMaskAfterJournalReplay) {
   EXPECT_GT(report.recovery.bits_recovered, 0u);
 }
 
-TEST(CrashMultiKnownCount, MatchesMaskOverAMutatingSource) {
-  // The world of oracle::run_dynamic_download (staggered starts, partial
-  // broadcast crashes, live bit flips), with the peers held: responders
-  // with different values answer with their own chunks, and the
-  // requester's count must still follow its mask.
-  std::size_t torn_worlds = 0;
-  for (std::uint64_t seed = 10; seed < 14; ++seed) {
-    const dr::Config c{.n = 2048, .k = 12, .beta = 0.25, .message_bits = 512,
-                       .seed = seed};
-    const BitVec initial = random_input(c.n, c.seed);
-    dr::World world(c, initial);
+/// The world of oracle::run_dynamic_download (staggered starts, partial
+/// broadcast crashes, live bit flips), with the peers held by the caller.
+struct MutatingWorld {
+  BitVec initial;
+  dr::World world;
+
+  explicit MutatingWorld(std::uint64_t seed)
+      : initial(random_input(2048, seed)),
+        world(dr::Config{.n = 2048, .k = 12, .beta = 0.25,
+                         .message_bits = 512, .seed = seed},
+              initial) {
+    const dr::Config& c = world.config();
     Rng starts(seed);
     for (sim::PeerId id = 0; id < c.k; ++id) {
       world.set_peer(id, std::make_unique<CrashMultiPeer>());
@@ -717,29 +718,117 @@ TEST(CrashMultiKnownCount, MatchesMaskOverAMutatingSource) {
         .apply(world);
     for (const oracle::Mutation& m :
          oracle::periodic_mutations(c, 64, 6.0, seed)) {
-      world.engine().schedule_at(m.at, [&world, bit = m.bit] {
+      world.engine().schedule_at(m.at, [this, bit = m.bit] {
         BitVec data = world.source().data();
         data.flip(bit);
         world.source().set_data(std::move(data));
       });
     }
+  }
+};
+
+TEST(CrashMultiKnownCount, MatchesMaskOverAMutatingSource) {
+  // Responders with different values answer with their own chunks, and the
+  // requester's count must still follow its mask.
+  std::size_t torn_worlds = 0;
+  for (std::uint64_t seed = 10; seed < 14; ++seed) {
+    MutatingWorld m(seed);
     KnownCountChecker checker;
-    checker.attach(world);
-    const dr::RunReport report = world.run();
+    checker.attach(m.world);
+    const dr::RunReport report = m.world.run();
     checker.check();
     EXPECT_TRUE(report.all_terminated);
     EXPECT_GT(checker.checks(), 0u);
     EXPECT_EQ(checker.mismatches(), 0u) << "seed " << seed;
-    const BitVec& final_data = world.source().data();
-    for (sim::PeerId id = 0; id < c.k; ++id) {
+    const BitVec& final_data = m.world.source().data();
+    for (sim::PeerId id = 0; id < m.world.config().k; ++id) {
       const BitVec& out = report.outputs[id];
-      if (!world.is_faulty(id) && out != initial && out != final_data) {
+      if (!m.world.is_faulty(id) && out != m.initial && out != final_data) {
         ++torn_worlds;  // bits of different eras: the peers' values differed
         break;
       }
     }
   }
   EXPECT_GT(torn_worlds, 0u);
+}
+
+// ---- Skipping chunks already applied. ----
+
+TEST(CrashMultiLearn, MutatingSourceOutputsMatchApplyingEveryChunk) {
+  // Every output of these mutating worlds, digested. The digests were taken
+  // from the protocol as it was before it skipped re-applied chunks (every
+  // chunk of every response applied in arrival order), so they pin that the
+  // skip keeps each peer's last write.
+  const std::uint64_t want[] = {2970073851449347512ull, 9249808216666493814ull,
+                                16114170064809679934ull,
+                                10584710799917458813ull};
+  for (std::uint64_t seed = 10; seed < 14; ++seed) {
+    MutatingWorld m(seed);
+    const dr::RunReport report = m.world.run();
+    std::uint64_t digest = 0;
+    for (const BitVec& out : report.outputs) {
+      digest = sim::payload_hash_mix(digest, out.hash());
+    }
+    EXPECT_EQ(digest, want[seed - 10]) << "seed " << seed;
+  }
+}
+
+TEST(CrashMultiLearn, ReappliedChunkWinsAfterAKnownBitChanged) {
+  // Two chunks over a missing peer's bits with different values, as a
+  // mutating source can produce: C1 for that peer in a RESP2, then C2 from
+  // another owner over the same bits, then C1 again in another RESP2. The
+  // second C1 is still the chunk last applied for the missing peer, but C2
+  // has rewritten known bits since, so it must be applied again: the last
+  // write wins.
+  constexpr std::size_t n = 4096;  // k = 4: blocks of 1024 bits, quorum 3
+  dr::World world(dr::Config{.n = n, .k = 4, .beta = 0.25,
+                             .message_bits = 1024, .seed = 1},
+                  BitVec(n));
+  for (sim::PeerId id = 0; id < 4; ++id) {
+    world.set_peer(id, std::make_unique<CrashMultiPeer>());
+    // Peer 0 queries its block and waits; the others start too late to
+    // answer before the crafted messages below.
+    world.set_start_time(id, id == 0 ? 0.0 : 100.0);
+  }
+  const auto chunk_of = [](std::size_t lo, std::size_t hi, bool value) {
+    BitVec mask(n);
+    mask.fill(lo, hi, true);
+    return std::make_shared<const MaskChunk>(
+        MaskChunk::extract(BitVec(n, value), SparseMask(mask)));
+  };
+  dr::Peer& peer = world.peer(0);
+  const auto deliver_at = [&](sim::Time at, sim::PeerId from,
+                              sim::PayloadPtr payload) {
+    world.engine().schedule_at(at, [&peer, from, payload] {
+      peer.deliver(sim::Message{.from = from, .to = 0, .payload = payload});
+    });
+  };
+  const auto resp1 = [](crashm::ChunkPtr chunk) {
+    return std::make_shared<crashm::Resp1>(1, std::move(chunk));
+  };
+  // "Peer 3 answered me, here are its bits."
+  const auto resp2 = [](crashm::ChunkPtr chunk) {
+    return std::make_shared<crashm::Resp2>(
+        1, std::make_shared<const crashm::MissingList>(
+               std::vector<sim::PeerId>{3}),
+        BitVec(1, true), std::vector<crashm::ChunkPtr>{std::move(chunk)});
+  };
+  // Peers 1 and 2 answer: with peer 0 that is the quorum, so peer 0 sends
+  // a REQ2 naming peer 3 and waits for two RESP2s.
+  deliver_at(1.0, 1, resp1(chunk_of(1024, 2048, false)));
+  deliver_at(2.0, 2, resp1(chunk_of(2048, 3072, false)));
+  const crashm::ChunkPtr ones = chunk_of(3072, 3584, true);
+  deliver_at(3.0, 1, resp2(ones));
+  deliver_at(4.0, 1, resp1(chunk_of(3072, 3584, false)));  // rewrites them
+  // The last RESP2 of the quorum: C1 is applied again, then the phase ends
+  // and peer 0 queries the last 512 bits itself.
+  deliver_at(5.0, 2, resp2(ones));
+  (void)world.run();
+  ASSERT_TRUE(peer.terminated());
+  EXPECT_EQ(peer.termination_time(), 5.0);
+  BitVec want(n);
+  want.fill(3072, 3584, true);
+  EXPECT_EQ(peer.output(), want);
 }
 
 // Full sweep: (n, k, beta) x adversary style x seed.

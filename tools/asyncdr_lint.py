@@ -79,7 +79,8 @@ DISABLE_FILE_RE = re.compile(
 # DR014: mutating receiver methods on the containers/values this tree uses
 # for downloaded state (BitVec, IntervalSet, std containers).
 MUTATOR_METHODS = (
-    "set|splice|unite|insert|subtract|clear|erase|push_back|pop_back"
+    "set|splice|copy_range|unite|insert|subtract|clear|erase|push_back"
+    "|pop_back"
     "|emplace|emplace_back|assign|resize|reset|fill|flip|merge|swap")
 MUTATION_RE = re.compile(
     r"\b([a-z]\w*_)\s*(?:\.|->)\s*(?:" + MUTATOR_METHODS + r")\s*\("

@@ -46,7 +46,9 @@
 //   asyncdr_cli metrics --protocol crash_multi --adversary random --out m.json
 //
 //   runs once with the standard collector attached and emits the
-//   asyncdr-metrics-v1 JSON snapshot (counters/gauges/histograms).
+//   asyncdr-metrics-v2 JSON snapshot: the run's Q/T/M, phases, recovery
+//   and mem pools, per-peer arrays indexed by peer id, and four
+//   LogHistograms (query bits, payload bits, latency, event-queue depth).
 //
 // Memory profile (see DESIGN.md, "Memory observability"):
 //
@@ -108,7 +110,6 @@
 #include "common/table.hpp"
 #include "obs/collect.hpp"
 #include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "protocols/bounds.hpp"
 #include "protocols/runner.hpp"
 
@@ -332,14 +333,14 @@ int run_metrics(int argc, char** argv) {
   const Args args = parse(argc, argv, 2);
   SpecResult spec = build_scenario(args, 0);
 
-  obs::MetricsRegistry registry;
-  obs::RunMetricsCollector collector(registry);
+  obs::RunMetricsCollector collector;
+  obs::Json snapshot;
   spec.scenario.instrument = [&](dr::World& world) { collector.attach(world); };
-  spec.scenario.post_run = [&](dr::World&, const dr::RunReport& report) {
-    collector.finalize(report);
+  spec.scenario.post_run = [&](dr::World& world, const dr::RunReport& report) {
+    snapshot = collector.snapshot(world, report);
   };
   const dr::RunReport report = proto::run_scenario(spec.scenario);
-  write_output(args, registry.to_json_string(2) + "\n");
+  write_output(args, snapshot.dump(2) + "\n");
   return report.ok() ? 0 : 1;
 }
 

@@ -9,7 +9,6 @@
 #include "common/check.hpp"
 #include "obs/collect.hpp"
 #include "obs/export.hpp"
-#include "obs/metrics.hpp"
 
 namespace asyncdr::chaos {
 
@@ -234,17 +233,15 @@ ShrunkRepro ChaosRunner::shrink_failure(const ProtocolProfile& profile,
   {
     ChaosCase cs = sample_case(profile, seed, options);
     cs.scenario.max_events = max_events;
-    obs::MetricsRegistry registry;
-    obs::RunMetricsCollector collector(registry);
+    obs::RunMetricsCollector collector;
     cs.scenario.instrument = [&](dr::World& world) {
       collector.attach(world);
       world.enable_trace();
     };
-    cs.scenario.post_run = [&](dr::World&, const dr::RunReport& report) {
-      collector.finalize(report);
+    cs.scenario.post_run = [&](dr::World& world, const dr::RunReport& report) {
+      out.metrics_json = collector.snapshot(world, report).dump(2);
     };
     const dr::RunReport rerun = proto::run_scenario(cs.scenario);
-    out.metrics_json = registry.to_json_string();
     if (rerun.critical_path.has_value()) {
       out.critpath_text = rerun.critical_path->to_string();
       out.critpath_json = obs::critical_path_json(*rerun.critical_path).dump(1);

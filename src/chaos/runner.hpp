@@ -48,7 +48,7 @@ struct ShrunkRepro {
   /// The one-line repro: `asyncdr_cli chaos ...` flags reproducing this
   /// exact case.
   std::string command_line;
-  /// Metrics snapshot (asyncdr-metrics-v1 JSON) from one rerun of the
+  /// Metrics snapshot (asyncdr-metrics-v2 JSON) from one rerun of the
   /// shrunk case with a collector attached — the machine-readable side of
   /// the failure report (CI uploads these as artifacts).
   std::string metrics_json;

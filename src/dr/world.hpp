@@ -170,7 +170,9 @@ class World : private sim::NetworkObserver {
   [[nodiscard]] const Config& config() const { return cfg_; }
   sim::Engine& engine() { return engine_; }
   sim::Network& network() { return net_; }
+  [[nodiscard]] const sim::Network& network() const { return net_; }
   Source& source() { return source_; }
+  [[nodiscard]] const Source& source() const { return source_; }
 
   /// Installs the peer implementation for one ID (honest protocol peer or a
   /// Byzantine attack peer). Every ID must be set before run().

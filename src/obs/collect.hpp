@@ -1,29 +1,33 @@
-// Live metrics collection for one dr::World run: a NetworkObserver plus a
-// source-query listener that populate a MetricsRegistry with the standard
-// series (query bits, payload sizes, per-link latency, event-queue depth).
-// Attach before run(), finalize(report) after; snapshot via the registry.
+// Live metrics for one dr::World run. A passive NetworkObserver plus a
+// source-query listener record what only a live observer sees: four
+// distributions (query bits per call, payload bits per send, delivery
+// latency, event-queue depth), per-peer query calls and the drop count.
+// snapshot() joins them with what the run already keeps (RunReport's
+// Q/T/M, phases, recovery and mem pools; the network's per-peer sends; the
+// source's served bits) into one asyncdr-metrics-v2 JSON document. Attach
+// before run(); snapshot in the scenario's post_run, while the world lives.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "dr/world.hpp"
-#include "obs/metrics.hpp"
+#include "obs/json.hpp"
+#include "obs/loghist.hpp"
 #include "sim/network.hpp"
 
 namespace asyncdr::obs {
 
-/// Collects the standard run metrics into a registry it does not own. The
-/// collector must outlive the world's run() call.
+/// The standard run collector. Must outlive the world's run() call; the
+/// world holds its address, so it is neither copied nor moved.
 class RunMetricsCollector final : public sim::NetworkObserver {
  public:
-  explicit RunMetricsCollector(MetricsRegistry& registry)
-      : registry_(registry) {}
+  RunMetricsCollector() = default;
+  RunMetricsCollector(const RunMetricsCollector&) = delete;
+  RunMetricsCollector& operator=(const RunMetricsCollector&) = delete;
 
-  /// Registers with the world (network observer + query listener) and
-  /// pre-creates the per-peer series so hot paths are pointer bumps.
+  /// Registers with the world (network observer + query listener).
   void attach(dr::World& world);
 
   // sim::NetworkObserver
@@ -31,29 +35,21 @@ class RunMetricsCollector final : public sim::NetworkObserver {
   void on_deliver(const sim::Message& msg) override;
   void on_drop(const sim::Message& msg) override;
 
-  /// Folds the run's headline measures (Q/T/M, verdicts) into gauges. Call
-  /// once after run().
-  void finalize(const dr::RunReport& report);
+  /// The run's snapshot: {"schema": "asyncdr-metrics-v2", "run", "phases",
+  /// "recovery", "mem", "peers" (arrays indexed by peer id), "histograms"
+  /// (LogHistogram::snapshot_json each)}. A pure function of the run, so
+  /// two runs of one config and seed give byte-identical dumps.
+  [[nodiscard]] Json snapshot(const dr::World& world,
+                              const dr::RunReport& report) const;
 
  private:
-  void sample_queue_depth();
-
-  MetricsRegistry& registry_;
-  dr::World* world_ = nullptr;
-
-  // Cached series (valid for the registry's lifetime).
-  Histogram* query_bits_ = nullptr;
-  Histogram* payload_bits_ = nullptr;
-  Histogram* queue_depth_ = nullptr;
-  std::vector<Counter*> peer_query_bits_;
-  std::vector<Counter*> peer_queries_;
-  std::vector<Counter*> peer_unit_messages_;
-  std::vector<Counter*> peer_payload_messages_;
-  /// Per-link latency histograms keyed from * k + to, populated on a link's
-  /// first delivery. A map, not a k*k vector: most of the k^2 links never
-  /// carry a message, and attach() must stay cheap at large k.
-  std::unordered_map<std::uint64_t, Histogram*> link_latency_;
-  Counter* dropped_ = nullptr;
+  const sim::Engine* engine_ = nullptr;
+  LogHistogram query_bits_;    ///< bits per accounted query call
+  LogHistogram payload_bits_;  ///< payload bits per send
+  LogHistogram latency_;       ///< virtual time from send to delivery
+  LogHistogram queue_depth_;   ///< pending engine events at each send/delivery
+  std::vector<std::uint64_t> peer_query_calls_;  ///< indexed by peer id
+  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace asyncdr::obs

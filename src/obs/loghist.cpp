@@ -47,7 +47,6 @@ void LogHistogram::observe(double v) {
   if (count_ == 0 || v < min_) min_ = v;
   if (count_ == 0 || v > max_) max_ = v;
   ++count_;
-  sum_ += v;
 }
 
 void LogHistogram::merge(const LogHistogram& other) {
@@ -73,7 +72,6 @@ void LogHistogram::merge(const LogHistogram& other) {
   if (count_ == 0 || other.min_ < min_) min_ = other.min_;
   if (count_ == 0 || other.max_ > max_) max_ = other.max_;
   count_ += other.count_;
-  sum_ += other.sum_;
 }
 
 double LogHistogram::percentile(std::uint64_t q) const {

@@ -1,18 +1,18 @@
-// Log-bucketed (HDR-style) histogram for campaign-level aggregation. Unlike
-// obs::Histogram (fixed caller-chosen bounds, single-run scale), LogHistogram
+// Log-bucketed (HDR-style) histogram, the one histogram type of the
+// observability layer: campaign summaries aggregate with it and the run
+// collector (obs/collect.hpp) records its live distributions in it. It
 // covers the whole positive double range with log2 major buckets split into
 // kSubBuckets linear sub-buckets each, so one shape serves Q (bits), T
-// (virtual time), M (messages), wall-clock ms and RSS MB alike with a bounded
-// relative error of 1/kSubBuckets per recorded value.
+// (virtual time), M (messages), latency, queue depth, wall-clock ms and RSS
+// MB alike with a bounded relative error of 1/kSubBuckets per recorded value.
 //
 // The determinism contract (see DESIGN.md, "Campaign telemetry"): merge() is
 // commutative and associative — bucket counts are integer adds and min/max
 // are exact comparisons — and every value snapshot_json() emits is derived
 // from (bucket counts, exact min, exact max) in fixed bucket order. A
 // campaign summary built by merging per-worker shards is therefore
-// byte-identical regardless of thread count or completion order. The one
-// order-dependent quantity (the floating-point running sum) is kept for
-// in-process consumers but deliberately NOT emitted.
+// byte-identical regardless of thread count or completion order. No
+// order-dependent quantity (such as a floating-point running sum) is kept.
 #pragma once
 
 #include <cstddef>
@@ -49,8 +49,6 @@ class LogHistogram {
   [[nodiscard]] bool empty() const { return count_ == 0; }
   [[nodiscard]] double min() const { return count_ ? min_ : 0; }  ///< exact
   [[nodiscard]] double max() const { return count_ ? max_ : 0; }  ///< exact
-  /// Order-dependent running sum — in-process use only, never serialized.
-  [[nodiscard]] double sum() const { return sum_; }
 
   /// Bucket index for a value (clamped; 0 for v <= 0).
   [[nodiscard]] static std::size_t bucket_index(double v);
@@ -64,7 +62,7 @@ class LogHistogram {
   [[nodiscard]] double percentile(std::uint64_t q) const;
 
   /// Mean estimated from bucket representatives, accumulated in fixed
-  /// bucket order (deterministic, unlike sum()/count()).
+  /// bucket order (deterministic).
   [[nodiscard]] double mean_est() const;
 
   /// Sparse counts, ascending index: {index, count} pairs with count > 0.
@@ -83,7 +81,6 @@ class LogHistogram {
   /// observe, merge and the percentile walks cost O(nonzero buckets).
   std::vector<std::pair<std::size_t, std::uint64_t>> buckets_;
   std::uint64_t count_ = 0;
-  double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
 };

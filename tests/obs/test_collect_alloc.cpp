@@ -1,10 +1,10 @@
 // Allocation budget for RunMetricsCollector::attach() at large k: the
-// per-link latency series are created lazily on first delivery, so attach
-// must not allocate anything on the order of k^2 (the old eager layout was
-// a single k*k pointer vector — 2 MB at k = 512). This binary replaces the
-// global operator new to watch for any single oversized allocation while
-// attach runs; it must stay in its own test executable so the override
-// cannot leak into other suites.
+// collector keeps per-peer arrays of k words and no per-link state, so
+// attach must not allocate anything on the order of k^2 (a bare pointer per
+// link is k*k*8 = 2 MB at k = 512). This binary replaces the global
+// operator new to watch for any single oversized allocation while attach
+// runs; it must stay in its own test executable so the override cannot
+// leak into other suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 #include "common/bitvec.hpp"
 #include "dr/world.hpp"
 #include "obs/collect.hpp"
-#include "obs/metrics.hpp"
 
 namespace {
 
@@ -55,15 +54,14 @@ namespace {
 TEST(CollectorAlloc, AttachAtLargeKStaysUnderTheBudget) {
   constexpr std::size_t k = 512;
   // Any k^2-shaped structure blows this budget: even a bare pointer per
-  // link is k*k*8 = 2 MB. Per-peer series (a few vectors of k pointers)
-  // stay well under it.
+  // link is k*k*8 = 2 MB. The per-peer arrays (k words each) stay well
+  // under it.
   constexpr std::size_t kBudget = 256 * 1024;
 
   dr::Config cfg{.n = 1024, .k = k, .beta = 0.0, .message_bits = 256,
                  .seed = 1};
   dr::World world(cfg, BitVec(cfg.n));
-  MetricsRegistry registry;
-  RunMetricsCollector collector(registry);
+  RunMetricsCollector collector;
 
   g_largest.store(0);
   g_tracking.store(true);

@@ -1,10 +1,11 @@
-// The metrics layer: JSON value round-trips, histogram bucketing, registry
-// snapshots, and the standard run collector wired through a real scenario.
-#include "obs/metrics.hpp"
+// The metrics layer: JSON value round-trips and the standard run collector
+// wired through a real scenario.
+#include "obs/collect.hpp"
 
 #include <gtest/gtest.h>
 
-#include "obs/collect.hpp"
+#include <string>
+
 #include "obs/json.hpp"
 #include "protocols/runner.hpp"
 
@@ -62,87 +63,98 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(Json::parse("{\"a\" 1}").has_value());
 }
 
-TEST(Histogram, BucketsByUpperBound) {
-  obs::Histogram h({1.0, 4.0, 16.0});
-  for (double v : {0.5, 1.0, 2.0, 4.0, 5.0, 100.0}) h.observe(v);
-  // le=1: {0.5, 1.0}; le=4: {2.0, 4.0}; le=16: {5.0}; overflow: {100.0}.
-  ASSERT_EQ(h.bucket_counts().size(), 4u);
-  EXPECT_EQ(h.bucket_counts()[0], 2u);
-  EXPECT_EQ(h.bucket_counts()[1], 2u);
-  EXPECT_EQ(h.bucket_counts()[2], 1u);
-  EXPECT_EQ(h.bucket_counts()[3], 1u);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-}
-
-TEST(MetricsRegistry, SameNameAndLabelsIsTheSameSeries) {
-  obs::MetricsRegistry reg;
-  reg.counter("hits", {{"peer", "0"}}).add(2);
-  reg.counter("hits", {{"peer", "0"}}).add(3);
-  reg.counter("hits", {{"peer", "1"}}).add(1);
-  EXPECT_EQ(reg.counter("hits", {{"peer", "0"}}).value(), 5u);
-  EXPECT_EQ(reg.counter("hits", {{"peer", "1"}}).value(), 1u);
-}
-
-TEST(MetricsRegistry, SnapshotCarriesSchemaAndAllSeriesKinds) {
-  obs::MetricsRegistry reg;
-  reg.counter("c_total").add(9);
-  reg.gauge("g").set(2.5);
-  reg.histogram("h", {1.0, 2.0}).observe(1.5);
-
-  const Json snap = reg.snapshot();
-  EXPECT_EQ(snap.find("schema")->as_string(), "asyncdr-metrics-v1");
-  ASSERT_EQ(snap.find("counters")->size(), 1u);
-  EXPECT_EQ(snap.find("counters")->at(0).find("value")->as_int(), 9);
-  ASSERT_EQ(snap.find("gauges")->size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.find("gauges")->at(0).find("value")->as_number(), 2.5);
-  ASSERT_EQ(snap.find("histograms")->size(), 1u);
-  const Json& h = snap.find("histograms")->at(0);
-  EXPECT_EQ(h.find("count")->as_int(), 1);
-  ASSERT_EQ(h.find("buckets")->size(), 3u);
-  EXPECT_EQ(h.find("buckets")->at(2).find("le")->as_string(), "inf");
-
-  // The dump round-trips through the parser.
-  EXPECT_TRUE(Json::parse(reg.to_json_string()).has_value());
-}
-
-TEST(RunMetricsCollector, CountsAgreeWithTheRunReport) {
+proto::Scenario committee_scenario() {
   proto::Scenario s;
   s.cfg = dr::Config{.n = 256, .k = 8, .beta = 0.25, .message_bits = 1024,
                      .seed = 3};
   s.honest = proto::make_committee();
   s.crashes = adv::CrashPlan::silent_prefix(s.cfg.max_faulty());
+  return s;
+}
 
-  obs::MetricsRegistry reg;
-  obs::RunMetricsCollector collector(reg);
+/// Counts deliveries independently of the collector.
+struct DeliveryCounter final : sim::NetworkObserver {
+  std::uint64_t deliveries = 0;
+  void on_deliver(const sim::Message&) override { ++deliveries; }
+};
+
+std::uint64_t sum(const Json& values) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    total += static_cast<std::uint64_t>(values.at(i).as_int());
+  }
+  return total;
+}
+
+TEST(RunMetricsCollector, CountsAgreeWithTheRunReport) {
+  proto::Scenario s = committee_scenario();
+  obs::RunMetricsCollector collector;
+  DeliveryCounter counter;
+  Json snap;
   std::uint64_t served = 0;
-  s.instrument = [&](dr::World& world) { collector.attach(world); };
+  std::uint64_t nonfaulty_units = 0;
+  s.instrument = [&](dr::World& world) {
+    collector.attach(world);
+    world.add_observer(&counter);
+  };
   s.post_run = [&](dr::World& world, const dr::RunReport& report) {
-    collector.finalize(report);
+    snap = collector.snapshot(world, report);
     served = world.source().total_bits_served();
+    const Json& units = *snap.find("peers")->find("unit_messages");
+    for (sim::PeerId p = 0; p < s.cfg.k; ++p) {
+      if (!world.is_faulty(p)) {
+        nonfaulty_units += static_cast<std::uint64_t>(units.at(p).as_int());
+      }
+    }
   };
   const dr::RunReport report = proto::run_scenario(s);
   ASSERT_TRUE(report.ok());
+  EXPECT_EQ(snap.find("schema")->as_string(), "asyncdr-metrics-v2");
 
-  // Per-peer query counters sum to the source's own served-bits counter.
-  std::uint64_t counter_sum = 0;
-  for (std::size_t p = 0; p < s.cfg.k; ++p) {
-    counter_sum +=
-        reg.counter("source_query_bits_total", {{"peer", std::to_string(p)}})
-            .value();
-  }
-  EXPECT_EQ(counter_sum, served);
-  EXPECT_GT(counter_sum, 0u);
+  // Per-peer query bits sum to the source's own served-bits counter.
+  const Json& peers = *snap.find("peers");
+  ASSERT_EQ(peers.find("query_bits")->size(), s.cfg.k);
+  EXPECT_EQ(sum(*peers.find("query_bits")), served);
+  EXPECT_GT(served, 0u);
+  // Nonfaulty per-peer unit messages sum to M.
+  EXPECT_EQ(nonfaulty_units, report.message_complexity);
+  EXPECT_GT(nonfaulty_units, 0u);
 
-  // Headline gauges mirror the report.
-  EXPECT_DOUBLE_EQ(reg.gauge("run_query_complexity_bits").value(),
-                   static_cast<double>(report.query_complexity));
-  EXPECT_DOUBLE_EQ(reg.gauge("run_ok").value(), 1.0);
+  // Headline measures mirror the report.
+  const Json& run = *snap.find("run");
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                run.find("query_complexity_bits")->as_int()),
+            report.query_complexity);
+  EXPECT_TRUE(run.find("ok")->as_bool());
 
-  // The live histograms saw traffic.
-  EXPECT_GT(reg.histogram("source_query_bits", {}).count(), 0u);
-  EXPECT_GT(reg.histogram("sim_event_queue_depth", {}).count(), 0u);
+  // The live histograms saw traffic; latency counts every delivery.
+  const Json& hist = *snap.find("histograms");
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                hist.find("net_latency")->find("count")->as_int()),
+            counter.deliveries);
+  EXPECT_GT(counter.deliveries, 0u);
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                hist.find("source_query_bits")->find("count")->as_int()),
+            sum(*peers.find("query_calls")));
+  EXPECT_GT(hist.find("sim_event_queue_depth")->find("count")->as_int(), 0);
+}
+
+TEST(RunMetricsCollector, SnapshotIsAPureFunctionOfConfigAndSeed) {
+  const auto snapshot_text = [] {
+    proto::Scenario s = committee_scenario();
+    obs::RunMetricsCollector collector;
+    std::string text;
+    s.instrument = [&](dr::World& world) { collector.attach(world); };
+    s.post_run = [&](dr::World& world, const dr::RunReport& report) {
+      text = collector.snapshot(world, report).dump(2);
+    };
+    EXPECT_TRUE(proto::run_scenario(s).ok());
+    return text;
+  };
+  const std::string first = snapshot_text();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, snapshot_text());
+  EXPECT_TRUE(Json::parse(first).has_value());
 }
 
 }  // namespace

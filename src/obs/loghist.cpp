@@ -103,7 +103,10 @@ double LogHistogram::mean_est() const {
   for (const auto& [index, count] : buckets_) {
     total += static_cast<double>(count) * bucket_value(index);
   }
-  return total / static_cast<double>(count_);
+  // Clamp into the exact observed range, as percentile() does: bucket
+  // upper bounds overshoot, so a histogram of equal values would otherwise
+  // report a mean above its max.
+  return std::clamp(total / static_cast<double>(count_), min_, max_);
 }
 
 namespace {

@@ -62,7 +62,7 @@ class LogHistogram {
   [[nodiscard]] double percentile(std::uint64_t q) const;
 
   /// Mean estimated from bucket representatives, accumulated in fixed
-  /// bucket order (deterministic).
+  /// bucket order (deterministic) and clamped into [min, max].
   [[nodiscard]] double mean_est() const;
 
   /// Sparse counts, ascending index: {index, count} pairs with count > 0.

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -76,15 +77,22 @@ TEST(LogHistogram, ExtremeValuesClampToEdgeBuckets) {
             LogHistogram::kBucketCount - 1);
 }
 
-TEST(LogHistogram, SingletonPercentilesAreExact) {
-  LogHistogram h;
-  h.observe(137.0);
-  // Clamping into [min, max] makes every percentile of a singleton exact,
-  // not a bucket representative.
-  EXPECT_EQ(h.percentile(0), 137.0);
-  EXPECT_EQ(h.percentile(50), 137.0);
-  EXPECT_EQ(h.percentile(99), 137.0);
-  EXPECT_EQ(h.percentile(100), 137.0);
+TEST(LogHistogram, EqualValuesSummarizeExactly) {
+  // Clamping into [min, max] makes every percentile and the mean estimate
+  // of equal values exact, not a bucket representative. 8,704 lies in the
+  // bucket whose representative is 9,216, above the recorded max.
+  EXPECT_EQ(LogHistogram::bucket_value(LogHistogram::bucket_index(8704.0)),
+            9216.0);
+  for (const auto& [value, times] :
+       std::vector<std::pair<double, int>>{{137.0, 1}, {8704.0, 5}}) {
+    LogHistogram h;
+    for (int i = 0; i < times; ++i) h.observe(value);
+    EXPECT_EQ(h.percentile(0), value);
+    EXPECT_EQ(h.percentile(50), value);
+    EXPECT_EQ(h.percentile(99), value);
+    EXPECT_EQ(h.percentile(100), value);
+    EXPECT_EQ(h.mean_est(), value);
+  }
 }
 
 TEST(LogHistogram, PercentileWithinBucketResolution) {
@@ -186,7 +194,7 @@ TEST(LogHistogram, SparseCountsMatchDenseReference) {
   }
   EXPECT_EQ(direct.sparse_counts(), want);
   EXPECT_EQ(merged.sparse_counts(), want);
-  EXPECT_EQ(direct.mean_est(), mean / 2000.0);
+  EXPECT_EQ(direct.mean_est(), std::clamp(mean / 2000.0, lo, hi));
   for (const std::uint64_t q : {0u, 1u, 50u, 90u, 99u, 100u}) {
     const std::uint64_t rank = std::max<std::uint64_t>(1, (2000 * q + 99) / 100);
     std::uint64_t cum = 0;

@@ -106,7 +106,6 @@ std::string RunReport::peer_phase_table() const {
 
 World::World(Config cfg, BitVec input)
     : cfg_(cfg),
-      arena_(cfg.k),
       net_(engine_, cfg.k, cfg.message_bits),
       source_(std::move(input), cfg.k),
       peers_(cfg.k),
@@ -328,9 +327,6 @@ void World::do_restart(sim::PeerId id) {
   // Crash-stop semantics within an incarnation: the old peer's memory is
   // gone; only the journal carried state across. Build a fresh peer on a
   // per-incarnation RNG stream and splice it into the network.
-  // The dead incarnation's arena rows go first: the fresh peer must find
-  // default-constructed working sets, exactly as if it never ran.
-  arena_.reset_peer(id);
   std::unique_ptr<Peer> fresh = restart_factory_(cfg_, id);
   ASYNCDR_EXPECTS_MSG(fresh != nullptr, "restart factory returned null");
   fresh->bind(this, id,
@@ -548,9 +544,8 @@ void World::sample_mem(std::uint64_t events) {
   // The sampled pools: per-peer and source state are settled here — on
   // the epoch, not on every mutation — so their peaks are epoch-granular
   // by design (see DESIGN.md, "Memory observability").
-  // dr.peer.state = flyweight peer objects + the arena columns holding
-  // their per-peer working sets (the SoA side of the same state).
-  std::uint64_t peer_bytes = arena_.memory_bytes();
+  // dr.peer.state = what the live peers report, working sets included.
+  std::uint64_t peer_bytes = 0;
   for (const auto& p : peers_) {
     if (p != nullptr) peer_bytes += p->memory_bytes();
   }

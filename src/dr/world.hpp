@@ -9,10 +9,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <typeindex>
+#include <typeinfo>
 #include <vector>
 
 #include "common/bitvec.hpp"
-#include "dr/arena.hpp"
+#include "common/check.hpp"
 #include "dr/config.hpp"
 #include "dr/journal.hpp"
 #include "dr/peer.hpp"
@@ -276,12 +278,23 @@ class World : private sim::NetworkObserver {
   /// derive their own independent streams from the same master seed.
   [[nodiscard]] Rng adversary_rng(std::uint64_t tag) const;
 
-  /// The world-owned per-peer working-set arena (see dr/arena.hpp):
-  /// protocol peers keep their bulky per-peer books in typed columns here,
-  /// indexed by PeerId, instead of as member fields. do_restart() resets a
-  /// revived peer's rows; sample_mem() charges the arena to dr.peer.state.
-  [[nodiscard]] PeerArena& arena() { return arena_; }
-  [[nodiscard]] const PeerArena& arena() const { return arena_; }
+  /// Finds or creates the world-wide object `name` of type T, built by
+  /// make() on first use. It is for state derived from the world's config
+  /// alone, such as crash_multi's owner layout, that every peer reads: no
+  /// restart resets it, and no mem pool charges it. Reusing a name with a
+  /// different T is a wiring bug and throws.
+  template <typename T, typename Make>
+  T& shared(const std::string& name, Make&& make) {
+    for (const SharedObject& obj : shared_) {
+      if (obj.name != name) continue;
+      ASYNCDR_EXPECTS_MSG(obj.type == std::type_index(typeid(T)),
+                          "world object reused with a different type");
+      return *static_cast<T*>(obj.value.get());
+    }
+    auto value = std::make_shared<T>(make());
+    shared_.push_back({name, std::type_index(typeid(T)), value});
+    return *value;
+  }
 
   /// The per-world byte-accounting registry. Always on: pools are created
   /// up front (stable timeline columns) and wired into the engine, the
@@ -343,9 +356,14 @@ class World : private sim::NetworkObserver {
   obs::MemTimeline mem_timeline_;
 
   Config cfg_;
-  /// Must outlive peers_ (flyweight peers cache arena row pointers and may
-  /// consult them while being torn down).
-  PeerArena arena_;
+  /// World-wide objects (shared<T>); declared before peers_, so they
+  /// outlive the peers that cache pointers to them.
+  struct SharedObject {
+    std::string name;
+    std::type_index type;
+    std::shared_ptr<void> value;
+  };
+  std::vector<SharedObject> shared_;
   sim::Engine engine_;
   sim::Network net_;
   Source source_;

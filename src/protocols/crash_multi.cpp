@@ -179,45 +179,11 @@ CrashMultiPeer::CrashMultiPeer() : CrashMultiPeer(Options{}) {}
 
 CrashMultiPeer::CrashMultiPeer(Options opts) : opts_(opts) {}
 
-std::uint64_t CrashMultiPeer::Scratch::row_bytes(const Scratch& s) {
-  using obs::modeled_alloc_bytes;
-  std::uint64_t bytes =
-      modeled_alloc_bytes(s.heard.capacity() * sizeof(PeerSet));
-  for (const PeerSet& c : s.heard) {
-    if (c.memory_bytes() > 0) bytes += modeled_alloc_bytes(c.memory_bytes());
-  }
-  bytes += modeled_alloc_bytes(s.deferred.capacity() * sizeof(Deferred));
-  // A parked request shares the world's snapshot, but is charged for its
-  // bytes as if it held its own copy (the model the mem goldens pin).
-  for (const Deferred& d : s.deferred) {
-    if (d.req1.has_value()) {
-      bytes += modeled_alloc_bytes(d.req1->unknown->memory_bytes());
-    }
-    if (d.req2.has_value()) {
-      bytes += modeled_alloc_bytes(d.req2->unknown->memory_bytes());
-      bytes += modeled_alloc_bytes(d.req2->missing->ids.capacity() *
-                                   sizeof(sim::PeerId));
-    }
-  }
-  return bytes;
-}
-
-CrashMultiPeer::Scratch& CrashMultiPeer::scratch() {
-  if (row_ == nullptr) {
-    row_ = &world()
-                .arena()
-                .column<Scratch>("proto.crash_multi", &Scratch::row_bytes)
-                .row(id());
-  }
-  return *row_;
-}
-
 std::size_t CrashMultiPeer::quorum() const {
   return world().config().min_honest();
 }
 
 std::size_t CrashMultiPeer::direct_threshold() const {
-  if (opts_.direct_threshold > 0) return opts_.direct_threshold;
   return std::max<std::size_t>((n() + k() - 1) / k(), 2 * k());
 }
 
@@ -235,8 +201,8 @@ std::size_t CrashMultiPeer::max_phases() const {
 
 crashm::OwnerLayout& CrashMultiPeer::layout() {
   if (layout_ == nullptr) {
-    layout_ = &world().arena().shared<crashm::OwnerLayout>(
-        crashm::OwnerLayout::kArenaName,
+    layout_ = &world().shared<crashm::OwnerLayout>(
+        crashm::OwnerLayout::kSharedName,
         [this] { return crashm::OwnerLayout(n(), k()); });
   }
   return *layout_;
@@ -283,8 +249,23 @@ std::size_t CrashMultiPeer::memory_bytes() const {
     bytes += modeled_alloc_bytes(phase_unknown_->memory_bytes());
   }
   bytes += modeled_alloc_bytes(missing_.capacity() * sizeof(sim::PeerId));
-  // The heard/deferred working set lives in the arena column
-  // "proto.crash_multi"; the arena charges it to dr.peer.state directly.
+  bytes += modeled_alloc_bytes(heard_.capacity() * sizeof(PeerSet));
+  for (const PeerSet& c : heard_) {
+    if (c.memory_bytes() > 0) bytes += modeled_alloc_bytes(c.memory_bytes());
+  }
+  bytes += modeled_alloc_bytes(deferred_.capacity() * sizeof(Deferred));
+  // A parked request shares the world's snapshot, but is charged for its
+  // bytes as if it held its own copy (the model the mem goldens pin).
+  for (const Deferred& d : deferred_) {
+    if (d.req1.has_value()) {
+      bytes += modeled_alloc_bytes(d.req1->unknown->memory_bytes());
+    }
+    if (d.req2.has_value()) {
+      bytes += modeled_alloc_bytes(d.req2->unknown->memory_bytes());
+      bytes += modeled_alloc_bytes(d.req2->missing->ids.capacity() *
+                                   sizeof(sim::PeerId));
+    }
+  }
   return static_cast<std::size_t>(bytes);
 }
 
@@ -295,11 +276,9 @@ std::string CrashMultiPeer::status() const {
   switch (progress_) {
     case Progress::kIdle: os << "idle (not started)"; break;
     case Progress::kWait1: {
-      const Scratch* sc = scratch_if_bound();
       const std::size_t heard_count =
-          (sc != nullptr && phase_ >= 1 && phase_ <= sc->heard.size())
-              ? sc->heard[phase_ - 1].size()
-              : 0;
+          (phase_ >= 1 && phase_ <= heard_.size()) ? heard_[phase_ - 1].size()
+                                                   : 0;
       os << "stage 2: waiting for RESP1 quorum (" << heard_count << "/"
          << quorum() << " heard)";
       break;
@@ -343,9 +322,8 @@ void CrashMultiPeer::start_phase(std::size_t r) {
 
   // Stage 1: query my own share and pull everyone else's.
   if (!query_mask(layout().share(*phase_unknown_, r, id()))) return;
-  Scratch& sc = scratch();
-  if (sc.heard.size() < r) sc.heard.resize(r);
-  sc.heard[r - 1].insert(id(), k());
+  if (heard_.size() < r) heard_.resize(r);
+  heard_[r - 1].insert(id(), k());
   missing_.clear();
   resp2_count_ = 0;
   progress_ = Progress::kWait1;
@@ -429,9 +407,8 @@ void CrashMultiPeer::on_message(sim::PeerId from, const sim::Payload& payload) {
     if (resp1->chunk->size() == n()) {
       // A responder answers with its own share.
       learn(resp1->phase, from, resp1->chunk);
-      Scratch& sc = scratch();
-      if (sc.heard.size() < resp1->phase) sc.heard.resize(resp1->phase);
-      sc.heard[resp1->phase - 1].insert(from, k());
+      if (heard_.size() < resp1->phase) heard_.resize(resp1->phase);
+      heard_[resp1->phase - 1].insert(from, k());
     }
     try_advance();
     return;
@@ -455,7 +432,7 @@ void CrashMultiPeer::on_message(sim::PeerId from, const sim::Payload& payload) {
     if (req1_eligible(*req1)) {
       handle_req1(from, *req1);
     } else {
-      scratch().deferred.push_back(Deferred{from, *req1, std::nullopt});
+      deferred_.push_back(Deferred{from, *req1, std::nullopt});
     }
     return;
   }
@@ -464,7 +441,7 @@ void CrashMultiPeer::on_message(sim::PeerId from, const sim::Payload& payload) {
     if (req2_eligible(*req2)) {
       handle_req2(from, *req2);
     } else {
-      scratch().deferred.push_back(Deferred{from, std::nullopt, *req2});
+      deferred_.push_back(Deferred{from, std::nullopt, *req2});
     }
     return;
   }
@@ -493,9 +470,8 @@ void CrashMultiPeer::handle_req1(sim::PeerId from, const Req1& req) {
 }
 
 void CrashMultiPeer::handle_req2(sim::PeerId from, const Req2& req) {
-  const Scratch& sc = scratch();
   const PeerSet* heard =
-      sc.heard.size() >= req.phase ? &sc.heard[req.phase - 1] : nullptr;
+      heard_.size() >= req.phase ? &heard_[req.phase - 1] : nullptr;
   send(from, crashm::answer(layout(), req, heard, out_, known_));
 }
 
@@ -508,12 +484,11 @@ void CrashMultiPeer::try_advance() {
       complete_now();
       return;
     }
-    const Scratch& sc = scratch();
-    if (sc.heard[phase_ - 1].size() >= quorum()) {
+    if (heard_[phase_ - 1].size() >= quorum()) {
       // Stage 2 -> 3: name the unheard peers.
       missing_.clear();
       for (sim::PeerId q = 0; q < k(); ++q) {
-        if (!sc.heard[phase_ - 1].contains(q)) missing_.push_back(q);
+        if (!heard_[phase_ - 1].contains(q)) missing_.push_back(q);
       }
       // asyncdr-lint: allow(DR014) intra-round stage cursor, volatile by
       //   design: recovery never resumes mid-round (on_restart completes
@@ -575,9 +550,8 @@ void CrashMultiPeer::complete_now() {
 
 void CrashMultiPeer::process_deferred() {
   std::vector<Deferred> keep;
-  Scratch& sc = scratch();
-  auto pending = std::move(sc.deferred);
-  sc.deferred.clear();
+  auto pending = std::move(deferred_);
+  deferred_.clear();
   for (auto& d : pending) {
     if (d.req1) {
       if (req1_eligible(*d.req1)) {
@@ -593,7 +567,7 @@ void CrashMultiPeer::process_deferred() {
       }
     }
   }
-  for (auto& d : keep) sc.deferred.push_back(std::move(d));
+  for (auto& d : keep) deferred_.push_back(std::move(d));
 }
 
 }  // namespace asyncdr::proto

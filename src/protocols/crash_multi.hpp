@@ -64,7 +64,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dr/arena.hpp"
 #include "dr/peer.hpp"
 #include "protocols/chunk.hpp"
 #include "protocols/peer_set.hpp"
@@ -91,12 +90,12 @@ using ChunkPtr = std::shared_ptr<const MaskChunk>;
 /// Also per phase: the distinct unknown sets peers started it with, and per
 /// (snapshot, owner) the chunk of the owner's share. Everything is kept for
 /// the world's lifetime, so a snapshot or chunk pointer never names two
-/// contents. One layout serves a whole world (CrashMultiPeer binds it in
-/// the world's arena).
+/// contents. One layout serves a whole world (CrashMultiPeer binds it as
+/// the world's shared object kSharedName).
 class OwnerLayout {
  public:
-  /// Name of the world's layout in its arena (dr::PeerArena::shared).
-  static constexpr const char* kArenaName = "proto.crash_multi.owners";
+  /// Name of the world's layout among its shared objects (World::shared).
+  static constexpr const char* kSharedName = "proto.crash_multi.owners";
 
   OwnerLayout(std::size_t n, std::size_t k);
 
@@ -298,36 +297,12 @@ class CrashMultiPeer final : public dr::Peer {
     /// Thm 2.13 optimization: release the stage-3 wait as soon as late
     /// RESP1s cover every pending peer. Ablated in bench_crash.
     bool fast_cancel = true;
-    /// Stop phasing and query the rest directly once the unknown count is
-    /// at most this. 0 = auto: max(ceil(n/k), 2k).
-    std::size_t direct_threshold = 0;
     /// Hard cap on phases. 0 = auto from beta.
     std::size_t max_phases = 0;
   };
 
   CrashMultiPeer();
   explicit CrashMultiPeer(Options opts);
-
-  /// A request arriving before this peer can answer it (stage ordering).
-  struct Deferred {
-    sim::PeerId from;
-    std::optional<crashm::Req1> req1;
-    std::optional<crashm::Req2> req2;
-  };
-
-  /// Per-peer protocol working set, kept as a row of the world-owned
-  /// arena column "proto.crash_multi" (flyweight substrate): the peer
-  /// object holds only a cached row pointer. World::do_restart resets the
-  /// row before the fresh incarnation binds, so scratch state never leaks
-  /// across incarnations.
-  struct Scratch {
-    std::vector<PeerSet> heard;     ///< C_r per phase (index r-1)
-    std::vector<Deferred> deferred; ///< requests parked until eligible
-
-    /// Deep heap bytes per row (the arena column charges these to
-    /// dr.peer.state; Peer::memory_bytes deliberately excludes them).
-    static std::uint64_t row_bytes(const Scratch& s);
-  };
 
   void on_start() override;
   /// Crash-recovery resume: seeds out_/known_ from the replayed journal,
@@ -343,10 +318,8 @@ class CrashMultiPeer final : public dr::Peer {
   [[nodiscard]] const BitVec& known() const { return known_; }
   [[nodiscard]] std::size_t known_count() const { return known_count_; }
 
-  /// Adds the peer-resident working set (bit masks, missing list) to the
-  /// base output accounting. The arena-resident scratch (heard sets,
-  /// deferred requests) is charged by the arena column itself — counting
-  /// it here too would double-charge dr.peer.state.
+  /// Adds the working set (bit masks, missing list, heard sets, parked
+  /// requests) to the base output accounting.
   [[nodiscard]] std::size_t memory_bytes() const override;
 
  protected:
@@ -382,7 +355,7 @@ class CrashMultiPeer final : public dr::Peer {
   void learn(std::size_t phase, sim::PeerId owner,
              const crashm::ChunkPtr& chunk);
 
-  /// The world's owner layout, bound on first use (like scratch()).
+  /// The world's owner layout, bound on first use.
   [[nodiscard]] crashm::OwnerLayout& layout();
 
   Options opts_;
@@ -410,15 +383,15 @@ class CrashMultiPeer final : public dr::Peer {
 
   bool full_sent_ = false;
 
-  /// Binds (on first use) and returns this peer's arena scratch row. Row
-  /// storage is stable for the world's lifetime, so the cached pointer
-  /// never dangles; a fresh incarnation starts unbound and re-binds.
-  [[nodiscard]] Scratch& scratch();
-  /// The row if already bound, else nullptr (const paths — status,
-  /// accounting — treat an unbound row as empty).
-  [[nodiscard]] const Scratch* scratch_if_bound() const { return row_; }
+  /// A request arriving before this peer can answer it (stage ordering).
+  struct Deferred {
+    sim::PeerId from;
+    std::optional<crashm::Req1> req1;
+    std::optional<crashm::Req2> req2;
+  };
+  std::vector<PeerSet> heard_;      // C_r per phase (index r-1)
+  std::vector<Deferred> deferred_;  // requests parked until eligible
 
-  Scratch* row_ = nullptr;
   crashm::OwnerLayout* layout_ = nullptr;
 };
 

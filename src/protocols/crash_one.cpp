@@ -11,39 +11,6 @@ using crash1::Stage1;
 using crash1::Stage2Req;
 using crash1::Stage2Resp;
 
-std::uint64_t CrashOnePeer::Scratch::row_bytes(const Scratch& s) {
-  using obs::modeled_alloc_bytes;
-  // One red-black node per coverage entry (key + IntervalSet header inside
-  // the node) plus each set's interval storage, modeled like the source's
-  // overlay nodes.
-  std::uint64_t bytes =
-      static_cast<std::uint64_t>(s.coverage.size()) * modeled_alloc_bytes(96);
-  for (const auto& [key, set] : s.coverage) {
-    if (set.memory_bytes() > 0) {
-      bytes += modeled_alloc_bytes(set.memory_bytes());
-    }
-  }
-  bytes += modeled_alloc_bytes(
-      s.pending_requests.capacity() *
-      sizeof(std::pair<sim::PeerId, crash1::Stage2Req>));
-  for (const auto& [from, req] : s.pending_requests) {
-    if (req.needed.memory_bytes() > 0) {
-      bytes += modeled_alloc_bytes(req.needed.memory_bytes());
-    }
-  }
-  return bytes;
-}
-
-CrashOnePeer::Scratch& CrashOnePeer::scratch() {
-  if (row_ == nullptr) {
-    row_ = &world()
-                .arena()
-                .column<Scratch>("proto.crash_one", &Scratch::row_bytes)
-                .row(id());
-  }
-  return *row_;
-}
-
 void CrashOnePeer::on_start() {
   ASYNCDR_EXPECTS_MSG(k() >= 3, "Algorithm 1 needs k >= 3");
   ensure_init();
@@ -81,6 +48,30 @@ void CrashOnePeer::on_restart(const dr::RecoveryState& state) {
   finish(out_);
 }
 
+std::size_t CrashOnePeer::memory_bytes() const {
+  using obs::modeled_alloc_bytes;
+  std::uint64_t bytes = dr::Peer::memory_bytes();
+  // One red-black node per coverage entry (key + IntervalSet header inside
+  // the node) plus each set's interval storage, modeled like the source's
+  // overlay nodes.
+  bytes += static_cast<std::uint64_t>(coverage_.size()) *
+           modeled_alloc_bytes(96);
+  for (const auto& [key, set] : coverage_) {
+    if (set.memory_bytes() > 0) {
+      bytes += modeled_alloc_bytes(set.memory_bytes());
+    }
+  }
+  bytes += modeled_alloc_bytes(
+      pending_requests_.capacity() *
+      sizeof(std::pair<sim::PeerId, crash1::Stage2Req>));
+  for (const auto& [from, req] : pending_requests_) {
+    if (req.needed.memory_bytes() > 0) {
+      bytes += modeled_alloc_bytes(req.needed.memory_bytes());
+    }
+  }
+  return static_cast<std::size_t>(bytes);
+}
+
 void CrashOnePeer::ensure_init() {
   // Messages may arrive before this peer's (adversary-chosen) start time.
   // asyncdr-lint: allow(DR014) lazy allocation of the empty array, not
@@ -99,7 +90,7 @@ void CrashOnePeer::start_phase1() {
     if (!journal_bits(mine.lo, values)) return;  // killed mid-append
   }
   const IntervalSet mine_set = IntervalSet::of(mine.lo, mine.hi);
-  scratch().coverage[{1, id()}] = mine_set;
+  coverage_[{1, id()}] = mine_set;
   broadcast(std::make_shared<Stage1>(1, BitChunk::extract(out_, mine_set)));
   progress_ = Progress::kPhase1Wait1;
   try_advance();
@@ -109,14 +100,14 @@ void CrashOnePeer::on_message(sim::PeerId from, const sim::Payload& payload) {
   ensure_init();
   if (const auto* s1 = sim::payload_as<Stage1>(payload)) {
     s1->chunk.apply_to(out_, known_);
-    scratch().coverage[{s1->phase, from}].unite(s1->chunk.indices);
+    coverage_[{s1->phase, from}].unite(s1->chunk.indices);
     try_advance();
     return;
   }
   if (const auto* req = sim::payload_as<Stage2Req>(payload)) {
     if (progress_ == Progress::kStart || progress_ == Progress::kPhase1Wait1) {
       // The paper: delay the response until my own stage-2 wait finished.
-      scratch().pending_requests.emplace_back(from, *req);
+      pending_requests_.emplace_back(from, *req);
     } else {
       answer_request(from, *req);
     }
@@ -140,13 +131,12 @@ void CrashOnePeer::try_advance() {
     std::size_t heard = 0;
     sim::PeerId unheard = sim::kNoPeer;
     const SegmentLayout layout = blocks();
-    const auto& coverage = scratch().coverage;
     for (sim::PeerId q = 0; q < k(); ++q) {
       const Interval b = layout.bounds(q);
-      const auto it = coverage.find({1, q});
+      const auto it = coverage_.find({1, q});
       const bool covered =
           b.length() == 0 ||
-          (it != coverage.end() &&
+          (it != coverage_.end() &&
            it->second.count() >= b.length() &&
            [&] {
              IntervalSet want = IntervalSet::of(b.lo, b.hi);
@@ -199,8 +189,8 @@ void CrashOnePeer::try_advance() {
 }
 
 void CrashOnePeer::answer_pending_requests() {
-  auto pending = std::move(scratch().pending_requests);
-  scratch().pending_requests.clear();
+  auto pending = std::move(pending_requests_);
+  pending_requests_.clear();
   for (auto& [from, req] : pending) answer_request(from, req);
 }
 

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/interval_set.hpp"
-#include "dr/arena.hpp"
 #include "dr/peer.hpp"
 #include "protocols/chunk.hpp"
 #include "protocols/segments.hpp"
@@ -115,25 +114,15 @@ struct Stage2Resp final : sim::Payload {
 /// A nonfaulty peer of Algorithm 1. Requires k >= 3.
 class CrashOnePeer final : public dr::Peer {
  public:
-  /// Per-peer protocol working set, kept as a row of the world-owned arena
-  /// column "proto.crash_one" (flyweight substrate): the peer holds only a
-  /// cached row pointer, and World::do_restart resets the row before a
-  /// fresh incarnation binds.
-  struct Scratch {
-    /// Stage-1 coverage received per (phase, sender).
-    std::map<std::pair<std::size_t, sim::PeerId>, IntervalSet> coverage;
-    /// Stage-2 requests that arrived before my own stage-2 wait finished.
-    std::vector<std::pair<sim::PeerId, crash1::Stage2Req>> pending_requests;
-
-    /// Deep heap bytes per row, charged to dr.peer.state by the arena.
-    static std::uint64_t row_bytes(const Scratch& s);
-  };
-
   void on_start() override;
   /// Crash-recovery resume: seeds out_/known_ from the replayed journal,
   /// queries only the missing bits, then acts as a completion-mode peer
   /// (full-array push) so it terminates even if everyone else already has.
   void on_restart(const dr::RecoveryState& state) override;
+
+  /// Adds the working set (stage-1 coverage, parked requests) to the base
+  /// output accounting.
+  [[nodiscard]] std::size_t memory_bytes() const override;
 
  protected:
   void on_message(sim::PeerId from, const sim::Payload& payload) override;
@@ -163,10 +152,6 @@ class CrashOnePeer final : public dr::Peer {
   /// increasing ID order).
   [[nodiscard]] IntervalSet phase2_share(sim::PeerId missing, sim::PeerId owner) const;
 
-  /// Binds (on first use) and returns this peer's arena scratch row; row
-  /// storage is stable for the world's lifetime.
-  [[nodiscard]] Scratch& scratch();
-
   Progress progress_ = Progress::kStart;
   BitVec out_;
   IntervalSet known_;
@@ -176,7 +161,10 @@ class CrashOnePeer final : public dr::Peer {
   bool got_missing_bits_ = false;
   bool phase2_broadcast_done_ = false;
 
-  Scratch* row_ = nullptr;
+  /// Stage-1 coverage received per (phase, sender).
+  std::map<std::pair<std::size_t, sim::PeerId>, IntervalSet> coverage_;
+  /// Stage-2 requests that arrived before my own stage-2 wait finished.
+  std::vector<std::pair<sim::PeerId, crash1::Stage2Req>> pending_requests_;
 };
 
 }  // namespace asyncdr::proto

@@ -1,4 +1,4 @@
-// Membership set over PeerIds, tuned for the flyweight peer substrate.
+// Membership set over PeerIds, sized for "heard from" books at large k.
 //
 // Protocol "heard from" books used to be std::set<PeerId>: one red-black
 // node (~64 heap bytes) per recorded peer, times k peers keeping books,

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adversary/crash_plan.hpp"
@@ -165,46 +166,55 @@ TEST(WorldMemAccounting, ReportCarriesTheBreakdownAndTimeline) {
   EXPECT_EQ(timeline.samples.back().events, report.events);
 }
 
-/// Flyweight-substrate cross-check: dr.peer.state must equal the sum of
-/// every peer's self-reported bytes PLUS the world arena's column bytes —
-/// protocol scratch lives in the arena and peers no longer charge it, so a
-/// double count (peer still charging a migrated book) or a gap (a column
-/// missing from sample_mem) both break this equality.
-TEST(WorldMemAccounting, PeerStatePoolMatchesPeersPlusArena) {
-  proto::Scenario s = small_scenario(11);
-  bool checked = false;
-  s.post_run = [&](dr::World& world, const dr::RunReport& report) {
-    ASSERT_TRUE(report.ok());
-    std::uint64_t expect = world.arena().memory_bytes();
-    for (sim::PeerId id = 0; id < s.cfg.k; ++id) {
-      expect += world.peer(id).memory_bytes();
-    }
-    std::uint64_t pool_current = 0;
-    bool found = false;
-    for (const MemPoolStats& p : world.mem().snapshot()) {
-      if (p.name == "dr.peer.state") {
-        pool_current = p.current;
-        found = true;
+/// dr.peer.state must equal the sum of every live peer's self-reported
+/// bytes, working sets included: a book a peer forgets to charge, or one a
+/// restarted peer inherits from or drops against its dead incarnation,
+/// breaks the equality. Inputs: crash_multi with silent-prefix crashes
+/// (the rescue machinery keeps heard sets), crash_one, and a crash_multi
+/// recovery world with a restart.
+TEST(WorldMemAccounting, PeerStatePoolMatchesPeerSum) {
+  proto::Scenario crash_one = small_scenario(13);
+  crash_one.cfg.beta = 0.125;  // Algorithm 1 tolerates one crash
+  crash_one.crashes = adv::CrashPlan::silent_prefix(1);
+  crash_one.honest = proto::make_crash_one();
+  proto::Scenario recovery = small_scenario(17);
+  recovery.cfg.beta = 0.5;
+  recovery.crashes = adv::CrashPlan{};
+  recovery.recovery.factory = proto::make_crash_multi();
+  recovery.crashes.add_at_time(5, 1.5);
+  recovery.crashes.add_restart_after(5, 2.0);
+  const std::vector<std::pair<const char*, proto::Scenario>> inputs{
+      {"crash_multi", small_scenario(11)},
+      {"crash_one", crash_one},
+      {"crash_multi recovery", recovery}};
+  for (auto [name, s] : inputs) {
+    SCOPED_TRACE(name);
+    bool checked = false;
+    s.post_run = [&](dr::World& world, const dr::RunReport& report) {
+      ASSERT_TRUE(report.ok()) << report.to_string();
+      std::uint64_t expect = 0;
+      for (sim::PeerId id = 0; id < s.cfg.k; ++id) {
+        expect += world.peer(id).memory_bytes();
       }
+      std::uint64_t pool_current = 0;
+      bool found = false;
+      for (const MemPoolStats& p : world.mem().snapshot()) {
+        if (p.name == "dr.peer.state") {
+          pool_current = p.current;
+          found = true;
+        }
+      }
+      ASSERT_TRUE(found);
+      EXPECT_EQ(pool_current, expect);
+      checked = true;
+    };
+    const dr::RunReport report = proto::run_scenario(s);
+    ASSERT_TRUE(report.ok());
+    if (s.recovery.enabled()) {
+      EXPECT_GE(report.recovery.restarts, 1u);
     }
-    ASSERT_TRUE(found);
-    EXPECT_EQ(pool_current, expect);
-
-    // The arena's introspection must be internally consistent too: the
-    // per-column bytes sum to the arena total, and the crash_multi scratch
-    // landed in its named column (the phases ran: silent-prefix crashes
-    // force the rescue machinery, so books were kept).
-    std::uint64_t column_sum = 0;
-    for (const std::string& name : world.arena().column_names()) {
-      column_sum += world.arena().column_bytes(name);
-    }
-    EXPECT_EQ(column_sum, world.arena().memory_bytes());
-    EXPECT_GT(world.arena().column_bytes("proto.crash_multi"), 0u);
-    checked = true;
-  };
-  const dr::RunReport report = proto::run_scenario(s);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(checked);
+    EXPECT_TRUE(checked);
+  }
 }
 
 TEST(WorldMemAccounting, BreakdownIsSeedDeterministic) {

@@ -131,19 +131,20 @@ TEST(CrashMulti, StragglerStartTimes) {
 }
 
 TEST(CrashMulti, OptionsControlPhaseStructure) {
-  // direct_threshold = n forces the one-shot naive path; max_phases = 1
-  // forces the direct tail right after phase 1.
-  dr::Config c = cfg(1 << 12, 8, 0.25, 4);
+  // n <= 2k puts every bit under the direct threshold max(ceil(n/k), 2k),
+  // so each peer takes the one-shot naive path; max_phases = 1 forces the
+  // direct tail right after phase 1.
   {
+    const dr::Config c = cfg(16, 8, 0.25, 4);
     dr::World world(c, random_input(c.n, c.seed));
     for (sim::PeerId id = 0; id < c.k; ++id) {
-      world.set_peer(id, std::make_unique<CrashMultiPeer>(
-                             CrashMultiPeer::Options{.direct_threshold = c.n}));
+      world.set_peer(id, std::make_unique<CrashMultiPeer>());
     }
     const auto report = world.run();
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report.query_complexity, c.n);  // everyone queried everything
   }
+  dr::Config c = cfg(1 << 12, 8, 0.25, 4);
   {
     dr::World world(c, random_input(c.n, c.seed));
     std::vector<CrashMultiPeer*> peers;
@@ -381,8 +382,8 @@ TEST(CrashMultiOwnerLayout, Table1WorldBuildsFewChunks) {
   std::size_t built = 0;
   s.post_run = [&](dr::World& world, const dr::RunReport&) {
     bool made = false;
-    built = world.arena()
-                .shared<crashm::OwnerLayout>(crashm::OwnerLayout::kArenaName,
+    built = world
+                .shared<crashm::OwnerLayout>(crashm::OwnerLayout::kSharedName,
                                              [&] {
                                                made = true;
                                                return crashm::OwnerLayout(1, 1);

@@ -235,6 +235,21 @@ SparseMask::SparseMask(const BitVec& dense)
         }
       })) {}
 
+SparseMask SparseMask::range(std::size_t n, std::size_t lo, std::size_t hi) {
+  ASYNCDR_EXPECTS(lo <= hi && hi <= n);
+  return build(n, [&](auto&& push) {
+    if (lo == hi) return;
+    const std::size_t first = lo / BitVec::kWordBits;
+    const std::size_t last = (hi - 1) / BitVec::kWordBits;
+    for (std::size_t w = first; w <= last; ++w) {
+      std::uint64_t bits = kAllOnes;
+      if (w == first) bits &= kAllOnes << (lo % BitVec::kWordBits);
+      if (w == last) bits &= BitVec::low_bits(hi - w * BitVec::kWordBits);
+      push(w, bits);
+    }
+  });
+}
+
 void SparseMask::append(std::size_t i) {
   const std::size_t w = i / BitVec::kWordBits;
   const std::uint64_t bit = std::uint64_t{1} << (i % BitVec::kWordBits);
@@ -253,6 +268,27 @@ SparseMask SparseMask::intersect(const BitVec& other) const {
   return build(size_, [&](auto&& push) {
     for (const Word& m : words_) push(m.index, m.bits & other.words_[m.index]);
   });
+}
+
+std::vector<Interval> SparseMask::runs_outside(const BitVec& known) const {
+  ASYNCDR_EXPECTS(size_ == known.size_);
+  std::vector<Interval> runs;
+  for (const Word& m : words_) {
+    const std::size_t base = m.index * BitVec::kWordBits;
+    std::uint64_t bits = m.bits & ~known.words_[m.index];
+    while (bits != 0) {
+      const auto lo = static_cast<std::size_t>(std::countr_zero(bits));
+      const auto len = static_cast<std::size_t>(std::countr_one(bits >> lo));
+      if (!runs.empty() && runs.back().hi == base + lo) {
+        runs.back().hi += len;  // continues the previous word's last run
+      } else {
+        runs.push_back(Interval{base + lo, base + lo + len});
+      }
+      // Clears the run; one that reaches bit 63 empties the word.
+      bits &= ~BitVec::low_bits(lo + len);
+    }
+  }
+  return runs;
 }
 
 }  // namespace asyncdr

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/interval_set.hpp"
 
 namespace asyncdr {
 
@@ -215,6 +216,8 @@ class SparseMask {
   /// An n-bit mask with no bit set.
   explicit SparseMask(std::size_t n) : size_(n) {}
   explicit SparseMask(const BitVec& dense);
+  /// The n-bit mask of bits [lo, hi), built a word at a time.
+  static SparseMask range(std::size_t n, std::size_t lo, std::size_t hi);
 
   /// Sets bit i, which must come after every bit set so far.
   void append(std::size_t i);
@@ -222,6 +225,10 @@ class SparseMask {
   /// The set bits of *this that are also set in `other` (same size), built
   /// a word at a time.
   [[nodiscard]] SparseMask intersect(const BitVec& other) const;
+
+  /// The maximal runs of bits set here and clear in `known` (same size),
+  /// ascending, found a word at a time: a run may span words.
+  [[nodiscard]] std::vector<Interval> runs_outside(const BitVec& known) const;
 
   /// Length n of the mask (not its heap size).
   [[nodiscard]] std::size_t size() const { return size_; }

@@ -118,15 +118,6 @@ std::vector<IntervalSet> IntervalSet::split_evenly(std::size_t parts) const {
   return out;
 }
 
-std::vector<std::size_t> IntervalSet::to_indices() const {
-  std::vector<std::size_t> out;
-  out.reserve(count_);
-  for (const Interval& iv : intervals_) {
-    for (std::size_t i = iv.lo; i < iv.hi; ++i) out.push_back(i);
-  }
-  return out;
-}
-
 std::string IntervalSet::to_string() const {
   std::ostringstream os;
   os << '{';

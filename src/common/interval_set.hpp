@@ -52,9 +52,6 @@ class IntervalSet {
   /// in index order. Used to spread unknown bits evenly over peers.
   [[nodiscard]] std::vector<IntervalSet> split_evenly(std::size_t parts) const;
 
-  /// Materializes the member indices in increasing order.
-  [[nodiscard]] std::vector<std::size_t> to_indices() const;
-
   [[nodiscard]] const std::vector<Interval>& intervals() const { return intervals_; }
 
   [[nodiscard]] std::string to_string() const;
@@ -83,22 +80,5 @@ class IntervalSet {
   std::vector<Interval> intervals_;
   std::size_t count_ = 0;
 };
-
-/// Walks the maximal runs of consecutive values in an index list: calls
-/// fn(at, lo, len) with indices[at + i] == lo + i for every i < len, in list
-/// order, until fn returns false. Returns false iff fn stopped the walk.
-template <typename F>
-bool for_each_run(const std::vector<std::size_t>& indices, F&& fn) {
-  std::size_t at = 0;
-  while (at < indices.size()) {
-    std::size_t end = at + 1;
-    while (end < indices.size() && indices[end] == indices[end - 1] + 1) {
-      ++end;
-    }
-    if (!fn(at, indices[at], end - at)) return false;
-    at = end;
-  }
-  return true;
-}
 
 }  // namespace asyncdr

@@ -266,20 +266,36 @@ JournalReplay Journal::replay(const std::vector<std::uint8_t>& log,
 }
 
 std::uint32_t Journal::crc32(const std::uint8_t* data, std::size_t len) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: tables[0] is the byte-wise table, and tables[j][b] is the
+  // CRC register after byte b followed by j zero bytes, so eight bytes fold
+  // into the register with eight lookups and no serial chain between them.
+  static const auto tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int b = 0; b < 8; ++b) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t j = 1; j < t.size(); ++j) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[j][i] = (t[j - 1][i] >> 8) ^ t[0][t[j - 1][i] & 0xffu];
+      }
     }
     return t;
   }();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    const auto lo = static_cast<std::uint32_t>(load_le(data, 4)) ^ crc;
+    const auto hi = static_cast<std::uint32_t>(load_le(data + 4, 4));
+    crc = tables[7][lo & 0xffu] ^ tables[6][(lo >> 8) & 0xffu] ^
+          tables[5][(lo >> 16) & 0xffu] ^ tables[4][lo >> 24] ^
+          tables[3][hi & 0xffu] ^ tables[2][(hi >> 8) & 0xffu] ^
+          tables[1][(hi >> 16) & 0xffu] ^ tables[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    crc = tables[0][(crc ^ *data) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -1,7 +1,6 @@
 #include "dr/peer.hpp"
 
 #include "common/check.hpp"
-#include "common/interval_set.hpp"
 #include "dr/world.hpp"
 #include "obs/mem.hpp"
 
@@ -43,8 +42,8 @@ BitVec Peer::query_range(std::size_t lo, std::size_t len) {
   return world_->source().query_range(id_, lo, len);
 }
 
-BitVec Peer::query_indices(const std::vector<std::size_t>& indices) {
-  return world_->source().query_indices(id_, indices);
+BitVec Peer::query_runs(std::span<const Interval> runs) {
+  return world_->source().query_runs(id_, runs);
 }
 
 sim::Time Peer::now() const { return world_->engine().now(); }
@@ -63,17 +62,21 @@ bool Peer::journal_bits(std::size_t lo, const BitVec& values) {
   return world_->journal_for(id_).append_bits(lo, values);
 }
 
-bool Peer::journal_indices(const std::vector<std::size_t>& indices,
-                           const BitVec& values) {
+bool Peer::journal_runs(std::span<const Interval> runs,
+                        const BitVec& values) {
   if (!journaling()) return true;
-  ASYNCDR_EXPECTS(indices.size() == values.size());
+  std::size_t bits = 0;
+  for (const Interval& run : runs) bits += run.length();
+  ASYNCDR_EXPECTS(bits == values.size());
   Journal journal = world_->journal_for(id_);
   // A kill between runs leaves a valid prefix: strictly fewer claimed bits
   // than downloaded, never more.
-  return for_each_run(
-      indices, [&](std::size_t at, std::size_t lo, std::size_t len) {
-        return journal.append_bits(lo, values, at, len);
-      });
+  std::size_t at = 0;
+  for (const Interval& run : runs) {
+    if (!journal.append_bits(run.lo, values, at, run.length())) return false;
+    at += run.length();
+  }
+  return true;
 }
 
 bool Peer::journal_checkpoint(const std::string& name, std::uint64_t value) {

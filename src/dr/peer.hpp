@@ -6,9 +6,11 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/bitvec.hpp"
+#include "common/interval_set.hpp"
 #include "common/rng.hpp"
 #include "sim/message.hpp"
 #include "sim/network.hpp"
@@ -69,7 +71,9 @@ class Peer : public sim::Receiver {
 
   bool query(std::size_t index);
   BitVec query_range(std::size_t lo, std::size_t len);
-  BitVec query_indices(const std::vector<std::size_t>& indices);
+  /// One batch of ascending, non-empty, disjoint runs (Source::query_runs):
+  /// the only download path for a set that is not one range.
+  BitVec query_runs(std::span<const Interval> runs);
 
   [[nodiscard]] sim::Time now() const;
 
@@ -85,10 +89,10 @@ class Peer : public sim::Receiver {
   /// journaling is off. A false return means a crash-point sentinel killed
   /// this peer mid-append — stop immediately.
   bool journal_bits(std::size_t lo, const BitVec& values);
-  /// Journals an index batch (with values aligned to `indices`) as maximal
-  /// contiguous runs. `indices` must be strictly increasing.
-  bool journal_indices(const std::vector<std::size_t>& indices,
-                       const BitVec& values);
+  /// Journals a query_runs batch: one bits record per run, `values`
+  /// holding the runs' bits back to back. A kill between records leaves a
+  /// replayable prefix of the runs.
+  bool journal_runs(std::span<const Interval> runs, const BitVec& values);
   bool journal_checkpoint(const std::string& name, std::uint64_t value);
   /// Credits recovered bits this incarnation did *not* re-query against the
   /// run's queries_saved counter (recovery accounting).

@@ -53,30 +53,34 @@ BitVec Source::query_range(sim::PeerId by, std::size_t lo, std::size_t len) {
   return view_for(by).slice(lo, len);
 }
 
-BitVec Source::query_indices(sim::PeerId by,
-                             const std::vector<std::size_t>& indices) {
+BitVec Source::query_runs(sim::PeerId by, std::span<const Interval> runs) {
   ASYNCDR_EXPECTS_MSG(by < counts_.size(),
-                      "Source::query_indices: unknown peer id " +
+                      "Source::query_runs: unknown peer id " +
                           std::to_string(by));
-  const BitVec& view = view_for(by);
   const std::size_t n = data_.size();
-  // Every run is bounds-checked before anything is charged, so a rejected
-  // batch costs nothing. The first index out of bounds in a run is its
-  // first one, or else n.
-  BitVec out(indices.size());
-  for_each_run(indices, [&](std::size_t at, std::size_t lo, std::size_t len) {
-    ASYNCDR_EXPECTS_MSG(lo < n && len <= n - lo,
-                        oob_message("query_indices", std::max(lo, n), n));
-    out.copy_range(at, view, lo, len);
-    return true;
-  });
-  if (record_indices_) {
-    for_each_run(indices, [&](std::size_t, std::size_t lo, std::size_t len) {
-      record(by, lo, lo + len);
-      return true;
-    });
+  // Every run is checked before anything is charged, so a rejected batch
+  // costs nothing. A run past the end names its first index out of
+  // bounds: its lo, or else n.
+  std::size_t bits = 0;
+  std::size_t floor = 0;
+  for (const Interval& run : runs) {
+    ASYNCDR_EXPECTS_MSG(run.hi <= n,
+                        oob_message("query_runs", std::max(run.lo, n), n));
+    ASYNCDR_EXPECTS_MSG(floor <= run.lo && run.lo < run.hi,
+                        "Source::query_runs: runs must be ascending, "
+                        "non-empty and disjoint");
+    floor = run.hi;
+    bits += run.length();
   }
-  if (!indices.empty()) account(by, indices.size());
+  const BitVec& view = view_for(by);
+  BitVec out(bits);
+  std::size_t at = 0;
+  for (const Interval& run : runs) {
+    out.copy_range(at, view, run.lo, run.length());
+    record(by, run.lo, run.hi);
+    at += run.length();
+  }
+  if (bits != 0) account(by, bits);
   return out;
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -34,12 +35,12 @@ class Source {
   /// Queries the contiguous range [lo, lo+len); costs len bits.
   BitVec query_range(sim::PeerId by, std::size_t lo, std::size_t len);
 
-  /// Queries an arbitrary index list; costs indices.size() bits. The result
-  /// bit j is X[indices[j]]. The list is read, checked and recorded a run
-  /// of consecutive indices at a time, and the whole list is one accounted
-  /// batch (one observer call). An index out of bounds throws before any
-  /// bit of the list is charged.
-  BitVec query_indices(sim::PeerId by, const std::vector<std::size_t>& indices);
+  /// Queries a batch of runs, which must be ascending, non-empty and
+  /// disjoint; costs their total length. The result holds the runs' bits
+  /// back to back, in run order. Each run is read and recorded whole, and
+  /// a non-empty batch is one accounted batch (one observer call). A run out
+  /// of bounds throws before any bit of the batch is charged.
+  BitVec query_runs(sim::PeerId by, std::span<const Interval> runs);
 
   /// Bits queried so far by one peer.
   [[nodiscard]] std::uint64_t bits_queried(sim::PeerId by) const;
@@ -55,7 +56,7 @@ class Source {
   [[nodiscard]] const IntervalSet& queried_indices(sim::PeerId by) const;
 
   /// Observer invoked once per accounted query batch (peer, bits): once per
-  /// query, query_range or non-empty query_indices call — wired to the
+  /// query, query_range or non-empty query_runs call — wired to the
   /// phase tracker, the execution trace and the world's query listeners.
   using QueryObserver = std::function<void(sim::PeerId, std::size_t)>;
   void set_query_observer(QueryObserver observer) {

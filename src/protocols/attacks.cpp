@@ -25,9 +25,8 @@ void GarbageByzPeer::on_message(sim::PeerId, const sim::Payload&) {
 void CommitteeLiarPeer::on_start() {
   const std::size_t t = world().config().max_faulty();
   const CommitteeAssignment assignment(n(), k(), t);
-  const std::vector<std::size_t> mine = assignment.bits_of(id());
   // Byzantine peers may query freely; their cost is not measured.
-  const BitVec truth = query_indices(mine);
+  const BitVec truth = query_runs(assignment.runs_of(id()));
 
   switch (mode_) {
     case Mode::kFlipAll: {

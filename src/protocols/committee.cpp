@@ -41,6 +41,14 @@ std::vector<std::size_t> CommitteeAssignment::bits_of(sim::PeerId p) const {
   return bits;
 }
 
+std::vector<Interval> CommitteeAssignment::runs_of(sim::PeerId p) const {
+  std::vector<Interval> runs(load_of(p));
+  for_each_bit_of(p, [&](std::size_t bit, std::size_t j) {
+    runs[j] = Interval{bit, bit + 1};
+  });
+  return runs;
+}
+
 std::vector<sim::PeerId> CommitteeAssignment::members_of(std::size_t bit) const {
   ASYNCDR_EXPECTS(bit < n_);
   std::vector<sim::PeerId> members;
@@ -217,10 +225,10 @@ void CommitteePeer::on_start() {
   begin_phase("committee-query+vote");
   // Query every bit of my committees; my own queries are ground truth, so
   // those bits decide immediately.
-  const std::vector<std::size_t> mine = tally_->assignment().bits_of(id());
-  const BitVec values = query_indices(mine);
+  const std::vector<Interval> mine = tally_->assignment().runs_of(id());
+  const BitVec values = query_runs(mine);
   for (std::size_t j = 0; j < mine.size(); ++j) {
-    tally_->decide(mine[j], values.get(j));
+    tally_->decide(mine[j].lo, values.get(j));
   }
   broadcast(std::make_shared<committee::Votes>(values));
   votes_sent_ = true;

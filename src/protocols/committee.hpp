@@ -16,6 +16,7 @@
 
 #include "common/bitvec.hpp"
 #include "common/check.hpp"
+#include "common/interval_set.hpp"
 #include "dr/peer.hpp"
 #include "sim/message.hpp"
 
@@ -63,6 +64,9 @@ class CommitteeAssignment {
   }
   /// Bits whose committee contains p, in increasing order.
   [[nodiscard]] std::vector<std::size_t> bits_of(sim::PeerId p) const;
+  /// bits_of(p) as unit runs [bit, bit + 1): the source batch p queries,
+  /// whose answer bit j is the value of bits_of(p)[j].
+  [[nodiscard]] std::vector<Interval> runs_of(sim::PeerId p) const;
   /// The committee of a bit, in position order.
   [[nodiscard]] std::vector<sim::PeerId> members_of(std::size_t bit) const;
 

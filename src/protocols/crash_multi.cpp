@@ -1,7 +1,6 @@
 #include "protocols/crash_multi.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <iterator>
 #include <sstream>
@@ -62,14 +61,15 @@ SparseMask OwnerLayout::share(const BitVec& unknown, std::size_t r,
   ASYNCDR_EXPECTS(unknown.size() == n_ && r >= 1 && who < k_);
   std::vector<SparseMask>& owners = phase(r).owners;
   if (owners.empty()) {
-    owners.assign(k_, SparseMask(n_));
     if (r == 1) {
       const SegmentLayout blocks(n_, k_);
+      owners.reserve(k_);
       for (sim::PeerId q = 0; q < k_; ++q) {
         const Interval block = blocks.bounds(q);
-        for (std::size_t b = block.lo; b < block.hi; ++b) owners[q].append(b);
+        owners.push_back(SparseMask::range(n_, block.lo, block.hi));
       }
     } else {
+      owners.assign(k_, SparseMask(n_));
       for (std::size_t b = 0; b < n_; ++b) {
         owners[hashed_owner(b, r, k_)].append(b);
       }
@@ -333,29 +333,20 @@ void CrashMultiPeer::start_phase(std::size_t r) {
 }
 
 bool CrashMultiPeer::query_mask(const SparseMask& mask) {
-  std::size_t count = 0;
-  mask.for_each_word([&](std::size_t w, std::uint64_t bits) {
-    count += static_cast<std::size_t>(std::popcount(bits & ~known_.word(w)));
-  });
-  std::vector<std::size_t> idx;
-  idx.reserve(count);
-  mask.for_each_word([&](std::size_t w, std::uint64_t bits) {
-    for (std::uint64_t q = bits & ~known_.word(w); q != 0; q &= q - 1) {
-      idx.push_back(w * 64 + static_cast<std::size_t>(std::countr_zero(q)));
-    }
-  });
-  if (idx.empty()) return true;
-  const BitVec values = query_indices(idx);
+  const std::vector<Interval> runs = mask.runs_outside(known_);
+  if (runs.empty()) return true;
+  const BitVec values = query_runs(runs);
   // Single query funnel = single journal funnel: everything this protocol
   // ever downloads is persisted here, appended BEFORE the volatile state
   // changes so no incarnation can ever hold bits the journal missed.
-  if (!journal_indices(idx, values)) return false;  // killed mid-append
-  for_each_run(idx, [&](std::size_t at, std::size_t lo, std::size_t len) {
-    out_.copy_range(lo, values, at, len);
-    known_.fill(lo, lo + len, true);
-    return true;
-  });
-  known_count_ += idx.size();
+  if (!journal_runs(runs, values)) return false;  // killed mid-append
+  std::size_t at = 0;
+  for (const Interval& run : runs) {
+    out_.copy_range(run.lo, values, at, run.length());
+    known_.fill(run.lo, run.hi, true);
+    at += run.length();
+  }
+  known_count_ += values.size();
   return true;
 }
 

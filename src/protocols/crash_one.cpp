@@ -36,10 +36,12 @@ void CrashOnePeer::on_restart(const dr::RecoveryState& state) {
   IntervalSet missing = IntervalSet::full(n());
   missing.subtract(known_);
   if (!missing.empty()) {
-    const std::vector<std::size_t> idx = missing.to_indices();
-    const BitChunk got(std::move(missing), query_indices(idx));
+    BitVec values = query_runs(missing.intervals());
+    const BitChunk got(std::move(missing), std::move(values));
     got.apply_to(out_, known_);
-    if (!journal_indices(idx, got.values)) return;  // killed at a sentinel again
+    if (!journal_runs(got.indices.intervals(), got.values)) {
+      return;  // killed at a sentinel again
+    }
   }
   if (crashed()) return;
   broadcast(std::make_shared<Stage1>(
@@ -233,10 +235,10 @@ void CrashOnePeer::enter_phase2() {
     IntervalSet to_query = share;
     to_query.subtract(known_);
     if (!to_query.empty()) {
-      const std::vector<std::size_t> idx = to_query.to_indices();
-      const BitChunk got(std::move(to_query), query_indices(idx));
+      BitVec values = query_runs(to_query.intervals());
+      const BitChunk got(std::move(to_query), std::move(values));
       got.apply_to(out_, known_);
-      if (!journal_indices(idx, got.values)) return;
+      if (!journal_runs(got.indices.intervals(), got.values)) return;
     }
     broadcast(std::make_shared<Stage1>(2, BitChunk::extract(out_, share)));
   }

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/interval_set.hpp"
 #include "common/rng.hpp"
 
 namespace asyncdr {
@@ -457,6 +459,53 @@ TEST_P(BitVecKernels, SparseMaskAppendIntersectMatchPerBitReference) {
   }
 }
 
+/// The maximal runs of bits set in `mask` and clear in `known`, found one
+/// bit at a time.
+std::vector<Interval> runs_outside_reference(const BitVec& mask,
+                                             const BitVec& known) {
+  std::vector<Interval> runs;
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (!mask.get(i) || known.get(i)) continue;
+    if (!runs.empty() && runs.back().hi == i) {
+      ++runs.back().hi;
+    } else {
+      runs.push_back(Interval{i, i + 1});
+    }
+  }
+  return runs;
+}
+
+/// A mask of a few random runs, long enough to cross word boundaries.
+BitVec run_mask(std::size_t n, Rng& rng) {
+  BitVec mask(n);
+  if (n == 0) return mask;
+  const std::size_t runs = rng.below(10);
+  for (std::size_t r = 0; r < runs; ++r) {
+    const std::size_t lo = rng.below(n);
+    mask.fill(lo, std::min(n, lo + 1 + rng.below(200)), true);
+  }
+  return mask;
+}
+
+TEST_P(BitVecKernels, SparseMaskRunsOutsideMatchPerBitReference) {
+  const std::size_t n = GetParam();
+  Rng rng(n * 41 + 7);
+  for (std::size_t trial = 0; trial < 12; ++trial) {
+    const BitVec mask = trial < 4   ? shaped_mask(n, rng, trial)
+                        : trial < 8 ? run_mask(n, rng)
+                                    : random_bits(n, rng);
+    // Known bits: none, all, the mask itself, then random shapes.
+    const BitVec known = trial % 4 == 0   ? BitVec(n)
+                         : trial % 4 == 1 ? BitVec(n, true)
+                         : trial % 4 == 2 ? (trial < 8 ? run_mask(n, rng)
+                                                       : mask)
+                                          : random_bits(n, rng);
+    EXPECT_EQ(SparseMask(mask).runs_outside(known),
+              runs_outside_reference(mask, known))
+        << "n=" << n << " trial=" << trial;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, BitVecKernels,
                          ::testing::Values(0, 1, 63, 64, 65, 127, 16384));
 
@@ -517,6 +566,50 @@ TEST(SparseMask, KeepsOnlyNonzeroWords) {
   EXPECT_EQ(sparse.memory_bytes(), 4 * (sizeof(std::size_t) + 8));
   EXPECT_EQ(SparseMask(BitVec(1 << 14)).memory_bytes(), 0u);
   EXPECT_NE(SparseMask(BitVec(64)), SparseMask(BitVec(65)));
+}
+
+TEST(SparseMask, RunsOutsideEdges) {
+  using Runs = std::vector<Interval>;
+  const auto runs = [](std::size_t n, std::size_t lo, std::size_t hi,
+                       const BitVec& known) {
+    BitVec mask(n);
+    mask.fill(lo, hi, true);
+    return SparseMask(mask).runs_outside(known);
+  };
+  // A full word at word 0, alone and joined to its neighbour.
+  EXPECT_EQ(runs(128, 0, 64, BitVec(128)), (Runs{{0, 64}}));
+  EXPECT_EQ(runs(128, 0, 65, BitVec(128)), (Runs{{0, 65}}));
+  // Bit 63 alone, and a run across two word boundaries.
+  EXPECT_EQ(runs(128, 63, 64, BitVec(128)), (Runs{{63, 64}}));
+  EXPECT_EQ(runs(200, 60, 131, BitVec(200)), (Runs{{60, 131}}));
+  // n % 64 != 0: a run up to the last bit.
+  EXPECT_EQ(runs(100, 90, 100, BitVec(100)), (Runs{{90, 100}}));
+  EXPECT_EQ(runs(100, 0, 100, BitVec(100)), (Runs{{0, 100}}));
+  // An empty mask, everything already known, and a known bit that splits
+  // a run at a word boundary.
+  EXPECT_EQ(SparseMask(100).runs_outside(BitVec(100)), Runs{});
+  EXPECT_EQ(runs(100, 0, 100, BitVec(100, true)), Runs{});
+  BitVec known(192);
+  known.set(64, true);
+  EXPECT_EQ(runs(192, 0, 192, known), (Runs{{0, 64}, {65, 192}}));
+  EXPECT_THROW((void)SparseMask(100).runs_outside(BitVec(99)),
+               contract_violation);
+}
+
+TEST(SparseMask, RangeMatchesPerBitAppend) {
+  for (const std::size_t n : {0, 1, 63, 64, 65, 128, 130}) {
+    for (std::size_t lo = 0; lo <= n; ++lo) {
+      for (std::size_t hi = lo; hi <= n; ++hi) {
+        SparseMask want(n);
+        for (std::size_t b = lo; b < hi; ++b) want.append(b);
+        const SparseMask got = SparseMask::range(n, lo, hi);
+        ASSERT_EQ(got, want) << "n=" << n << " [" << lo << ", " << hi << ")";
+        ASSERT_EQ(got.size(), n);
+      }
+    }
+  }
+  EXPECT_THROW((void)SparseMask::range(10, 5, 11), contract_violation);
+  EXPECT_THROW((void)SparseMask::range(10, 6, 5), contract_violation);
 }
 
 }  // namespace

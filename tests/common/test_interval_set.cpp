@@ -98,9 +98,10 @@ TEST(IntervalSet, IntersectDisjointPieces) {
   EXPECT_EQ(a, want);
 }
 
-TEST(IntervalSet, FullAndToIndices) {
+TEST(IntervalSet, FullIsOneInterval) {
   const IntervalSet s = IntervalSet::full(5);
-  EXPECT_EQ(s.to_indices(), (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(s.intervals(), (std::vector<Interval>{{0, 5}}));
+  EXPECT_EQ(s.count(), 5u);
 }
 
 TEST(IntervalSet, SplitEvenlyBalances) {

@@ -324,6 +324,36 @@ TEST(Journal, Crc32KnownVector) {
   EXPECT_EQ(Journal::crc32(data, sizeof(data)), 0xCBF43926u);
 }
 
+/// CRC-32 (reflected, polynomial 0xEDB88320) one byte at a time: the
+/// reference the word-wise Journal::crc32 must match on every input.
+std::uint32_t crc32_bytewise(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int b = 0; b < 8; ++b) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Journal, Crc32MatchesBytewiseReference) {
+  // Every length 0..300 at every start offset mod 8, so the eight-byte
+  // blocks meet every alignment and every tail length.
+  Rng rng(2024);
+  std::vector<std::uint8_t> buf(300 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.below(256));
+  const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(crc32_bytewise(data, sizeof(data)), 0xCBF43926u);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Journal::crc32(buf.data() + offset, len),
+                crc32_bytewise(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
 TEST(JournalStore, LogAccessBoundsChecked) {
   JournalStore store(2);
   EXPECT_THROW((void)store.log(2), contract_violation);

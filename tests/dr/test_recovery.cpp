@@ -4,11 +4,15 @@
 // for every crash-point sentinel, and under journal loss/corruption.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "adversary/crash_plan.hpp"
+#include "common/bitvec.hpp"
 #include "common/check.hpp"
+#include "common/interval_set.hpp"
 #include "common/rng.hpp"
 #include "dr/journal.hpp"
 #include "dr/world.hpp"
@@ -258,6 +262,129 @@ TEST(Recovery, DeterministicAcrossRuns) {
   EXPECT_EQ(a.message_complexity, b.message_complexity);
   EXPECT_EQ(a.recovery.queries_saved, b.recovery.queries_saved);
   EXPECT_EQ(a.recovery.bits_recovered, b.recovery.bits_recovered);
+}
+
+/// Downloads one fixed batch of four runs through the run funnel, journals
+/// it, then finishes with the true array.
+struct RunBatchPeer final : dr::Peer {
+  static std::vector<Interval> batch() {
+    return {{0, 10}, {20, 90}, {130, 131}, {200, 264}};
+  }
+  void on_start() override {
+    const std::vector<Interval> runs = batch();
+    const BitVec values = query_runs(runs);
+    if (!journal_runs(runs, values)) return;  // killed inside the batch
+    finish(query_range(0, n()));
+  }
+  void on_message(sim::PeerId, const sim::Payload&) override {}
+};
+
+// A kill at any append sentinel inside a multi-run batch leaves a log that
+// replays to a prefix of the batch's runs, with their true values: strictly
+// fewer bits than the batch downloaded, unless the kill came after the last
+// record committed. (The checkpoint sentinel lies outside any batch.)
+TEST(Recovery, KillInsideRunBatchLeavesReplayablePrefix) {
+  const std::vector<Interval> runs = RunBatchPeer::batch();
+  std::size_t batch_bits = 0;
+  for (const Interval& run : runs) batch_bits += run.length();
+  const dr::Config cfg{
+      .n = 512, .k = 3, .beta = 0.34, .message_bits = 16, .seed = 5};
+  Rng rng(5);
+  const BitVec input = BitVec::generate(cfg.n, [&] { return rng.flip(); });
+  for (const dr::CrashPoint point :
+       {dr::CrashPoint::kAppendStart, dr::CrashPoint::kMidRecord,
+        dr::CrashPoint::kAppendCommit}) {
+    for (std::size_t nth = 1; nth <= runs.size(); ++nth) {
+      dr::World w(cfg, input);
+      for (sim::PeerId id = 0; id < cfg.k; ++id) {
+        w.set_peer(id, std::make_unique<RunBatchPeer>());
+      }
+      w.enable_recovery([](const dr::Config&, sim::PeerId) {
+        return std::make_unique<RunBatchPeer>();
+      });
+      w.kill_at_crash_point(1, point, nth);
+      const dr::RunReport r = w.run();
+      const std::string at =
+          std::string(dr::to_string(point)) + " #" + std::to_string(nth);
+      EXPECT_TRUE(r.ok()) << at << ": " << r.to_string();
+      EXPECT_TRUE(w.network().is_crashed(1)) << at;
+
+      // Records 1..nth-1 committed before the kill; the nth too if the
+      // kill came after its commit.
+      const std::size_t durable =
+          point == dr::CrashPoint::kAppendCommit ? nth : nth - 1;
+      IntervalSet want;
+      for (std::size_t i = 0; i < durable; ++i) {
+        want.insert(runs[i].lo, runs[i].hi);
+      }
+      const dr::JournalReplay replay =
+          dr::Journal::replay(w.journal_store().log(1), cfg.n);
+      EXPECT_EQ(replay.intervals, want) << at;
+      EXPECT_EQ(replay.records, durable) << at;
+      EXPECT_EQ(replay.torn, point == dr::CrashPoint::kMidRecord) << at;
+      if (durable < runs.size()) {
+        EXPECT_LT(replay.intervals.count(), batch_bits) << at;
+      }
+      for (const Interval& iv : replay.intervals.intervals()) {
+        for (std::size_t i = iv.lo; i < iv.hi; ++i) {
+          ASSERT_EQ(replay.bits.get(i), input.get(i)) << at << " bit " << i;
+        }
+      }
+    }
+  }
+}
+
+/// FNV-1a over every peer's journal log, each prefixed by its length.
+std::uint64_t journal_fingerprint(dr::World& w) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](std::uint64_t byte) {
+    h = (h ^ byte) * 0x100000001b3ull;
+  };
+  const dr::JournalStore& store = w.journal_store();
+  for (sim::PeerId id = 0; id < store.peers(); ++id) {
+    const std::vector<std::uint8_t>& log = store.log(id);
+    for (std::size_t b = 0; b < 8; ++b) mix((log.size() >> (8 * b)) & 0xffu);
+    for (const std::uint8_t byte : log) mix(byte);
+  }
+  return h;
+}
+
+// The exact journal bytes of a crash_multi world with cold restarts and a
+// crash_one world with a warm restart: every download's record split (one
+// record per maximal run) and encoding. Run reports do not hash log bytes,
+// so this is the check that a change to the download path keeps them.
+TEST(Recovery, JournalBytesArePinned) {
+  std::uint64_t got = 0;
+  const auto capture = [&](dr::World& w, const dr::RunReport&) {
+    got = journal_fingerprint(w);
+  };
+
+  Scenario multi;
+  multi.cfg = cfg_multi(14);
+  multi.honest = proto::make_crash_multi();
+  multi.recovery.factory = proto::make_crash_multi();
+  multi.recovery.options.cold_restart = true;
+  multi.crashes.add_at_time(1, 1.0);
+  multi.crashes.add_at_time(6, 2.0);
+  multi.crashes.add_restart_after(1, 4.0);
+  multi.crashes.add_restart_after(6, 5.0);
+  multi.post_run = capture;
+  const dr::RunReport rm = proto::run_scenario(multi);
+  ASSERT_TRUE(rm.ok()) << rm.to_string();
+  EXPECT_EQ(rm.recovery.restarts, 2u);
+  EXPECT_EQ(got, 0xef26b099b8f4efc5ull) << std::hex << got;
+
+  Scenario one;
+  one.cfg = cfg_one(11);
+  one.honest = proto::make_crash_one();
+  one.recovery.factory = proto::make_crash_one();
+  one.crashes.add_at_time(3, 2.5);
+  one.crashes.add_restart_after(3, 3.0);
+  one.post_run = capture;
+  const dr::RunReport ro = proto::run_scenario(one);
+  ASSERT_TRUE(ro.ok()) << ro.to_string();
+  EXPECT_EQ(ro.recovery.restarts, 1u);
+  EXPECT_EQ(got, 0x69a18830f08e6439ull) << std::hex << got;
 }
 
 }  // namespace

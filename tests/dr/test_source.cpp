@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,14 +19,16 @@ TEST(Source, AnswersTruthfully) {
   EXPECT_TRUE(src.query(0, 0));
   EXPECT_FALSE(src.query(0, 1));
   EXPECT_EQ(src.query_range(1, 1, 3).to_string(), "011");
-  EXPECT_EQ(src.query_indices(2, {4, 0}).to_string(), "01");
+  using Runs = std::vector<Interval>;
+  EXPECT_EQ(src.query_runs(2, Runs{{0, 1}, {4, 5}}).to_string(), "10");
+  EXPECT_EQ(src.query_runs(2, Runs{{0, 2}, {3, 5}}).to_string(), "1010");
 }
 
 TEST(Source, AccountsPerPeerBits) {
   Source src(BitVec(100), 2);
   src.query(0, 5);
   src.query_range(0, 10, 20);
-  src.query_indices(1, {1, 2, 3});
+  src.query_runs(1, std::vector<Interval>{{1, 4}});
   EXPECT_EQ(src.bits_queried(0), 21u);
   EXPECT_EQ(src.bits_queried(1), 3u);
   src.reset_accounting();
@@ -108,11 +112,12 @@ TEST(Source, QueryRangeRejectsOverflowingRanges) {
   EXPECT_EQ(src.query_range(0, 0, 8).size(), 8u);
 }
 
-TEST(Source, QueryIndicesRejectsAnyOutOfRangeIndex) {
+TEST(Source, QueryRunsRejectsAnyOutOfRangeRun) {
   Source src(BitVec(8), 1);
-  EXPECT_THROW(src.query_indices(0, {0, 3, 8}), contract_violation);
+  EXPECT_THROW(src.query_runs(0, std::vector<Interval>{{0, 1}, {3, 9}}),
+               contract_violation);
   try {
-    src.query_indices(0, {0, 3, 9});
+    src.query_runs(0, std::vector<Interval>{{0, 1}, {3, 4}, {9, 10}});
     FAIL() << "expected contract_violation";
   } catch (const contract_violation& e) {
     EXPECT_NE(std::string(e.what()).find("index 9"), std::string::npos)
@@ -120,28 +125,43 @@ TEST(Source, QueryIndicesRejectsAnyOutOfRangeIndex) {
   }
 }
 
-/// Random index lists mixing runs of consecutive indices with singletons,
-/// in any order (repeats allowed).
-std::vector<std::size_t> random_index_list(Rng& rng, std::size_t n) {
-  std::vector<std::size_t> out;
+TEST(Source, QueryRunsRejectsMalformedBatches) {
+  // Runs must be non-empty, ascending and disjoint (adjacent is fine).
+  Source src(BitVec(8), 1);
+  using Runs = std::vector<Interval>;
+  for (const Runs& runs : {Runs{{2, 2}}, Runs{{3, 2}}, Runs{{4, 6}, {0, 1}},
+                           Runs{{0, 3}, {2, 5}}}) {
+    EXPECT_THROW(src.query_runs(0, runs), contract_violation);
+  }
+  EXPECT_EQ(src.bits_queried(0), 0u);
+  EXPECT_EQ(src.query_runs(0, Runs{{0, 3}, {3, 5}}).size(), 5u);
+}
+
+/// Random run batches: a few ascending, disjoint runs of unit or longer
+/// length, adjacent ones included.
+std::vector<Interval> random_runs(Rng& rng, std::size_t n) {
+  std::vector<Interval> out;
   const std::size_t pieces = rng.below(12);
-  for (std::size_t p = 0; p < pieces; ++p) {
+  std::size_t floor = 0;
+  for (std::size_t p = 0; p < pieces && floor < n; ++p) {
+    const std::size_t lo = floor + (rng.flip() ? 0 : rng.below(n - floor));
     const std::size_t len = rng.flip() ? 1 : 1 + rng.below(150);
-    const std::size_t lo = rng.below(n - len + 1);
-    for (std::size_t i = 0; i < len; ++i) out.push_back(lo + i);
+    if (lo >= n) break;
+    out.push_back(Interval{lo, std::min(n, lo + len)});
+    floor = out.back().hi;
   }
   return out;
 }
 
-TEST(Source, QueryIndicesMatchesPerIndexReference) {
-  // One query_indices call against the same list queried an index at a
-  // time: same answers, counts and recorded indices, and one observer call
-  // carrying the whole batch (an empty list is no batch).
+TEST(Source, QueryRunsMatchesPerIndexReference) {
+  // One query_runs call against the same runs queried an index at a time:
+  // same answers, counts and recorded indices, and one observer call
+  // carrying the whole batch (an empty batch is no batch).
   constexpr std::size_t kN = 700;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     Rng rng(seed);
     const BitVec data = BitVec::generate(kN, [&] { return rng.flip(); });
-    const std::vector<std::size_t> indices = random_index_list(rng, kN);
+    const std::vector<Interval> runs = random_runs(rng, kN);
     Source batch(data, 2);
     Source single(data, 2);
     for (Source* s : {&batch, &single}) s->enable_index_recording(true);
@@ -149,38 +169,44 @@ TEST(Source, QueryIndicesMatchesPerIndexReference) {
     batch.set_query_observer([&](sim::PeerId peer, std::size_t bits) {
       calls.emplace_back(peer, bits);
     });
-    const BitVec got = batch.query_indices(1, indices);
-    ASSERT_EQ(got.size(), indices.size());
-    for (std::size_t j = 0; j < indices.size(); ++j) {
-      ASSERT_EQ(got.get(j), single.query(1, indices[j])) << "seed " << seed;
+    const BitVec got = batch.query_runs(1, runs);
+    std::size_t j = 0;
+    for (const Interval& run : runs) {
+      for (std::size_t i = run.lo; i < run.hi; ++i, ++j) {
+        ASSERT_LT(j, got.size());
+        ASSERT_EQ(got.get(j), single.query(1, i)) << "seed " << seed;
+      }
     }
+    ASSERT_EQ(got.size(), j);
     EXPECT_EQ(batch.bits_queried(1), single.bits_queried(1));
     EXPECT_EQ(batch.bits_queried(0), 0u);
     EXPECT_EQ(batch.total_bits_served(), single.total_bits_served());
     EXPECT_EQ(batch.queried_indices(1), single.queried_indices(1));
     using Calls = std::vector<std::pair<sim::PeerId, std::size_t>>;
-    const Calls want =
-        indices.empty() ? Calls{} : Calls{{1, indices.size()}};
+    const Calls want = j == 0 ? Calls{} : Calls{{1, j}};
     EXPECT_EQ(calls, want) << "seed " << seed;
   }
 }
 
-TEST(Source, QueryIndicesOutOfBoundsChargesNothing) {
-  // A list with any index out of bounds throws before anything is charged,
-  // recorded or observed, wherever in the list (or in a run) that index is.
+TEST(Source, QueryRunsOutOfBoundsChargesNothing) {
+  // A batch with any run out of bounds throws before anything is charged,
+  // recorded or observed, wherever in the batch (or in a run) the first
+  // index out of bounds is.
   Source src(BitVec(8), 1);
   src.enable_index_recording(true);
   std::size_t observed = 0;
   src.set_query_observer([&](sim::PeerId, std::size_t) { ++observed; });
   const std::size_t huge = std::numeric_limits<std::size_t>::max();
-  const std::vector<std::pair<std::vector<std::size_t>, std::string>> lists = {
-      {{0, 1, 2, 8}, "index 8"},     {{6, 7, 8, 9}, "index 8"},
-      {{9, 0, 1}, "index 9"},        {{3, 12, 13, 4}, "index 12"},
-      {{huge}, "index " + std::to_string(huge)},
-      {{huge, 0}, "index " + std::to_string(huge)}};
-  for (const auto& [list, named] : lists) {
+  const std::vector<std::pair<std::vector<Interval>, std::string>> batches = {
+      {{{0, 3}, {8, 9}}, "index 8"},
+      {{{6, 10}}, "index 8"},
+      {{{9, 10}, {11, 12}}, "index 9"},
+      {{{3, 4}, {12, 14}}, "index 12"},
+      {{{huge - 1, huge}}, "index " + std::to_string(huge - 1)},
+      {{{0, 1}, {2, huge}}, "index 8"}};
+  for (const auto& [runs, named] : batches) {
     try {
-      (void)src.query_indices(0, list);
+      (void)src.query_runs(0, runs);
       ADD_FAILURE() << "expected contract_violation for " << named;
     } catch (const contract_violation& e) {
       EXPECT_NE(std::string(e.what()).find(named), std::string::npos)

@@ -69,7 +69,10 @@ TEST(BitChunk, ExtractApplyMatchPerBitReference) {
       idx.insert(lo, lo + 1 + rng.below(std::min<std::size_t>(n - lo, 200)));
     }
     const BitChunk chunk = BitChunk::extract(src, idx);
-    const std::vector<std::size_t> at = idx.to_indices();
+    std::vector<std::size_t> at;
+    for (const Interval& iv : idx.intervals()) {
+      for (std::size_t i = iv.lo; i < iv.hi; ++i) at.push_back(i);
+    }
     ASSERT_EQ(chunk.values.size(), at.size());
     for (std::size_t j = 0; j < at.size(); ++j) {
       ASSERT_EQ(chunk.values.get(j), src.get(at[j])) << "seed " << seed;

@@ -63,6 +63,10 @@ TEST(CommitteeAssignment, BitsOfMatchesBruteForce) {
       EXPECT_EQ(a.bits_of(p), want)
           << "n=" << sh.n << " k=" << sh.k << " t=" << sh.t << " p=" << p;
       EXPECT_EQ(a.load_of(p), want.size());
+      std::vector<Interval> unit;
+      for (std::size_t bit : want) unit.push_back(Interval{bit, bit + 1});
+      EXPECT_EQ(a.runs_of(p), unit)
+          << "n=" << sh.n << " k=" << sh.k << " t=" << sh.t << " p=" << p;
     }
   }
 }
@@ -173,7 +177,7 @@ class ScriptedVoter final : public dr::Peer {
   void on_start() override {
     const CommitteeAssignment assignment(n(), k(),
                                          world().config().max_faulty());
-    const BitVec truth = query_indices(assignment.bits_of(id()));
+    const BitVec truth = query_runs(assignment.runs_of(id()));
     BitVec lie = truth;
     for (std::size_t j = 0; j < lie.size(); ++j) lie.flip(j);
     for (const Vote v : script_) {

@@ -85,7 +85,7 @@ MUTATOR_METHODS = (
 MUTATION_RE = re.compile(
     r"\b([a-z]\w*_)\s*(?:\.|->)\s*(?:" + MUTATOR_METHODS + r")\s*\("
     r"|\b([a-z]\w*_)\s*(?:\[[^\]]*\]\s*)?(=(?!=)|\+=|-=|\|=|&=|\^=)")
-JOURNAL_RE = re.compile(r"\bjournal_(bits|indices|checkpoint)\s*\(")
+JOURNAL_RE = re.compile(r"\bjournal_(bits|runs|checkpoint)\s*\(")
 
 CXX_KEYWORDS = frozenset(
     "if for while switch return sizeof alignof decltype static_assert catch "

@@ -217,7 +217,7 @@ class WalOrdering(TreeCase):
 
     def test_dr014_append_before_mutation_ok(self):
         self.write("src/proto/peer.cpp", JOURNAL_CLIENT %
-                   "if (!journal_indices(idx, vals)) return;\n"
+                   "if (!journal_runs(runs, vals)) return;\n"
                    "  out_.set(i, true);")
         self.assertEqual(self.check("DR014"), "")
 

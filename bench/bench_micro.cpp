@@ -15,10 +15,14 @@
 #include "dr/journal.hpp"
 #include "dr/world.hpp"
 #include "protocols/chunk.hpp"
+#include "protocols/byz2cycle.hpp"
 #include "protocols/committee.hpp"
 #include "protocols/crash_multi.hpp"
+#include "protocols/crash_one.hpp"
 #include "protocols/decision_tree.hpp"
+#include "protocols/frequent.hpp"
 #include "protocols/runner.hpp"
+#include "protocols/segments.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -220,6 +224,73 @@ void BM_CrashMultiColdRestart(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrashMultiColdRestart);
+
+/// crash_one's stage-1 coverage path at bench_recovery's shape (n = 2^14,
+/// k = 16): peer 0 has pushed its block and takes its peers' stage-1
+/// pushes, each followed by the coverage test over all k blocks. It gets
+/// k - 3 of them, so it is still waiting after the last. The world and the
+/// pushes are built untimed per iteration; the time is per k - 3 deliveries.
+void BM_CrashOneStage1(benchmark::State& state) {
+  const dr::Config cfg{.n = 1 << 14, .k = 16, .beta = 0.5,
+                       .message_bits = 1024, .seed = 3};
+  const BitVec input = proto::random_input(cfg.n, cfg.seed);
+  const proto::SegmentLayout blocks(cfg.n, cfg.k);
+  std::vector<sim::PayloadPtr> pushes;
+  for (sim::PeerId q = 1; q + 2 < cfg.k; ++q) {
+    const Interval b = blocks.bounds(q);
+    pushes.push_back(std::make_shared<proto::crash1::Stage1>(
+        1, proto::BitChunk::extract(input, IntervalSet::of(b.lo, b.hi))));
+  }
+  std::unique_ptr<dr::World> world;
+  for (auto _ : state) {
+    state.PauseTiming();
+    world = std::make_unique<dr::World>(cfg, input);  // drops the last one
+    for (sim::PeerId id = 0; id < cfg.k; ++id) {
+      world->set_peer(id, std::make_unique<proto::CrashOnePeer>());
+    }
+    dr::Peer& peer = world->peer(0);
+    peer.on_start();
+    state.ResumeTiming();
+    for (std::size_t i = 0; i < pushes.size(); ++i) {
+      peer.deliver(sim::Message{.from = static_cast<sim::PeerId>(i + 1),
+                                .to = 0,
+                                .payload = pushes[i]});
+    }
+    benchmark::DoNotOptimize(peer.terminated());
+  }
+}
+BENCHMARK(BM_CrashOneStage1);
+
+/// The randomized rows' string bookkeeping at E6's shape (k = 192 peers, 16
+/// segments of 1024 bits): every peer reports one segment, two thirds with
+/// the segment's true string and the rest with fake strings of their own,
+/// as rnd::Reports carrying their hashes; then F(S, tau) of every segment.
+/// The time is per bank: 192 records and 16 frequent() calls.
+void BM_StringBankRecordFrequent(benchmark::State& state) {
+  constexpr std::size_t kPeers = 192, kSegments = 16, kLength = 1024;
+  Rng rng(19);
+  std::vector<BitVec> truth;
+  for (std::size_t seg = 0; seg < kSegments; ++seg) {
+    truth.push_back(rng.fair_bits(kLength));
+  }
+  std::vector<proto::rnd::Report> reports;
+  for (std::size_t p = 0; p < kPeers; ++p) {
+    const std::size_t seg = p % kSegments;
+    reports.emplace_back(1, seg,
+                         p % 3 == 2 ? rng.fair_bits(kLength) : truth[seg]);
+  }
+  for (auto _ : state) {
+    proto::StringBank bank(kSegments);
+    for (std::size_t p = 0; p < kPeers; ++p) {
+      const proto::rnd::Report& r = reports[p];
+      bank.record(r.seg, static_cast<sim::PeerId>(p), r.value, r.hash);
+    }
+    for (std::size_t seg = 0; seg < kSegments; ++seg) {
+      benchmark::DoNotOptimize(bank.frequent(seg, 1));
+    }
+  }
+}
+BENCHMARK(BM_StringBankRecordFrequent);
 
 /// Table 1's input array: n fair bits, drawn as proto::random_input does
 /// for every world.

@@ -270,23 +270,37 @@ SparseMask SparseMask::intersect(const BitVec& other) const {
   });
 }
 
+void BitVec::append_runs(std::vector<Interval>& runs, std::size_t base,
+                         std::uint64_t bits) {
+  while (bits != 0) {
+    const auto lo = static_cast<std::size_t>(std::countr_zero(bits));
+    const auto len = static_cast<std::size_t>(std::countr_one(bits >> lo));
+    if (!runs.empty() && runs.back().hi == base + lo) {
+      runs.back().hi += len;  // continues the previous word's last run
+    } else {
+      runs.push_back(Interval{base + lo, base + lo + len});
+    }
+    // Clears the run; one that reaches bit 63 empties the word.
+    bits &= ~low_bits(lo + len);
+  }
+}
+
+std::vector<Interval> BitVec::clear_runs() const {
+  std::vector<Interval> runs;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    const std::size_t base = w * kWordBits;
+    append_runs(runs, base,
+                ~words_[w] & low_bits(std::min(kWordBits, size_ - base)));
+  }
+  return runs;
+}
+
 std::vector<Interval> SparseMask::runs_outside(const BitVec& known) const {
   ASYNCDR_EXPECTS(size_ == known.size_);
   std::vector<Interval> runs;
   for (const Word& m : words_) {
-    const std::size_t base = m.index * BitVec::kWordBits;
-    std::uint64_t bits = m.bits & ~known.words_[m.index];
-    while (bits != 0) {
-      const auto lo = static_cast<std::size_t>(std::countr_zero(bits));
-      const auto len = static_cast<std::size_t>(std::countr_one(bits >> lo));
-      if (!runs.empty() && runs.back().hi == base + lo) {
-        runs.back().hi += len;  // continues the previous word's last run
-      } else {
-        runs.push_back(Interval{base + lo, base + lo + len});
-      }
-      // Clears the run; one that reaches bit 63 empties the word.
-      bits &= ~BitVec::low_bits(lo + len);
-    }
+    BitVec::append_runs(runs, m.index * BitVec::kWordBits,
+                        m.bits & ~known.words_[m.index]);
   }
   return runs;
 }

@@ -165,6 +165,10 @@ class BitVec {
     }
   }
 
+  /// The maximal runs of clear bits, ascending, found a word at a time: a
+  /// run may span words. One pass and one allocation (the runs).
+  [[nodiscard]] std::vector<Interval> clear_runs() const;
+
   /// First index where *this and other differ; nullopt if equal.
   /// Both vectors must have the same size.
   [[nodiscard]] std::optional<std::size_t> first_difference(const BitVec& other) const;
@@ -194,6 +198,11 @@ class BitVec {
   /// The `count` (0..64) lowest bits set.
   static std::uint64_t low_bits(std::size_t count);
   void trim_tail();
+  /// Appends the runs of set bits of `bits`, word-relative to `base`, to
+  /// `runs` (ascending, ending at or before `base`), extending the last
+  /// run if it ends exactly at the first of them.
+  static void append_runs(std::vector<Interval>& runs, std::size_t base,
+                          std::uint64_t bits);
   /// Overwrites the `count` (1..64) bits starting at `pos` with the low
   /// `count` bits of `bits`, whose higher bits must be zero.
   void store_bits(std::size_t pos, std::uint64_t bits, std::size_t count);

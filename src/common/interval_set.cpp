@@ -1,6 +1,7 @@
 #include "common/interval_set.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -22,6 +23,16 @@ bool IntervalSet::contains(std::size_t i) const {
   if (it == intervals_.begin()) return false;
   --it;
   return i >= it->lo && i < it->hi;
+}
+
+bool IntervalSet::covers(std::size_t lo, std::size_t hi) const {
+  ASYNCDR_EXPECTS(lo <= hi);
+  if (lo == hi) return true;
+  // Adjacent intervals are coalesced, so a covered range lies in one.
+  const auto it = std::upper_bound(
+      intervals_.begin(), intervals_.end(), lo,
+      [](std::size_t x, const Interval& iv) { return x < iv.hi; });
+  return it != intervals_.end() && it->lo <= lo && hi <= it->hi;
 }
 
 void IntervalSet::insert(std::size_t lo, std::size_t hi) {
@@ -46,19 +57,34 @@ void IntervalSet::insert(std::size_t lo, std::size_t hi) {
 
 void IntervalSet::erase(std::size_t lo, std::size_t hi) {
   ASYNCDR_EXPECTS(lo <= hi);
-  if (lo == hi || intervals_.empty()) return;
-  std::vector<Interval> out;
-  out.reserve(intervals_.size() + 1);
-  for (const Interval& iv : intervals_) {
-    if (iv.hi <= lo || iv.lo >= hi) {
-      out.push_back(iv);
-      continue;
-    }
-    if (iv.lo < lo) out.push_back(Interval{iv.lo, lo});
-    if (iv.hi > hi) out.push_back(Interval{hi, iv.hi});
+  if (lo == hi) return;
+  // [first, last): the intervals overlapping [lo, hi), i.e. those ending
+  // after lo and starting before hi.
+  const auto first = std::upper_bound(
+      intervals_.begin(), intervals_.end(), lo,
+      [](std::size_t x, const Interval& iv) { return x < iv.hi; });
+  auto last = first;
+  while (last != intervals_.end() && last->lo < hi) {
+    count_ -= std::min(last->hi, hi) - std::max(last->lo, lo);
+    ++last;
   }
-  intervals_ = std::move(out);
-  recount();
+  if (first == last) return;
+  // What survives: the part of the first overlap left of lo and the part
+  // of the last overlap right of hi, written over the overlaps' slots.
+  const Interval left{first->lo, lo};
+  const Interval right{hi, std::prev(last)->hi};
+  const bool keep_left = left.lo < left.hi;
+  const bool keep_right = right.lo < right.hi;
+  if (keep_left && keep_right && std::next(first) == last) {
+    // [lo, hi) splits one interval in two.
+    *first = left;
+    intervals_.insert(last, right);
+    return;
+  }
+  auto out = first;
+  if (keep_left) *out++ = left;
+  if (keep_right) *out++ = right;
+  intervals_.erase(out, last);
 }
 
 void IntervalSet::unite(const IntervalSet& other) {

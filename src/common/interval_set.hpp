@@ -37,13 +37,18 @@ class IntervalSet {
   [[nodiscard]] bool empty() const { return intervals_.empty(); }
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] bool contains(std::size_t i) const;
+  /// True if every index of [lo, hi) is in the set (an empty range always
+  /// is): one binary search, no allocation.
+  [[nodiscard]] bool covers(std::size_t lo, std::size_t hi) const;
 
   void insert(std::size_t i) { insert(i, i + 1); }
   void insert(std::size_t lo, std::size_t hi);
   void erase(std::size_t i) { erase(i, i + 1); }
   void erase(std::size_t lo, std::size_t hi);
 
-  /// In-place set union / difference / intersection.
+  /// In-place set union / difference / intersection. erase and subtract
+  /// edit the interval storage in place: they allocate only to split one
+  /// interval in two beyond the storage's capacity.
   void unite(const IntervalSet& other);
   void subtract(const IntervalSet& other);
   void intersect(const IntervalSet& other);

@@ -40,7 +40,7 @@ void TwoCyclePeer::on_message(sim::PeerId from, const sim::Payload& payload) {
   }
   if (report->cycle != 1 || report->seg >= params_.segments) return;
   if (report->value.size() != layout_->length(report->seg)) return;
-  bank_->record(report->seg, from, report->value);
+  bank_->record(report->seg, from, report->value, report->hash);
   reporters_.insert(from, k());
   try_decide();
 }

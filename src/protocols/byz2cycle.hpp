@@ -27,12 +27,15 @@ namespace rnd {
 /// A segment report: "I queried segment `seg` (of the cycle's layout) and
 /// saw `value`".
 struct Report final : sim::Payload {
-  std::size_t cycle;
-  std::size_t seg;
-  BitVec value;
+  const std::size_t cycle;
+  const std::size_t seg;
+  const BitVec value;
+  /// value.hash(), computed once here: every recipient's StringBank keys
+  /// the report by it.
+  const std::uint64_t hash;
 
   Report(std::size_t cy, std::size_t sg, BitVec v)
-      : cycle(cy), seg(sg), value(std::move(v)) {}
+      : cycle(cy), seg(sg), value(std::move(v)), hash(value.hash()) {}
   [[nodiscard]] std::size_t size_bits() const override { return value.size() + 64; }
   [[nodiscard]] std::string type_name() const override { return "rnd::Report"; }
 };

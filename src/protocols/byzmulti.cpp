@@ -53,7 +53,8 @@ void MultiCyclePeer::on_message(sim::PeerId from, const sim::Payload& payload) {
   const SegmentLayout& layout = layouts_[report->cycle - 1];
   if (report->seg >= layout.count()) return;
   if (report->value.size() != layout.length(report->seg)) return;
-  banks_[report->cycle - 1].record(report->seg, from, report->value);
+  banks_[report->cycle - 1].record(report->seg, from, report->value,
+                                   report->hash);
   reporters_[report->cycle - 1].insert(from, k());
   try_advance();
 }

@@ -80,7 +80,8 @@ SparseMask OwnerLayout::share(const BitVec& unknown, std::size_t r,
 
 ChunkPtr OwnerLayout::chunk(const Snapshot& unknown, std::size_t r,
                             sim::PeerId owner, const BitVec& out,
-                            const BitVec& known, const char* claim1) {
+                            const BitVec& known, const char* claim1,
+                            bool* is_kept) {
   if (unknown.get() != last_snapshot_) {
     const auto it = chunks_.find(unknown.get());
     ASYNCDR_EXPECTS_MSG(it != chunks_.end(),
@@ -95,7 +96,10 @@ ChunkPtr OwnerLayout::chunk(const Snapshot& unknown, std::size_t r,
   if (kept != nullptr) {
     const MaskChunk::Checks checks = kept->check(out, known);
     ASYNCDR_INVARIANT_MSG(checks.held, claim1);
-    if (checks.agrees) return kept;
+    if (checks.agrees) {
+      if (is_kept != nullptr) *is_kept = true;
+      return kept;
+    }
   }
   // The first call for this (snapshot, owner), or a responder whose values
   // differ from the kept chunk's (a mutating source): it answers with its
@@ -104,6 +108,7 @@ ChunkPtr OwnerLayout::chunk(const Snapshot& unknown, std::size_t r,
       MaskChunk::extract(out, share(*unknown, r, owner)));
   ++chunks_built_;
   ASYNCDR_INVARIANT_MSG(chunk->is_subset_of(known), claim1);
+  if (is_kept != nullptr) *is_kept = kept == nullptr;
   if (kept == nullptr) kept = chunk;
   return chunk;
 }
@@ -142,7 +147,7 @@ bool Resp2::content_equals(const sim::Payload& other) const {
 
 std::shared_ptr<const Resp2> answer(OwnerLayout& layout, const Req2& req,
                                     const PeerSet* heard, const BitVec& out,
-                                    const BitVec& known) {
+                                    const BitVec& known, bool* all_kept) {
   const std::size_t k = layout.k();
   MissingPtr list = req.missing;
   const auto& ids = list->ids;
@@ -157,20 +162,33 @@ std::shared_ptr<const Resp2> answer(OwnerLayout& layout, const Req2& req,
   }
   BitVec heard_bits(list->ids.size());
   std::vector<ChunkPtr> chunks;
+  bool kept = true;
   if (heard != nullptr) {
     for (std::size_t j = 0; j < list->ids.size(); ++j) {
       const sim::PeerId absent = list->ids[j];
       if (!heard->contains(absent)) continue;  // "me neither"
       if (chunks.empty()) chunks.reserve(list->ids.size() - j);
       heard_bits.set(j, true);
-      chunks.push_back(layout.chunk(
-          req.unknown, req.phase, absent, out, known,
-          "Claim 1 violated: heard the absent peer but lack its bits"));
+      bool is_kept = false;
+      chunks.push_back(layout.chunk(req.unknown, req.phase, absent, out,
+                                    known, kClaim1Req2, &is_kept));
+      kept = kept && is_kept;
     }
   }
+  if (all_kept != nullptr) *all_kept = kept;
   return std::make_shared<const Resp2>(req.phase, std::move(list),
                                        std::move(heard_bits),
                                        std::move(chunks));
+}
+
+bool still_answers(const Resp2& resp, const BitVec& out, const BitVec& known) {
+  bool agrees = true;
+  for (const ChunkPtr& chunk : resp.chunks) {
+    const MaskChunk::Checks checks = chunk->check(out, known);
+    ASYNCDR_INVARIANT_MSG(checks.held, kClaim1Req2);
+    agrees = agrees && checks.agrees;
+  }
+  return agrees;
 }
 
 }  // namespace crashm
@@ -229,9 +247,7 @@ void CrashMultiPeer::on_restart(const dr::RecoveryState& state) {
   // FULL rescue was dropped at the crashed port), so recovery must not wait
   // on anyone: query exactly the bits the journal does not cover, push the
   // FULL rescue, and terminate.
-  BitVec rest(n(), true);
-  rest.andnot_with(known_);
-  if (!query_mask(SparseMask(rest))) return;  // killed at a sentinel again
+  if (!download(known_.clear_runs())) return;  // killed at a sentinel again
   progress_ = Progress::kDone;
   if (!full_sent_) {
     full_sent_ = true;
@@ -321,7 +337,8 @@ void CrashMultiPeer::start_phase(std::size_t r) {
   phase_unknown_ = layout().snapshot(std::move(all_unknown), r);
 
   // Stage 1: query my own share and pull everyone else's.
-  if (!query_mask(layout().share(*phase_unknown_, r, id()))) return;
+  const SparseMask mine = layout().share(*phase_unknown_, r, id());
+  if (!download(mine.runs_outside(known_))) return;  // killed mid-append
   if (heard_.size() < r) heard_.resize(r);
   heard_[r - 1].insert(id(), k());
   missing_.clear();
@@ -332,8 +349,7 @@ void CrashMultiPeer::start_phase(std::size_t r) {
   try_advance();
 }
 
-bool CrashMultiPeer::query_mask(const SparseMask& mask) {
-  const std::vector<Interval> runs = mask.runs_outside(known_);
+bool CrashMultiPeer::download(const std::vector<Interval>& runs) {
   if (runs.empty()) return true;
   const BitVec values = query_runs(runs);
   // Single query funnel = single journal funnel: everything this protocol
@@ -369,11 +385,11 @@ void CrashMultiPeer::learn(std::size_t phase, sim::PeerId owner,
       last = chunk;
     }
   }
-  const BitVec::Assigned done = chunk->apply_to(out_, known_);
   // asyncdr-lint: allow(DR014) bits heard from other peers are not
   //   downloads: the journal logs only what this peer queried, and a
   //   revived incarnation re-queries what it had only heard, by design.
-  known_count_ += done.learned;
+  const BitVec::Assigned done = chunk->apply_to(out_, known_);
+  known_count_ += done.learned;  // asyncdr-lint: allow(DR014) same rationale.
   rewrote_ = rewrote_ || done.rewrote;
 }
 
@@ -457,13 +473,44 @@ void CrashMultiPeer::handle_req1(sim::PeerId from, const Req1& req) {
   ChunkPtr mine =
       layout().chunk(req.unknown, req.phase, id(), out_, known_,
                      "Claim 1 violated: asked for a bit I don't know");
-  send(from, std::make_shared<Resp1>(req.phase, std::move(mine)));
+  // A RESP1 is its phase and chunk: the same chunk object in the same
+  // phase is the same body, which resp1_ holds alive, so its pointer
+  // cannot name another chunk.
+  if (resp1_ == nullptr || resp1_->phase != req.phase ||
+      resp1_->chunk != mine) {
+    resp1_ = std::make_shared<const Resp1>(req.phase, std::move(mine));
+  }
+  send(from, resp1_);
+}
+
+bool CrashMultiPeer::can_resend(const Req2& req,
+                                std::size_t heard_size) const {
+  // A fresh answer is a function of the phase, the list, the heard set and
+  // each heard peer's chunk. The layout returns the kept chunk of a
+  // (snapshot, owner) while it agrees with out_, which holds unless some
+  // apply rewrote a known bit; a rescue's rewrite ends the peer.
+  return resp2_.body != nullptr && resp2_.body->phase == req.phase &&
+         resp2_.unknown == req.unknown && resp2_.heard == heard_size &&
+         !rewrote_ &&
+         (resp2_.asked == req.missing || *resp2_.asked == *req.missing);
 }
 
 void CrashMultiPeer::handle_req2(sim::PeerId from, const Req2& req) {
   const PeerSet* heard =
       heard_.size() >= req.phase ? &heard_[req.phase - 1] : nullptr;
-  send(from, crashm::answer(layout(), req, heard, out_, known_));
+  const std::size_t heard_size = heard != nullptr ? heard->size() : 0;
+  // Every check a fresh answer makes still runs on a resend: Claim 1 and
+  // the values of each carried chunk.
+  if (can_resend(req, heard_size) &&
+      crashm::still_answers(*resp2_.body, out_, known_)) {
+    send(from, resp2_.body);
+    return;
+  }
+  bool all_kept = false;
+  auto body = crashm::answer(layout(), req, heard, out_, known_, &all_kept);
+  resp2_ = all_kept ? KeptResp2{body, req.missing, req.unknown, heard_size}
+                    : KeptResp2{};
+  send(from, std::move(body));
 }
 
 void CrashMultiPeer::try_advance() {
@@ -524,10 +571,8 @@ void CrashMultiPeer::complete_now() {
   if (progress_ == Progress::kDone) return;
   begin_phase("complete");
   // Query whatever is still unknown directly.
-  BitVec rest(n(), true);
-  rest.andnot_with(known_);
-  if (!query_mask(SparseMask(rest))) return;  // killed: no rescue, no finish
-  // asyncdr-lint: allow(DR014) the query_mask call above is the journal
+  if (!download(known_.clear_runs())) return;  // killed: no rescue, no finish
+  // asyncdr-lint: allow(DR014) the download call above is the journal
   //   funnel — every bit acted on here was appended inside it before this
   //   point; progress_ and full_sent_ are volatile control state re-derived
   //   on replay, never read back from the journal.

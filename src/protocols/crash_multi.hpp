@@ -44,7 +44,9 @@
 // instead of an n-bit popcount, and skips a missing peer's chunk it already
 // applied for that phase (most RESP2 entries repeat one kept chunk). It
 // queries, journals and stores downloaded bits a run of consecutive
-// indices at a time.
+// indices at a time. A responder resends its last RESP1 or RESP2 body, not
+// a rebuilt one, while a fresh answer could not differ (DESIGN.md,
+// "Resent response bodies").
 //
 // Termination: once the unknown set is at most max(ceil(n/k), 2k) bits (or
 // a phase cap is hit), the peer queries the remainder directly, pushes its
@@ -114,9 +116,12 @@ class OwnerLayout {
   /// Either way the chunk must lie within `known` (Claim 1), else an
   /// invariant violation with message `claim1` is thrown. A kept chunk runs
   /// both checks in one pass.
+  /// If `is_kept` is given, sets it to whether the chunk returned is the
+  /// kept one.
   [[nodiscard]] ChunkPtr chunk(const Snapshot& unknown, std::size_t r,
                                sim::PeerId owner, const BitVec& out,
-                               const BitVec& known, const char* claim1);
+                               const BitVec& known, const char* claim1,
+                               bool* is_kept = nullptr);
 
   /// Chunks built so far, kept or not.
   [[nodiscard]] std::size_t chunks_built() const { return chunks_built_; }
@@ -262,13 +267,27 @@ struct Resp2 final : sim::Payload {
   std::uint64_t hash_ = 0;
 };
 
+/// The Claim 1 message of a RESP2 responder's chunk checks.
+inline constexpr const char* kClaim1Req2 =
+    "Claim 1 violated: heard the absent peer but lack its bits";
+
 /// The answer to `req` from a responder holding `out`/`known` that heard
 /// `heard` in the request's phase (null: it heard nobody then): per listed
 /// peer below k, that peer's chunk if heard (with the layout's checks),
-/// else "me neither". Listed ids >= k get no entry and no charge.
+/// else "me neither". Listed ids >= k get no entry and no charge. If
+/// `all_kept` is given, sets it to whether every chunk carried is the
+/// layout's kept chunk for its (snapshot, owner).
 std::shared_ptr<const Resp2> answer(OwnerLayout& layout, const Req2& req,
                                     const PeerSet* heard, const BitVec& out,
-                                    const BitVec& known);
+                                    const BitVec& known,
+                                    bool* all_kept = nullptr);
+
+/// Whether `resp` is still the answer of a responder holding `out`/`known`
+/// that built it over the layout's kept chunks: runs on every chunk it
+/// carries the checks a fresh answer would run, throwing an invariant
+/// violation with kClaim1Req2 if a chunk is not within `known`, and returns
+/// whether every chunk agrees with `out`.
+bool still_answers(const Resp2& resp, const BitVec& out, const BitVec& known);
 
 /// Terminating push of the full output array (Claim 2's rescue).
 struct Full final : sim::Payload {
@@ -344,10 +363,16 @@ class CrashMultiPeer final : public dr::Peer {
   [[nodiscard]] bool req1_eligible(const crashm::Req1& req) const;
   [[nodiscard]] bool req2_eligible(const crashm::Req2& req) const;
 
-  /// Queries (and journals) the unknown bits of `mask`. Returns false iff a
+  /// Queries, journals and then stores `runs` (ascending, disjoint runs of
+  /// unknown bits): the protocol's one download funnel. Returns false iff a
   /// journal crash-point sentinel killed this peer mid-append — the caller
   /// must stop immediately.
-  bool query_mask(const SparseMask& mask);
+  bool download(const std::vector<Interval>& runs);
+
+  /// Whether the RESP2 kept in resp2_ answers `req` exactly as a fresh
+  /// answer would, given a heard set of `heard_size` peers in its phase.
+  [[nodiscard]] bool can_resend(const crashm::Req2& req,
+                                std::size_t heard_size) const;
 
   /// Applies `owner`'s chunk from a phase-`phase` response, unless the
   /// owner was missing in that phase, the chunk is the one last applied for
@@ -391,6 +416,23 @@ class CrashMultiPeer final : public dr::Peer {
   };
   std::vector<PeerSet> heard_;      // C_r per phase (index r-1)
   std::vector<Deferred> deferred_;  // requests parked until eligible
+
+  /// The last RESP1 and RESP2 bodies this peer built, resent as they are
+  /// while a fresh answer could not differ (handle_req1, handle_req2). A
+  /// RESP2 is kept only if every chunk it carries is the layout's kept
+  /// chunk, with what it answered: the request's own missing list and
+  /// snapshot, and the size of the heard set it answered from (a heard set
+  /// only grows, so an equal size is an equal set). Both are bodies built
+  /// for sending anyway, so memory_bytes leaves them out; the payload pool
+  /// charges them while they are in flight.
+  std::shared_ptr<const crashm::Resp1> resp1_;
+  struct KeptResp2 {
+    std::shared_ptr<const crashm::Resp2> body;  ///< null: nothing kept
+    crashm::MissingPtr asked;
+    crashm::Snapshot unknown;
+    std::size_t heard = 0;
+  };
+  KeptResp2 resp2_;
 
   crashm::OwnerLayout* layout_ = nullptr;
 };

@@ -37,11 +37,12 @@ void CrashOnePeer::on_restart(const dr::RecoveryState& state) {
   missing.subtract(known_);
   if (!missing.empty()) {
     BitVec values = query_runs(missing.intervals());
-    const BitChunk got(std::move(missing), std::move(values));
-    got.apply_to(out_, known_);
-    if (!journal_runs(got.indices.intervals(), got.values)) {
+    // Append before applying, as everywhere a download lands: the journal
+    // never lags the state it protects.
+    if (!journal_runs(missing.intervals(), values)) {
       return;  // killed at a sentinel again
     }
+    BitChunk(std::move(missing), std::move(values)).apply_to(out_, known_);
   }
   if (crashed()) return;
   broadcast(std::make_shared<Stage1>(
@@ -87,9 +88,9 @@ void CrashOnePeer::start_phase1() {
   const Interval mine = blocks().bounds(id());
   if (mine.length() > 0) {
     const BitVec values = query_range(mine.lo, mine.length());
+    if (!journal_bits(mine.lo, values)) return;  // killed mid-append
     out_.splice(mine.lo, values);
     known_.insert(mine.lo, mine.hi);
-    if (!journal_bits(mine.lo, values)) return;  // killed mid-append
   }
   const IntervalSet mine_set = IntervalSet::of(mine.lo, mine.hi);
   coverage_[{1, id()}] = mine_set;
@@ -101,6 +102,9 @@ void CrashOnePeer::start_phase1() {
 void CrashOnePeer::on_message(sim::PeerId from, const sim::Payload& payload) {
   ensure_init();
   if (const auto* s1 = sim::payload_as<Stage1>(payload)) {
+    // asyncdr-lint: allow(DR014) bits heard from other peers are not
+    //   downloads: the journal logs only what this peer queried, and a
+    //   revived incarnation re-queries what it had only heard, by design.
     s1->chunk.apply_to(out_, known_);
     coverage_[{s1->phase, from}].unite(s1->chunk.indices);
     try_advance();
@@ -136,15 +140,8 @@ void CrashOnePeer::try_advance() {
     for (sim::PeerId q = 0; q < k(); ++q) {
       const Interval b = layout.bounds(q);
       const auto it = coverage_.find({1, q});
-      const bool covered =
-          b.length() == 0 ||
-          (it != coverage_.end() &&
-           it->second.count() >= b.length() &&
-           [&] {
-             IntervalSet want = IntervalSet::of(b.lo, b.hi);
-             want.subtract(it->second);
-             return want.empty();
-           }());
+      const bool covered = b.length() == 0 || (it != coverage_.end() &&
+                                               it->second.covers(b.lo, b.hi));
       if (covered) {
         ++heard;
       } else {
@@ -236,9 +233,8 @@ void CrashOnePeer::enter_phase2() {
     to_query.subtract(known_);
     if (!to_query.empty()) {
       BitVec values = query_runs(to_query.intervals());
-      const BitChunk got(std::move(to_query), std::move(values));
-      got.apply_to(out_, known_);
-      if (!journal_runs(got.indices.intervals(), got.values)) return;
+      if (!journal_runs(to_query.intervals(), values)) return;
+      BitChunk(std::move(to_query), std::move(values)).apply_to(out_, known_);
     }
     broadcast(std::make_shared<Stage1>(2, BitChunk::extract(out_, share)));
   }

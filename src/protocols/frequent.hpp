@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -25,7 +26,13 @@ class StringBank {
 
   /// Records `from`'s report of `value` for segment `seg`. Returns true if
   /// the vote was counted (first report by this peer for this segment).
-  bool record(std::size_t seg, sim::PeerId from, const BitVec& value);
+  bool record(std::size_t seg, sim::PeerId from, const BitVec& value) {
+    return record(seg, from, value, value.hash());
+  }
+  /// The same, for a report that carries its value's hash (`hash` must be
+  /// value.hash(); rnd::Report computes it once for all its recipients).
+  bool record(std::size_t seg, sim::PeerId from, const BitVec& value,
+              std::uint64_t hash);
 
   /// Number of distinct peers that reported anything for `seg` — the
   /// paper's R_i, which bounds the decision-tree cost for the segment.
@@ -38,14 +45,41 @@ class StringBank {
   [[nodiscard]] std::size_t support(std::size_t seg, const BitVec& value) const;
 
   /// F(S, tau): all strings reported for `seg` by >= tau distinct peers.
-  /// Deterministic order (by string content) so runs are reproducible.
+  /// Deterministic order, that of BitVec::to_string() (compared a word at a
+  /// time), so runs are reproducible.
   [[nodiscard]] std::vector<BitVec> frequent(std::size_t seg, std::size_t tau) const;
 
  private:
+  /// A reported string keyed by its hash, so a lookup never rehashes it;
+  /// a Probe finds one without copying the string.
+  struct Key {
+    std::uint64_t hash;
+    BitVec value;
+  };
+  struct Probe {
+    std::uint64_t hash;
+    const BitVec& value;
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const Key& k) const { return k.hash; }
+    std::size_t operator()(const Probe& p) const { return p.hash; }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(const Key& a, const Key& b) const {
+      return a.hash == b.hash && a.value == b.value;
+    }
+    bool operator()(const Probe& a, const Key& b) const {
+      return a.hash == b.hash && a.value == b.value;
+    }
+    bool operator()(const Key& a, const Probe& b) const { return (*this)(b, a); }
+  };
+
   struct SegmentVotes {
     /// Distinct supporters per string: each voter counts once, at its first
     /// report, so a count is all the string needs.
-    std::unordered_map<BitVec, std::size_t, BitVecHash> by_string;
+    std::unordered_map<Key, std::size_t, KeyHash, KeyEq> by_string;
     std::vector<bool> voted;  ///< [peer]: reported for this segment
     std::size_t voters = 0;   ///< set entries of `voted`
   };

@@ -14,6 +14,8 @@
 
 namespace asyncdr::sim {
 
+class PayloadBank;
+
 /// Base class of all peer-to-peer message contents.
 ///
 /// Payloads are immutable once sent and shared between all recipients of a
@@ -50,6 +52,32 @@ class Payload {
   [[nodiscard]] virtual bool content_equals(const Payload& other) const {
     return this == &other;
   }
+
+ private:
+  friend class PayloadBank;
+
+  /// A PayloadBank's record of this body while it has copies in flight
+  /// there (see sim/payload_bank.hpp). It is bookkeeping, not content: a
+  /// copy of a payload is a new body, live nowhere, so copying leaves the
+  /// record behind.
+  struct BankRecord {
+    BankRecord() = default;
+    BankRecord(const BankRecord&) {}
+    BankRecord& operator=(const BankRecord&) { return *this; }
+    /// Back to live nowhere.
+    void clear() {
+      bank = nullptr;
+      refs = bytes = hash = 0;
+      slot = 0;
+    }
+
+    const PayloadBank* bank = nullptr;  ///< the bank it is live in, or null
+    std::uint64_t refs = 0;    ///< scheduled, unsettled delivery copies
+    std::uint64_t bytes = 0;   ///< modeled body bytes charged to the pool
+    std::uint64_t hash = 0;    ///< content hash; 0 = not interned
+    std::size_t slot = 0;      ///< index in the bank's live list
+  };
+  mutable BankRecord bank_record_;
 };
 
 /// SplitMix64-style combiner for building Payload::content_hash values

@@ -506,6 +506,26 @@ TEST_P(BitVecKernels, SparseMaskRunsOutsideMatchPerBitReference) {
   }
 }
 
+TEST_P(BitVecKernels, ClearRunsMatchRunsOutsideTheFullMask) {
+  // crash_multi's direct completion asked for the unknown runs as the
+  // dense ~known copied into a SparseMask; clear_runs must give the same.
+  const std::size_t n = GetParam();
+  Rng rng(n * 43 + 5);
+  for (std::size_t trial = 0; trial < 12; ++trial) {
+    const BitVec known = trial == 0   ? BitVec(n)
+                         : trial == 1 ? BitVec(n, true)
+                         : trial < 7  ? run_mask(n, rng)
+                                      : random_bits(n, rng);
+    BitVec rest(n, true);
+    rest.andnot_with(known);
+    EXPECT_EQ(known.clear_runs(), SparseMask(rest).runs_outside(known))
+        << "n=" << n << " trial=" << trial;
+    EXPECT_EQ(known.clear_runs(),
+              runs_outside_reference(BitVec(n, true), known))
+        << "n=" << n << " trial=" << trial;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, BitVecKernels,
                          ::testing::Values(0, 1, 63, 64, 65, 127, 16384));
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -200,6 +202,105 @@ TEST_P(IntervalSetProperty, SplitEvenlyPartition) {
   if (!s.empty()) {
     EXPECT_LE(max_size - min_size, 1u);
   }
+}
+
+// The set-building erase that erase, subtract and crash_one's coverage
+// test used before they worked in place: a new vector per call.
+std::vector<Interval> reference_erase(const std::vector<Interval>& ivs,
+                                      std::size_t lo, std::size_t hi) {
+  if (lo == hi) return ivs;
+  std::vector<Interval> out;
+  for (const Interval& iv : ivs) {
+    if (iv.hi <= lo || iv.lo >= hi) {
+      out.push_back(iv);
+      continue;
+    }
+    if (iv.lo < lo) out.push_back(Interval{iv.lo, lo});
+    if (iv.hi > hi) out.push_back(Interval{hi, iv.hi});
+  }
+  return out;
+}
+
+std::size_t total(const std::vector<Interval>& ivs) {
+  std::size_t n = 0;
+  for (const Interval& iv : ivs) n += iv.length();
+  return n;
+}
+
+IntervalSet random_set(Rng& rng, std::size_t universe, int pieces) {
+  IntervalSet s;
+  for (int i = 0; i < pieces; ++i) {
+    const auto lo = static_cast<std::size_t>(rng.below(universe));
+    s.insert(lo, std::min(universe, lo + 1 + rng.below(40)));
+  }
+  return s;
+}
+
+TEST_P(IntervalSetProperty, InPlaceEditsMatchSetBuildingReference) {
+  Rng rng(GetParam() * 7 + 3);
+  constexpr std::size_t kUniverse = 400;
+  for (int trial = 0; trial < 60; ++trial) {
+    const IntervalSet base = random_set(rng, kUniverse, 1 + trial % 12);
+    // erase: random ranges, plus one interval's exact bounds and a range
+    // strictly inside one interval (the split).
+    std::vector<Interval> ranges;
+    for (int r = 0; r < 6; ++r) {
+      const auto lo = static_cast<std::size_t>(rng.below(kUniverse));
+      ranges.push_back({lo, lo + rng.below(kUniverse - lo + 1)});
+    }
+    if (!base.empty()) {
+      const Interval iv = base.intervals()[rng.below(base.intervals().size())];
+      ranges.push_back(iv);
+      if (iv.length() >= 3) ranges.push_back({iv.lo + 1, iv.hi - 1});
+    }
+    for (const Interval& range : ranges) {
+      IntervalSet s = base;
+      s.erase(range.lo, range.hi);
+      const auto want = reference_erase(base.intervals(), range.lo, range.hi);
+      EXPECT_EQ(s.intervals(), want);
+      EXPECT_EQ(s.count(), total(want));
+    }
+    // subtract: one erase per interval of the other set.
+    const IntervalSet other = random_set(rng, kUniverse, 1 + trial % 7);
+    IntervalSet diff = base;
+    diff.subtract(other);
+    std::vector<Interval> want = base.intervals();
+    for (const Interval& iv : other.intervals()) {
+      want = reference_erase(want, iv.lo, iv.hi);
+    }
+    EXPECT_EQ(diff.intervals(), want);
+    EXPECT_EQ(diff.count(), total(want));
+    // covers: the coverage test built {[lo, hi)} minus the set and asked
+    // whether anything was left.
+    for (const Interval& range : ranges) {
+      for (int shift = -1; shift <= 1; ++shift) {
+        const std::size_t lo =
+            shift < 0 && range.lo > 0 ? range.lo - 1 : range.lo;
+        const std::size_t hi = std::max(lo, shift > 0 ? range.hi + 1 : range.hi);
+        std::vector<Interval> left =
+            lo < hi ? std::vector<Interval>{{lo, hi}} : std::vector<Interval>{};
+        for (const Interval& iv : base.intervals()) {
+          left = reference_erase(left, iv.lo, iv.hi);
+        }
+        EXPECT_EQ(base.covers(lo, hi), left.empty())
+            << base.to_string() << " [" << lo << "," << hi << ")";
+      }
+    }
+  }
+}
+
+TEST(IntervalSet, CoversEdges) {
+  IntervalSet s;
+  s.insert(10, 20);
+  s.insert(30, 40);
+  EXPECT_TRUE(s.covers(10, 20));
+  EXPECT_TRUE(s.covers(12, 13));
+  EXPECT_TRUE(s.covers(25, 25));  // the empty range
+  EXPECT_FALSE(s.covers(9, 20));
+  EXPECT_FALSE(s.covers(10, 21));
+  EXPECT_FALSE(s.covers(15, 35));  // spans the gap
+  EXPECT_FALSE(IntervalSet{}.covers(0, 1));
+  EXPECT_THROW((void)s.covers(5, 4), contract_violation);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetProperty,

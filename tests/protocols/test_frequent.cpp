@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -112,6 +113,68 @@ TEST(StringBank, CountsMatchReferenceMultiset) {
       }
     }
   }
+}
+
+TEST(StringBank, FrequentOrderIsRenderedStringOrder) {
+  // frequent() compares words; the reference compares to_string(). Strings
+  // of equal and unequal lengths around the word size, sharing prefixes:
+  // truncations of a base string (proper prefixes), one-bit flips of it
+  // (first difference at any position, in any word) and extensions of it.
+  Rng rng(53);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t base_len = rng.below(200);
+    const BitVec base =
+        BitVec::generate(base_len, [&] { return rng.flip(0.5); });
+    std::vector<BitVec> values{base};
+    for (int v = 0; v < 24; ++v) {
+      switch (rng.below(3)) {
+        case 0:
+          values.push_back(base.slice(0, rng.below(base_len + 1)));
+          break;
+        case 1:
+          if (base_len > 0) {
+            BitVec flipped = base;
+            flipped.flip(rng.below(base_len));
+            values.push_back(std::move(flipped));
+          }
+          break;
+        default: {
+          BitVec longer = base;
+          for (std::size_t extra = 1 + rng.below(70); extra > 0; --extra) {
+            longer.push_back(rng.flip(0.5));
+          }
+          values.push_back(std::move(longer));
+        }
+      }
+    }
+    StringBank bank(1);
+    std::set<std::string> want;
+    for (std::size_t p = 0; p < values.size(); ++p) {
+      bank.record(0, static_cast<sim::PeerId>(p), values[p]);
+      want.insert(values[p].to_string());
+    }
+    std::vector<std::string> got;
+    for (const BitVec& v : bank.frequent(0, 1)) got.push_back(v.to_string());
+    EXPECT_EQ(got, std::vector<std::string>(want.begin(), want.end()))
+        << "trial " << trial;
+  }
+}
+
+TEST(StringBank, RecordWithCarriedHashMatchesRecord) {
+  StringBank carried(1), plain(1);
+  const BitVec a = BitVec::from_string("1011");
+  const BitVec b = BitVec::from_string("0011");
+  EXPECT_TRUE(carried.record(0, 1, a, a.hash()));
+  EXPECT_TRUE(carried.record(0, 2, a, a.hash()));
+  EXPECT_FALSE(carried.record(0, 2, b, b.hash()));
+  EXPECT_TRUE(carried.record(0, 3, b, b.hash()));
+  plain.record(0, 1, a);
+  plain.record(0, 2, a);
+  plain.record(0, 3, b);
+  EXPECT_EQ(carried.support(0, a), plain.support(0, a));
+  EXPECT_EQ(carried.support(0, b), plain.support(0, b));
+  EXPECT_EQ(carried.distinct(0), 2u);
+  EXPECT_EQ(carried.frequent(0, 1), plain.frequent(0, 1));
 }
 
 TEST(StringBank, BoundsChecked) {

@@ -4,9 +4,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
+#include "obs/mem.hpp"
 #include "sim/engine.hpp"
 
 namespace asyncdr::sim {
@@ -510,6 +515,146 @@ TEST_F(Fixture, PayloadBankDrainsUnderDuplicationStressor) {
   engine.run();
   EXPECT_EQ(net.payload_bank().live_refs(), 0u);
   EXPECT_EQ(net.payload_bank().live_payloads(), 0u);
+}
+
+// ---- The bank record lives on the body ----
+
+TEST(PayloadBankRecord, CountersFollowInFlightCopies) {
+  obs::MemRegistry mem;
+  obs::MemPool& pool = mem.pool("sim.msg.payloads");
+  PayloadBank bank;
+  bank.set_pool(&pool);
+  const PayloadPtr body = std::make_shared<InternedPayload>(5, 80);
+  ASSERT_EQ(bank.intern(body), body);
+  bank.charge(body, 3);
+  const std::uint64_t bytes = obs::modeled_alloc_bytes(48 + 10);
+  EXPECT_EQ(bank.live_payloads(), 1u);
+  EXPECT_EQ(bank.live_refs(), 3u);
+  EXPECT_EQ(bank.live_bytes(), bytes);
+  EXPECT_EQ(pool.current(), bytes);
+  // A body live here interns to itself without counting a hit; an equal
+  // fresh body interns onto it.
+  EXPECT_EQ(bank.intern(body), body);
+  EXPECT_EQ(bank.interned_payloads(), 0u);
+  EXPECT_EQ(bank.intern(std::make_shared<InternedPayload>(5, 80)), body);
+  EXPECT_EQ(bank.interned_payloads(), 1u);
+  bank.charge(body, 2);  // more copies of a live body: no second charge
+  EXPECT_EQ(bank.live_refs(), 5u);
+  EXPECT_EQ(pool.current(), bytes);
+  bank.credit(body.get(), 4);
+  EXPECT_EQ(bank.live_payloads(), 1u);
+  EXPECT_THROW(bank.credit(body.get(), 2), contract_violation);
+  bank.credit(body.get(), 1);
+  EXPECT_EQ(bank.live_payloads(), 0u);
+  EXPECT_EQ(bank.live_refs(), 0u);
+  EXPECT_EQ(bank.live_bytes(), 0u);
+  EXPECT_EQ(pool.current(), 0u);
+  // Settled: an equal body no longer interns onto it, and crediting it
+  // again is refused.
+  const PayloadPtr equal = std::make_shared<InternedPayload>(5, 80);
+  EXPECT_EQ(bank.intern(equal), equal);
+  EXPECT_THROW(bank.credit(body.get(), 1), contract_violation);
+}
+
+TEST(PayloadBankRecord, DuplicateLiveContentIsRefused) {
+  PayloadBank bank;
+  const PayloadPtr first = std::make_shared<InternedPayload>(9);
+  bank.charge(first, 1);
+  EXPECT_THROW(bank.charge(std::make_shared<InternedPayload>(9), 1),
+               contract_violation);
+  bank.credit(first.get(), 1);
+}
+
+TEST(PayloadBankRecord, ABodyLiveInOneBankIsRefusedByAnother) {
+  PayloadBank one, two;
+  const PayloadPtr body = std::make_shared<InternedPayload>(3);
+  const PayloadPtr plain = std::make_shared<TestPayload>();
+  one.charge(body, 2);
+  one.charge(plain, 1);
+  EXPECT_THROW((void)two.intern(body), contract_violation);
+  EXPECT_THROW(two.charge(body, 1), contract_violation);
+  EXPECT_THROW(two.credit(body.get(), 1), contract_violation);
+  EXPECT_THROW(two.charge(plain, 1), contract_violation);
+  // A copy of a live body is a new body, live nowhere.
+  const PayloadPtr copy = std::make_shared<InternedPayload>(
+      static_cast<const InternedPayload&>(*body));
+  EXPECT_EQ(two.intern(copy), copy);
+  two.charge(copy, 1);
+  two.credit(copy.get(), 1);
+  EXPECT_EQ(one.live_refs(), 3u);
+  // Once settled in the first bank, the second takes it.
+  one.credit(body.get(), 2);
+  one.credit(plain.get(), 1);
+  EXPECT_EQ(two.intern(body), body);
+  two.charge(body, 1);
+  EXPECT_EQ(two.live_payloads(), 1u);
+  two.credit(body.get(), 1);
+}
+
+TEST(PayloadBankRecord, TeardownWithCopiesInFlightFreesTheBody) {
+  // A run cut off mid-flight: the network's audit passes (refs equal the
+  // copies in flight) and its bank clears the records of what is left, so
+  // the bodies can be sent in the next world. Both worlds exist at once,
+  // so the second bank cannot sit where the first one was.
+  struct Net {
+    Net() {
+      for (PeerId i = 0; i < 4; ++i) net.attach(i, &peers[i]);
+    }
+    Engine engine;
+    Network net{engine, 4, 64};
+    Recorder peers[4];
+  };
+  const PayloadPtr body = std::make_shared<InternedPayload>(11);
+  const PayloadPtr plain = std::make_shared<TestPayload>();
+  auto first = std::make_unique<Net>();
+  auto second = std::make_unique<Net>();
+  first->net.broadcast(0, body);
+  first->net.send(1, 2, plain);
+  EXPECT_EQ(first->net.payload_bank().live_refs(),
+            first->net.total_in_flight());
+  EXPECT_EQ(first->net.payload_bank().live_payloads(), 2u);
+  EXPECT_THROW(second->net.broadcast(1, body), contract_violation);
+  first.reset();
+  second->net.broadcast(1, body);
+  second->net.send(2, 3, plain);
+  EXPECT_EQ(second->net.payload_bank().live_refs(), 4u);
+  second->engine.run();
+  EXPECT_EQ(second->net.payload_bank().live_payloads(), 0u);
+  EXPECT_EQ(second->peers[0].received.size(), 1u);
+}
+
+TEST(PayloadBankRecord, ManyLiveBodiesMatchAReferenceMap) {
+  // Enough distinct interned bodies to grow the table several times, and
+  // settles in random order (backward-shift deletion), against a map of
+  // the live body and its copies per key.
+  Rng rng(17);
+  PayloadBank bank;
+  std::map<std::uint64_t, std::pair<PayloadPtr, std::uint64_t>> live;
+  std::uint64_t refs = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t key = rng.below(300);
+    const auto it = live.find(key);
+    if (it == live.end() || rng.flip(0.5)) {
+      const PayloadPtr fresh = std::make_shared<InternedPayload>(key);
+      const PayloadPtr got = bank.intern(fresh);
+      EXPECT_EQ(got, it == live.end() ? fresh : it->second.first) << key;
+      bank.charge(got, 1);
+      auto& [body, copies] = live[key];
+      body = got;
+      ++copies;
+      ++refs;
+    } else {
+      bank.credit(it->second.first.get(), 1);
+      --refs;
+      if (--it->second.second == 0) live.erase(it);
+    }
+    ASSERT_EQ(bank.live_refs(), refs);
+    ASSERT_EQ(bank.live_payloads(), live.size());
+  }
+  for (const auto& [key, entry] : live) {
+    bank.credit(entry.first.get(), entry.second);
+  }
+  EXPECT_EQ(bank.live_payloads(), 0u);
 }
 
 // ---- payload_as: typeid for final types, dynamic_cast otherwise ----

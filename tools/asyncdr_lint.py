@@ -86,6 +86,16 @@ MUTATION_RE = re.compile(
     r"\b([a-z]\w*_)\s*(?:\.|->)\s*(?:" + MUTATOR_METHODS + r")\s*\("
     r"|\b([a-z]\w*_)\s*(?:\[[^\]]*\]\s*)?(=(?!=)|\+=|-=|\|=|&=|\^=)")
 JOURNAL_RE = re.compile(r"\bjournal_(bits|runs|checkpoint)\s*\(")
+# A member passed as a whole argument, and a parameter that can write
+# through it: a non-const lvalue reference (`BitVec& out`, not
+# `const BitVec& src`, `BitVec const& src` or `BitVec&& tmp`).
+MEMBER_ARG_RE = re.compile(r"^\s*([a-z]\w*_)\s*$")
+MUTABLE_REF_PARAM_RE = re.compile(
+    r"^\s*(?!.*\bconst\b)[A-Za-z_][\w:]*(?:\s*<[^()]*>)?\s*&(?!&)\s*"
+    r"(?:[A-Za-z_]\w*)?\s*(?:=.*)?$")
+# A source query a peer makes itself; the bits it returns are a download
+# until a journal_bits/journal_runs append persists them.
+QUERY_RE = re.compile(r"\bquery(?:_range|_runs|_indices)?\s*\(")
 
 CXX_KEYWORDS = frozenset(
     "if for while switch return sizeof alignof decltype static_assert catch "
@@ -351,6 +361,9 @@ class Program:
         self.statics = []              # (relpath, StaticIR), worker dirs only
         self.unordered_names = set()   # identifiers declared unordered
         self.unordered_elem_names = set()  # vector-of-unordered identifiers
+        # DR014: function name -> argument positions some declaration of
+        # that name takes by non-const lvalue reference.
+        self.mutating_params = {}
         for scan_root in SCAN_ROOTS:
             top = os.path.join(root, scan_root)
             for dirpath, dirnames, filenames in os.walk(top):
@@ -362,6 +375,7 @@ class Program:
                         self.files[rel] = SourceFile(root, rel)
         for src in self.files.values():
             _index_unordered_decls(src, self)
+            _index_mutating_params(src, self)
 
 
 def _index_unordered_decls(src, program):
@@ -383,6 +397,38 @@ def _index_unordered_decls(src, program):
         dm = re.match(r"\s*[&*]*\s*([A-Za-z_]\w*)\s*[;={(,)]", rest)
         if dm:
             program.unordered_elem_names.add(dm.group(1))
+
+
+def split_top_level(text, sep=","):
+    """`text` split at `sep` outside (), [], {} and <>."""
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(text):
+        if c in "([{<":
+            depth += 1
+        elif c in ")]}>":
+            depth -= 1
+        elif c == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
+def _index_mutating_params(src, program):
+    """Records, per declared function name, the parameter positions taken by
+    non-const lvalue reference. Any `name(params)` whose parameter reads as
+    `Type& name` counts, so a call spelled like a declaration is indexed
+    too: the conservative direction, more arguments treated as written."""
+    stripped = src.stripped
+    for m in CALL_RE.finditer(stripped):
+        close = match_bracket(stripped, m.end() - 1, "(", ")")
+        if close == -1:
+            continue
+        params = split_top_level(stripped[m.end():close - 1])
+        name = re.split(r"\s*::\s*", m.group(1))[-1]
+        for pos, param in enumerate(params):
+            if MUTABLE_REF_PARAM_RE.match(param):
+                program.mutating_params.setdefault(name, set()).add(pos)
 
 
 # --------------------------------------------------------------------------
@@ -514,19 +560,39 @@ def _parse_blocks(src):
     return functions
 
 
-def _extract_events(body, text_offset_to_line):
-    """DR014 event stream: journal appends and member mutations, in lexical
-    order (the fallback's approximation of 'every path': a mutation with no
-    append anywhere before it in the function cannot be dominated by one)."""
+def _extract_events(body, text_offset_to_line, program):
+    """DR014 event stream: journal appends, source queries and member
+    mutations, in lexical order (the fallback's approximation of 'every
+    path': a mutation with no append anywhere before it in the function
+    cannot be dominated by one). A member is mutated as the receiver of a
+    mutator, the target of an assignment, or a whole argument in a position
+    some declaration of the callee takes by non-const reference, as in
+    `got.apply_to(out_, known_)`."""
     events = []
     for m in JOURNAL_RE.finditer(body):
         events.append(("journal", m.group(1), text_offset_to_line(m.start()),
+                       m.start()))
+    for m in QUERY_RE.finditer(body):
+        events.append(("query", "", text_offset_to_line(m.start()),
                        m.start()))
     for m in MUTATION_RE.finditer(body):
         name = m.group(1) or m.group(2)
         if name:
             events.append(("mutate", name, text_offset_to_line(m.start()),
                            m.start()))
+    for m in CALL_RE.finditer(body):
+        name = re.split(r"\s*::\s*", m.group(1))[-1]
+        positions = program.mutating_params.get(name)
+        if not positions:
+            continue
+        close = match_bracket(body, m.end() - 1, "(", ")")
+        if close == -1:
+            continue
+        for pos, arg in enumerate(split_top_level(body[m.end():close - 1])):
+            member = MEMBER_ARG_RE.match(arg)
+            if pos in positions and member:
+                events.append(("mutate", member.group(1),
+                               text_offset_to_line(m.start()), m.start()))
     events.sort(key=lambda e: e[3])
     return [(kind, name, line) for kind, name, line, _ in events]
 
@@ -698,7 +764,8 @@ def lower_fallback(program):
 
             def body_line(off, _src=src, _start=start):
                 return _src.line_at(_start + off)
-            fn.events = _extract_events(src.stripped[start:end], body_line)
+            fn.events = _extract_events(src.stripped[start:end], body_line,
+                                        program)
             fn.loops = _extract_loops(src, start, end, program)
             fn.lambdas = _extract_lambdas(src, start, end)
             program.functions.append(fn)
@@ -774,7 +841,7 @@ def lower_libclang(program, compile_db_path, warn):
 
         def body_line(off):
             return base + body.count("\n", 0, off)
-        fn.events = _extract_events(body, body_line)
+        fn.events = _extract_events(body, body_line, program)
 
         def walk(c):
             for child in c.get_children():
@@ -1080,26 +1147,47 @@ def check_wal_ordering(program):
                                               set()).update(members)
     for fn in program.functions:
         members = recovered_by_class.get(fn.class_qual)
-        if not members or fn.simple_name == "on_restart":
+        if not members:
             continue
         if fn.simple_name == fn.class_qual.rsplit("::", 1)[-1]:
             continue  # constructor: no incarnation to lose yet
-        # Only the first unjournaled mutation per member is reported, so one
-        # justified allow() covers a function's later writes to that member.
+        # Two orders are wrong. Outside on_restart (which rebuilds recovered
+        # state from the journal itself), a mutation with no append before
+        # it. Anywhere, a mutation between a source query and the
+        # journal_bits/journal_runs append that persists it: the download is
+        # applied before it is journaled. Only the first finding per member
+        # is reported, so one justified allow() covers a function's later
+        # writes to that member.
         flagged = set()
+        journaled = fn.simple_name == "on_restart"
+        downloading = False
         for kind, name, line in fn.events:
             if kind == "journal":
-                break
+                journaled = True
+                downloading = downloading and name == "checkpoint"
+                continue
+            if kind == "query":
+                downloading = True
+                continue
             if name not in members or name in flagged:
                 continue
+            if downloading:
+                message = (f"{fn.qualname} applies a download to recovered "
+                           f"state '{name}' before the journal_bits/"
+                           "journal_runs append that persists it; append "
+                           "first, so the journal never lags the state it "
+                           "protects")
+            elif not journaled:
+                message = (f"{fn.qualname} mutates recovered state '{name}' "
+                           "with no preceding journal_* append in this "
+                           "function; bits applied but never journaled are "
+                           "lost to the next incarnation and re-queried, "
+                           "skewing the warm-vs-cold Q accounting")
+            else:
+                continue
             flagged.add(name)
-            findings.append(Finding(
-                "DR014", fn.relpath, line,
-                f"{fn.qualname} mutates recovered state '{name}' with no "
-                "preceding journal_* append in this function; bits applied "
-                "but never journaled are lost to the next incarnation and "
-                "re-queried, skewing the warm-vs-cold Q accounting",
-                program.files[fn.relpath].snippet(line)))
+            findings.append(Finding("DR014", fn.relpath, line, message,
+                                    program.files[fn.relpath].snippet(line)))
     return findings
 
 
@@ -1294,7 +1382,10 @@ RULES = [
         "accounting in BENCH_recovery.json stops meaning anything. DR011 "
         "only fences ambient persistence; this rule checks the "
         "append-before-mutate order inside each function of every class "
-        "that overrides on_restart.",
+        "that overrides on_restart, and that a queried download is appended "
+        "before it is applied (on_restart included). A member counts as "
+        "mutated when it is a mutator's receiver, an assignment's target, or "
+        "an argument the callee takes by non-const reference.",
         check_wal_ordering,
     ),
 ]

@@ -207,6 +207,17 @@ void Peer::apply(int i) {
 """
 
 
+CHUNK_DECLS = """\
+#pragma once
+namespace asyncdr::proto {
+struct Chunk {
+  void apply_to(BitVec& out, IntervalSet& known) const;
+  bool agrees_with(const BitVec& out, IntervalSet const& known) const;
+};
+}  // namespace asyncdr::proto
+"""
+
+
 class WalOrdering(TreeCase):
     def test_dr014_mutation_without_preceding_append(self):
         self.write("src/proto/peer.cpp",
@@ -237,6 +248,55 @@ class WalOrdering(TreeCase):
         self.write("src/proto/peer.cpp", JOURNAL_CLIENT %
                    "// asyncdr-lint: allow(DR014) volatile stage cursor\n"
                    "  out_.set(i, true);")
+        self.assertEqual(self.check("DR014"), "")
+
+    def test_dr014_member_passed_to_mutating_call(self):
+        # The callee takes `BitVec& out`: passing out_ writes it.
+        self.write("src/proto/chunk.hpp", CHUNK_DECLS)
+        self.write("src/proto/peer.cpp",
+                   JOURNAL_CLIENT % "got.apply_to(out_, known_);")
+        out = self.check("DR014")
+        self.assertIn("peer.cpp:6: DR014", out)
+        self.assertIn("'out_'", out)
+
+    def test_dr014_member_passed_by_const_ref_ok(self):
+        self.write("src/proto/chunk.hpp", CHUNK_DECLS)
+        self.write("src/proto/peer.cpp",
+                   JOURNAL_CLIENT % "(void)got.agrees_with(out_, known_);")
+        self.assertEqual(self.check("DR014"), "")
+
+    def test_dr014_download_applied_before_its_append(self):
+        # An earlier checkpoint does not persist the queried bits: the
+        # apply still runs ahead of the journal_runs that does.
+        self.write("src/proto/chunk.hpp", CHUNK_DECLS)
+        self.write("src/proto/peer.cpp", JOURNAL_CLIENT %
+                   "if (!journal_checkpoint(\"phase\", 2)) return;\n"
+                   "  BitVec values = query_runs(runs);\n"
+                   "  got.apply_to(out_, known_);\n"
+                   "  if (!journal_runs(runs, values)) return;")
+        out = self.check("DR014")
+        self.assertIn("peer.cpp:8: DR014", out)
+        self.assertIn("before the journal_bits/journal_runs append", out)
+
+    def test_dr014_download_applied_before_its_append_in_on_restart(self):
+        self.write("src/proto/chunk.hpp", CHUNK_DECLS)
+        self.write("src/proto/peer.cpp",
+                   "namespace asyncdr::proto {\n"
+                   "void Peer::on_restart(const dr::RecoveryState& state) {\n"
+                   "  out_.set(0, true);\n"
+                   "  BitVec values = query_runs(runs);\n"
+                   "  got.apply_to(out_, known_);\n"
+                   "  if (!journal_runs(runs, values)) return;\n"
+                   "}\n"
+                   "}  // namespace asyncdr::proto\n")
+        self.assertIn("peer.cpp:5: DR014", self.check("DR014"))
+
+    def test_dr014_download_appended_first_ok(self):
+        self.write("src/proto/chunk.hpp", CHUNK_DECLS)
+        self.write("src/proto/peer.cpp", JOURNAL_CLIENT %
+                   "BitVec values = query_runs(runs);\n"
+                   "  if (!journal_runs(runs, values)) return;\n"
+                   "  got.apply_to(out_, known_);")
         self.assertEqual(self.check("DR014"), "")
 
 

@@ -15,6 +15,7 @@ using namespace asyncdr::bench;
 using namespace asyncdr::proto;
 
 int main() {
+  BenchJson bj("lowerbound");
   banner("E3/E4 — Byzantine-majority lower bounds (Thms 3.1, 3.2)",
          "any Download protocol with Q < n fails once beta >= 1/2");
 
@@ -35,6 +36,12 @@ int main() {
       const auto result = run_deterministic_majority_attack(c, victim.factory);
       table.add(victim.name, result.victim_probe_queries, result.attackable,
                 result.succeeded, result.planted_bit, result.detail);
+      bj.record_values(
+          "E3", victim.name,
+          {{"victim_q", static_cast<double>(result.victim_probe_queries)},
+           {"attackable", result.attackable ? 1.0 : 0.0},
+           {"succeeded", result.succeeded ? 1.0 : 0.0},
+           {"planted_bit", static_cast<double>(result.planted_bit)}});
     }
     table.print();
     std::printf("shape: every protocol with q < n falls to the two-world\n"
@@ -53,6 +60,11 @@ int main() {
       table.add(beta, c.max_faulty(), c.max_faulty(),
                 c.k - c.max_faulty() - 1, result.victim_probe_queries,
                 result.succeeded);
+      bj.record_values(
+          "E3-beta", "beta=" + Table::to_cell(beta),
+          {{"t", static_cast<double>(c.max_faulty())},
+           {"victim_q", static_cast<double>(result.victim_probe_queries)},
+           {"succeeded", result.succeeded ? 1.0 : 0.0}});
     }
     table.print();
     std::printf("note: as beta -> 1 the victim's quorum shrinks toward\n"
@@ -77,6 +89,15 @@ int main() {
                 stats.mean_victim_queries / static_cast<double>(c.n),
                 stats.success_rate(), stats.predicted_floor(c.n),
                 stats.trials);
+      bj.record_values(
+          "E4", "s=" + std::to_string(segments),
+          {{"trials", static_cast<double>(stats.trials)},
+           {"succeeded", static_cast<double>(stats.succeeded)},
+           {"victim_unterminated",
+            static_cast<double>(stats.victim_unterminated)},
+           {"victim_q_mean", stats.mean_victim_queries},
+           {"success_rate", stats.success_rate()},
+           {"floor", stats.predicted_floor(c.n)}});
     }
     table.print();
     std::printf("shape: success tracks the 1 - q/n floor of Theorem 3.2 —\n"

@@ -14,8 +14,8 @@
 #include "common/rng.hpp"
 #include "dr/journal.hpp"
 #include "dr/world.hpp"
+#include "protocols/byzmulti.hpp"
 #include "protocols/chunk.hpp"
-#include "protocols/byz2cycle.hpp"
 #include "protocols/committee.hpp"
 #include "protocols/crash_multi.hpp"
 #include "protocols/crash_one.hpp"

@@ -15,7 +15,6 @@
 #include "bench_common.hpp"
 
 #include "dr/world.hpp"
-#include "protocols/byz2cycle.hpp"
 #include "protocols/byzmulti.hpp"
 #include "protocols/decision_tree.hpp"
 
@@ -57,8 +56,9 @@ struct DetailStats {
 };
 
 /// Runs worlds directly so per-peer tree/fallback diagnostics are visible.
-template <typename PeerT>
-DetailStats detail_runs(const RandParams& params, const Attack& attack) {
+DetailStats detail_runs(const RandParams& params,
+                        MultiCyclePeer::Schedule schedule,
+                        const Attack& attack) {
   DetailStats out;
   for (std::size_t rep = 0; rep < kRepeats; ++rep) {
     const auto c = cfg(1000 + rep);
@@ -71,7 +71,7 @@ DetailStats detail_runs(const RandParams& params, const Attack& attack) {
         world.set_peer(id, attack.factory(c, id));
         world.mark_faulty(id);
       } else {
-        world.set_peer(id, std::make_unique<PeerT>(params));
+        world.set_peer(id, std::make_unique<MultiCyclePeer>(params, schedule));
       }
     }
     world.network().set_latency_policy(std::make_unique<adv::UniformLatency>(
@@ -84,7 +84,7 @@ DetailStats detail_runs(const RandParams& params, const Attack& attack) {
     out.q.add(static_cast<double>(report.query_complexity));
     for (sim::PeerId id = 0; id < c.k; ++id) {
       if (byz_set.contains(id)) continue;
-      const auto& peer = dynamic_cast<const PeerT&>(world.peer(id));
+      const auto& peer = dynamic_cast<const MultiCyclePeer&>(world.peer(id));
       out.tree.add(static_cast<double>(peer.tree_queries()));
       out.fallback.add(static_cast<double>(peer.fallback_segments()));
     }
@@ -92,9 +92,31 @@ DetailStats detail_runs(const RandParams& params, const Attack& attack) {
   return out;
 }
 
+/// Q's mean when any run succeeded, else nothing: a row that always fails
+/// has no Q to pin.
+void add_q_mean(std::vector<std::pair<std::string, double>>& fields,
+                const Summary& q) {
+  if (!q.empty()) fields.emplace_back("q_mean", q.mean());
+}
+
+/// One E6/E7 row: the printed table's columns.
+void record_detail(BenchJson& bj, const std::string& section,
+                   const std::string& label, const DetailStats& stats) {
+  std::vector<std::pair<std::string, double>> fields{
+      {"runs", static_cast<double>(kRepeats)},
+      {"failures", static_cast<double>(stats.failures)}};
+  add_q_mean(fields, stats.q);
+  if (!stats.tree.empty()) {
+    fields.emplace_back("tree_queries_mean", stats.tree.mean());
+    fields.emplace_back("fallback_segments_mean", stats.fallback.mean());
+  }
+  bj.record_mixed(section, label, fields);
+}
+
 }  // namespace
 
 int main() {
+  BenchJson bj("randomized");
   const auto params = RandParams::derive(cfg(1), kC);
   banner("E6/E7 — randomized Byzantine Download (Thms 3.7, 3.12)",
          "n=" + std::to_string(kN) + ", k=" + std::to_string(kK) +
@@ -105,10 +127,12 @@ int main() {
     Table table({"attack", "Q (max/peer)", "tree queries (mean)",
                  "fallback segs (mean)", "Q bound", "fails"});
     for (const Attack& attack : attacks()) {
-      const auto stats = detail_runs<TwoCyclePeer>(params, attack);
+      const auto stats =
+          detail_runs(params, MultiCyclePeer::Schedule::kTwoCycle, attack);
       table.add(attack.name, mean_cell(stats.q), mean_cell(stats.tree),
                 mean_cell(stats.fallback),
                 bounds::two_cycle_q(cfg(1), params), stats.failures);
+      record_detail(bj, "E6", attack.name, stats);
     }
     table.print();
     std::printf("shape: Q ~ n/s + trees = %zu + O(k); stuffing only adds\n"
@@ -121,10 +145,12 @@ int main() {
     Table table({"attack", "Q (max/peer)", "tree queries (mean)",
                  "fallback segs (mean)", "Q bound", "fails"});
     for (const Attack& attack : attacks()) {
-      const auto stats = detail_runs<MultiCyclePeer>(params, attack);
+      const auto stats =
+          detail_runs(params, MultiCyclePeer::Schedule::kMultiCycle, attack);
       table.add(attack.name, mean_cell(stats.q), mean_cell(stats.tree),
                 mean_cell(stats.fallback),
                 bounds::multi_cycle_q(cfg(1), params), stats.failures);
+      record_detail(bj, "E7", attack.name, stats);
     }
     table.print();
   }
@@ -153,6 +179,12 @@ int main() {
                   "%.3f), Q=%s\n", margin, runs, wrong,
                   static_cast<double>(wrong) / static_cast<double>(runs),
                   q.to_string().c_str());
+      bj.record_values("whp", "tau margin " + Table::to_cell(margin),
+                       {{"runs", static_cast<double>(runs)},
+                        {"failures", static_cast<double>(wrong)},
+                        {"q_mean", q.mean()},
+                        {"q_min", q.min()},
+                        {"q_max", q.max()}});
     }
   }
 
@@ -182,8 +214,16 @@ int main() {
             q.add(static_cast<double>(report.query_complexity));
           }
         }
-        table.add(tau, attack == 0 ? "vote stuff" : "comb stuff",
-                  mean_cell(q), fails);
+        const std::string attack_name =
+            attack == 0 ? "vote stuff" : "comb stuff";
+        table.add(tau, attack_name, mean_cell(q), fails);
+        std::vector<std::pair<std::string, double>> fields{
+            {"runs", static_cast<double>(kRepeats)},
+            {"failures", static_cast<double>(fails)}};
+        add_q_mean(fields, q);
+        bj.record_mixed("tau-ablation",
+                        "tau=" + std::to_string(tau) + " " + attack_name,
+                        fields);
       }
     }
     table.print();

@@ -18,7 +18,7 @@
 
 #include "common/stats.hpp"
 #include "dr/world.hpp"
-#include "protocols/byz2cycle.hpp"
+#include "protocols/byzmulti.hpp"
 #include "protocols/lowerbound.hpp"
 #include "protocols/runner.hpp"
 
@@ -41,7 +41,8 @@ int main() {
       world.set_peer(id, std::make_unique<VoteStuffPeer>(params, 0));
       world.mark_faulty(id);
     } else {
-      world.set_peer(id, std::make_unique<TwoCyclePeer>(params));
+      world.set_peer(id, std::make_unique<MultiCyclePeer>(
+          params, MultiCyclePeer::Schedule::kTwoCycle));
     }
   }
   const dr::RunReport report = world.run();
@@ -49,7 +50,7 @@ int main() {
   Summary tree_queries;
   for (sim::PeerId id = 0; id < cfg.k; ++id) {
     if (byz_set.contains(id)) continue;
-    const auto& peer = dynamic_cast<const TwoCyclePeer&>(world.peer(id));
+    const auto& peer = dynamic_cast<const MultiCyclePeer&>(world.peer(id));
     tree_queries.add(static_cast<double>(peer.tree_queries()));
   }
   std::printf("  verdict: %s\n", report.to_string().c_str());

@@ -57,11 +57,6 @@ bool Peer::crashed() const { return world_->network().is_crashed(id_); }
 
 bool Peer::journaling() const { return world_->recovery_enabled(); }
 
-bool Peer::journal_bits(std::size_t lo, const BitVec& values) {
-  if (!journaling()) return true;
-  return world_->journal_for(id_).append_bits(lo, values);
-}
-
 bool Peer::journal_runs(std::span<const Interval> runs,
                         const BitVec& values) {
   if (!journaling()) return true;

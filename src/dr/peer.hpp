@@ -88,10 +88,10 @@ class Peer : public sim::Receiver {
   /// checkpoint to this peer's journal. No-ops returning true when
   /// journaling is off. A false return means a crash-point sentinel killed
   /// this peer mid-append — stop immediately.
-  bool journal_bits(std::size_t lo, const BitVec& values);
-  /// Journals a query_runs batch: one bits record per run, `values`
-  /// holding the runs' bits back to back. A kill between records leaves a
-  /// replayable prefix of the runs.
+  ///
+  /// journal_runs journals a query_runs batch: one bits record per run,
+  /// `values` holding the runs' bits back to back. A kill between records
+  /// leaves a replayable prefix of the runs.
   bool journal_runs(std::span<const Interval> runs, const BitVec& values);
   bool journal_checkpoint(const std::string& name, std::uint64_t value);
   /// Credits recovered bits this incarnation did *not* re-query against the

@@ -1,7 +1,7 @@
 #include "dr/world.hpp"
 #include "protocols/attacks.hpp"
 
-#include "protocols/byz2cycle.hpp"
+#include "protocols/byzmulti.hpp"
 #include "protocols/segments.hpp"
 
 namespace asyncdr::proto {

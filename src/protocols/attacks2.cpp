@@ -1,7 +1,7 @@
 #include "protocols/attacks2.hpp"
 
 #include "dr/world.hpp"
-#include "protocols/byz2cycle.hpp"
+#include "protocols/byzmulti.hpp"
 #include "protocols/segments.hpp"
 
 namespace asyncdr::proto {

@@ -6,19 +6,32 @@
 
 namespace asyncdr::proto {
 
-MultiCyclePeer::MultiCyclePeer(RandParams params) : params_(params) {}
+MultiCyclePeer::MultiCyclePeer(RandParams params, Schedule schedule)
+    : params_(params), schedule_(schedule) {}
 
 void MultiCyclePeer::init_structures() {
   if (!layouts_.empty()) return;
   layouts_.emplace_back(n(), params_.segments);
-  while (layouts_.back().count() > 1) {
-    layouts_.push_back(layouts_.back().coarsen());
+  if (schedule_ == Schedule::kMultiCycle) {
+    while (layouts_.back().count() > 1) {
+      layouts_.push_back(layouts_.back().coarsen());
+    }
   }
+  // The 2-cycle chain, and the multi-cycle one from a single segment: the
+  // last cycle determines the whole input from cycle 1's reports.
+  if (layouts_.size() == 1) layouts_.emplace_back(n(), 1);
   total_cycles_ = layouts_.size();
   for (const SegmentLayout& layout : layouts_) {
     banks_.emplace_back(layout.count());
   }
   reporters_.resize(total_cycles_);
+}
+
+std::string MultiCyclePeer::phase_name(std::size_t j) const {
+  if (schedule_ == Schedule::kTwoCycle) {
+    return j == 1 ? "cycle1:sample-report" : "cycle2:decide";
+  }
+  return "cycle-" + std::to_string(j);
 }
 
 void MultiCyclePeer::on_start() {
@@ -29,8 +42,8 @@ void MultiCyclePeer::on_start() {
   }
   init_structures();
 
-  // Cycle 1 = Protocol 4's first cycle: pick, query in full, report.
-  begin_phase("cycle-1");
+  // Cycle 1: pick, query in full, report.
+  begin_phase(phase_name(1));
   cycle_ = 1;
   my_pick_ = static_cast<std::size_t>(rng().below(layouts_[0].count()));
   const Interval b = layouts_[0].bounds(my_pick_);
@@ -71,16 +84,17 @@ void MultiCyclePeer::try_advance() {
 
 void MultiCyclePeer::start_cycle(std::size_t j) {
   ASYNCDR_INVARIANT(j >= 2 && j <= total_cycles_);
-  begin_phase("cycle-" + std::to_string(j));
+  begin_phase(phase_name(j));
   const SegmentLayout& layout = layouts_[j - 1];
   const SegmentLayout& finer = layouts_[j - 2];
 
   const auto pick = static_cast<std::size_t>(rng().below(layout.count()));
 
-  // Determine the picked coarse segment from its cycle-(j-1) halves.
+  // Determine the picked segment from the cycle-(j-1) segments it spans.
   BitVec value(layout.length(pick));
   std::size_t at = 0;
-  for (std::size_t child : finer.children_of(pick)) {
+  const Interval children = finer.segments_in(layout.bounds(pick));
+  for (std::size_t child = children.lo; child < children.hi; ++child) {
     const BitVec part = determine_segment(j - 1, child);
     value.splice(at, part);
     at += part.size();
@@ -107,7 +121,10 @@ BitVec MultiCyclePeer::determine_segment(std::size_t j, std::size_t seg) {
   // My own previous pick needs no resolution.
   if (j == cycle_ && seg == my_pick_) return my_value_;
 
-  const std::size_t tau = params_.tau_for(layout.count());
+  // Cycle 1 uses the configured tau (the tau ablation and the lower-bound
+  // victims override it); derived parameters give tau == tau_for(s).
+  const std::size_t tau =
+      j == 1 ? params_.tau : params_.tau_for(layout.count());
   const std::vector<BitVec> candidates = banks_[j - 1].frequent(seg, tau);
   if (candidates.empty()) {
     ++fallback_segments_;

@@ -291,20 +291,25 @@ bool still_answers(const Resp2& resp, const BitVec& out, const BitVec& known);
 
 /// Terminating push of the full output array (Claim 2's rescue).
 struct Full final : sim::Payload {
-  BitVec all;
+  const BitVec all;
 
-  explicit Full(BitVec a) : all(std::move(a)) {}
+  // The bank asks for the hash on intern and on every charge: the n-bit
+  // array is hashed once, here.
+  explicit Full(BitVec a)
+      : all(std::move(a)),
+        hash_(sim::payload_hash_mix(0x0105, all.hash()) | 1) {}
   [[nodiscard]] std::size_t size_bits() const override { return 8 + all.size(); }
   [[nodiscard]] std::string type_name() const override { return "crashm::Full"; }
   // THE interning win: every completing peer pushes the identical full
   // array, so a k-wide rescue wave keeps one n-bit body, not k of them.
-  [[nodiscard]] std::uint64_t content_hash() const override {
-    return sim::payload_hash_mix(0x0105, all.hash()) | 1;
-  }
+  [[nodiscard]] std::uint64_t content_hash() const override { return hash_; }
   [[nodiscard]] bool content_equals(const sim::Payload& other) const override {
     const auto* o = sim::payload_as<Full>(other);
     return o != nullptr && o->all == all;
   }
+
+ private:
+  std::uint64_t hash_;
 };
 
 }  // namespace crashm

@@ -87,8 +87,9 @@ void CrashOnePeer::start_phase1() {
   if (!journal_checkpoint("phase", 1)) return;  // killed at the sentinel
   const Interval mine = blocks().bounds(id());
   if (mine.length() > 0) {
-    const BitVec values = query_range(mine.lo, mine.length());
-    if (!journal_bits(mine.lo, values)) return;  // killed mid-append
+    const std::span<const Interval> run(&mine, 1);
+    const BitVec values = query_runs(run);
+    if (!journal_runs(run, values)) return;  // killed mid-append
     out_.splice(mine.lo, values);
     known_.insert(mine.lo, mine.hi);
   }

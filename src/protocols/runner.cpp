@@ -125,27 +125,24 @@ PeerFactory make_committee(CommitteePeer::Options opts) {
 
 PeerFactory make_two_cycle(double concentration, double tau_margin) {
   return [concentration, tau_margin](const dr::Config& cfg, sim::PeerId) {
-    return std::make_unique<TwoCyclePeer>(
-        RandParams::derive(cfg, concentration, tau_margin));
+    return std::make_unique<MultiCyclePeer>(
+        RandParams::derive(cfg, concentration, tau_margin),
+        MultiCyclePeer::Schedule::kTwoCycle);
   };
 }
 
 PeerFactory make_multi_cycle(double concentration, double tau_margin) {
   return [concentration, tau_margin](const dr::Config& cfg, sim::PeerId) {
     return std::make_unique<MultiCyclePeer>(
-        RandParams::derive(cfg, concentration, tau_margin));
+        RandParams::derive(cfg, concentration, tau_margin),
+        MultiCyclePeer::Schedule::kMultiCycle);
   };
 }
 
 PeerFactory make_two_cycle_with(RandParams params) {
   return [params](const dr::Config&, sim::PeerId) {
-    return std::make_unique<TwoCyclePeer>(params);
-  };
-}
-
-PeerFactory make_multi_cycle_with(RandParams params) {
-  return [params](const dr::Config&, sim::PeerId) {
-    return std::make_unique<MultiCyclePeer>(params);
+    return std::make_unique<MultiCyclePeer>(
+        params, MultiCyclePeer::Schedule::kTwoCycle);
   };
 }
 

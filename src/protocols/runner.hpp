@@ -15,7 +15,6 @@
 #include "dr/world.hpp"
 #include "protocols/attacks.hpp"
 #include "protocols/attacks2.hpp"
-#include "protocols/byz2cycle.hpp"
 #include "protocols/byzmulti.hpp"
 #include "protocols/committee.hpp"
 #include "protocols/crash_multi.hpp"
@@ -118,11 +117,10 @@ PeerFactory make_committee(CommitteePeer::Options opts = {});
 /// Derives RandParams from the config with the given concentration constant.
 PeerFactory make_two_cycle(double concentration = 3.0, double tau_margin = 2.0);
 PeerFactory make_multi_cycle(double concentration = 3.0, double tau_margin = 2.0);
-/// Explicit-parameter variants (used by the lower-bound experiments to force
-/// a sub-n-query protocol into the majority-Byzantine regime, and by the
-/// threshold-sensitivity ablation).
+/// Explicit-parameter 2-cycle protocol (used by the lower-bound experiments
+/// to force a sub-n-query protocol into the majority-Byzantine regime, and
+/// by the threshold-sensitivity ablation).
 PeerFactory make_two_cycle_with(RandParams params);
-PeerFactory make_multi_cycle_with(RandParams params);
 
 // ---- Byzantine attack factories ----
 PeerFactory make_silent_byz();

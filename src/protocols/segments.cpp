@@ -47,11 +47,13 @@ SegmentLayout SegmentLayout::coarsen() const {
   return SegmentLayout(std::move(pts));
 }
 
-std::vector<std::size_t> SegmentLayout::children_of(std::size_t coarse_id) const {
-  ASYNCDR_EXPECTS(coarse_id < coarsen().count());
-  std::vector<std::size_t> kids{2 * coarse_id};
-  if (2 * coarse_id + 1 < count()) kids.push_back(2 * coarse_id + 1);
-  return kids;
+Interval SegmentLayout::segments_in(Interval range) const {
+  if (range.length() == 0) return Interval{};
+  const Interval ids{segment_of(range.lo), segment_of(range.hi - 1) + 1};
+  ASYNCDR_EXPECTS_MSG(
+      bounds_[ids.lo] == range.lo && bounds_[ids.hi] == range.hi,
+      "range ends are not segment boundaries");
+  return ids;
 }
 
 }  // namespace asyncdr::proto

@@ -1,7 +1,8 @@
 // Segment partition arithmetic for the randomized protocols: the input is
 // split into s segments of (almost) equal length; the multi-cycle protocol
 // then repeatedly pairs adjacent segments, doubling segment length, until a
-// single segment covers the whole input.
+// single segment covers the whole input (the 2-cycle protocol goes there in
+// one step).
 #pragma once
 
 #include <cstddef>
@@ -14,8 +15,8 @@ namespace asyncdr::proto {
 /// Partition of [0, n) into contiguous segments. The (n, count) constructor
 /// builds an equal split (lengths differ by at most one); coarsen() pairs
 /// adjacent segments so that every coarse segment is exactly the
-/// concatenation of one or two fine segments — the invariant the multi-cycle
-/// protocol's decision trees rely on.
+/// concatenation of one or two fine segments — the invariant the randomized
+/// protocols' decision trees rely on.
 class SegmentLayout {
  public:
   SegmentLayout(std::size_t n, std::size_t count);
@@ -34,8 +35,11 @@ class SegmentLayout {
   /// (just {2j} when the count is odd and 2j is last).
   [[nodiscard]] SegmentLayout coarsen() const;
 
-  /// The fine-segment IDs composing coarse segment `j` of coarsen().
-  [[nodiscard]] std::vector<std::size_t> children_of(std::size_t coarse_id) const;
+  /// The IDs [lo, hi) of the segments that tile `range`, a segment of a
+  /// coarser layout over the same input whose ends are boundaries of this
+  /// one (coarsen(), or the single segment [0, n)): segment_of(range.lo)
+  /// through segment_of(range.hi - 1). Empty for an empty range.
+  [[nodiscard]] Interval segments_in(Interval range) const;
 
   bool operator==(const SegmentLayout&) const = default;
 

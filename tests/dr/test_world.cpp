@@ -323,7 +323,8 @@ TEST(WorldCompletion, ASendTriggeredCrashWithAutoRestartKeepsTheRunGoing) {
 struct JournalOnDeliveryPeer final : Peer {
   void on_start() override {}
   void on_message(sim::PeerId, const sim::Payload&) override {
-    (void)journal_bits(0, BitVec(1));
+    const Interval bit{0, 1};
+    (void)journal_runs({&bit, 1}, BitVec(1));
   }
 };
 

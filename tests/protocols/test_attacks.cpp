@@ -8,7 +8,7 @@
 #include <set>
 
 #include "dr/world.hpp"
-#include "protocols/byz2cycle.hpp"
+#include "protocols/byzmulti.hpp"
 #include "protocols/runner.hpp"
 #include "sim/trace.hpp"
 

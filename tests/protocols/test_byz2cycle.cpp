@@ -1,7 +1,8 @@
-#include "protocols/byz2cycle.hpp"
+#include "protocols/byzmulti.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "common/check.hpp"
@@ -90,7 +91,8 @@ TEST(TwoCycle, VoteStuffingForcesSeparatorQueries) {
       world.set_peer(id, std::make_unique<VoteStuffPeer>(params, 0));
       world.mark_faulty(id);
     } else {
-      world.set_peer(id, std::make_unique<TwoCyclePeer>(params));
+      world.set_peer(id, std::make_unique<MultiCyclePeer>(
+          params, MultiCyclePeer::Schedule::kTwoCycle));
     }
   }
   const auto report = world.run();
@@ -99,12 +101,76 @@ TEST(TwoCycle, VoteStuffingForcesSeparatorQueries) {
   std::size_t peers_with_tree_queries = 0;
   for (sim::PeerId id = 0; id < c.k; ++id) {
     if (byz_set.contains(id)) continue;
-    const auto& peer = dynamic_cast<const TwoCyclePeer&>(world.peer(id));
+    const auto& peer = dynamic_cast<const MultiCyclePeer&>(world.peer(id));
     if (peer.tree_queries() > 0) ++peers_with_tree_queries;
   }
   // Every honest peer that did not itself pick segment 0 had to resolve the
   // stuffed conflict with at least one separator query.
   EXPECT_GT(peers_with_tree_queries, (c.k - c.max_faulty()) / 2);
+}
+
+/// Calls `check` on every honest peer of `s` after the run.
+void for_each_honest(
+    Scenario& s,
+    std::function<void(sim::PeerId, const MultiCyclePeer&)> check) {
+  s.post_run = [&s, check](dr::World& world, const dr::RunReport&) {
+    for (sim::PeerId id = 0; id < s.cfg.k; ++id) {
+      if (world.is_faulty(id)) continue;
+      check(id, dynamic_cast<const MultiCyclePeer&>(world.peer(id)));
+    }
+  };
+}
+
+TEST(TwoCycle, RunsTwoCyclesUnderProtocol4PhaseNames) {
+  Scenario s;
+  s.cfg = rand_cfg(3);
+  s.honest = make_two_cycle(2.0);
+  std::size_t peers = 0;
+  for_each_honest(s, [&](sim::PeerId, const MultiCyclePeer& peer) {
+    EXPECT_EQ(peer.cycles_run(), 2u);
+    ++peers;
+  });
+  const auto report = expect_ok(s, "two cycles");
+  EXPECT_EQ(peers, s.cfg.k);
+  ASSERT_EQ(report.phases.size(), 2u);
+  EXPECT_EQ(report.phases[0].name, "cycle1:sample-report");
+  EXPECT_EQ(report.phases[1].name, "cycle2:decide");
+}
+
+TEST(TwoCycle, CycleOneFiltersWithTheConfiguredTau) {
+  // A tau above k admits no candidate: every segment but the peer's own
+  // pick falls back to a full query, however many peers reported it.
+  // (tau_for(s) would admit the honest strings.)
+  Scenario s;
+  s.cfg = rand_cfg(4);
+  RandParams params = RandParams::derive(s.cfg, 2.0);
+  ASSERT_LE(params.tau, params.tau_for(params.segments));
+  params.tau = s.cfg.k + 1;
+  s.honest = make_two_cycle_with(params);
+  for_each_honest(s, [&](sim::PeerId, const MultiCyclePeer& peer) {
+    EXPECT_EQ(peer.fallback_segments(), params.segments - 1);
+    EXPECT_EQ(peer.tree_queries(), 0u);
+  });
+  const auto report = expect_ok(s, "tau above k");
+  EXPECT_EQ(report.query_complexity, s.cfg.n);
+}
+
+TEST(TwoCycle, ReportsHeardBeforeStartAreKept) {
+  // Peer 0 starts after every other report has reached it. The reports it
+  // buffered count toward its quorum and feed its candidate sets, so it
+  // resolves segments by their strings, not by fallback queries.
+  Scenario s;
+  s.cfg = rand_cfg(13);
+  s.honest = make_two_cycle(2.0);
+  s.start_times[0] = 8.0;
+  bool checked = false;
+  for_each_honest(s, [&](sim::PeerId id, const MultiCyclePeer& peer) {
+    if (id != 0) return;
+    EXPECT_EQ(peer.fallback_segments(), 0u);
+    checked = true;
+  });
+  expect_ok(s, "late starter");
+  EXPECT_TRUE(checked);
 }
 
 // Attack sweep across seeds.

@@ -31,7 +31,8 @@ TEST(MultiCycle, RunsLogManyCycles) {
   ASSERT_FALSE(params.naive_fallback);
   dr::World world(c, random_input(c.n, c.seed));
   for (sim::PeerId id = 0; id < c.k; ++id) {
-    world.set_peer(id, std::make_unique<MultiCyclePeer>(params));
+    world.set_peer(id, std::make_unique<MultiCyclePeer>(
+                           params, MultiCyclePeer::Schedule::kMultiCycle));
   }
   const auto report = world.run();
   ASSERT_TRUE(report.ok()) << report.to_string();
@@ -45,6 +46,26 @@ TEST(MultiCycle, RunsLogManyCycles) {
   for (sim::PeerId id = 0; id < c.k; ++id) {
     const auto& peer = dynamic_cast<const MultiCyclePeer&>(world.peer(id));
     EXPECT_EQ(peer.cycles_run(), expected);
+  }
+}
+
+TEST(MultiCycle, OneSegmentStillEndsWithADecidingCycle) {
+  // Explicit parameters can ask for s = 1: the chain is then one segment
+  // twice, like the 2-cycle schedule's, and every peer finishes in cycle 2.
+  dr::Config c = rand_cfg(3);
+  RandParams params = RandParams::derive(c, 2.0);
+  params.segments = 1;
+  params.tau = params.tau_for(1);
+  dr::World world(c, random_input(c.n, c.seed));
+  for (sim::PeerId id = 0; id < c.k; ++id) {
+    world.set_peer(id, std::make_unique<MultiCyclePeer>(
+                           params, MultiCyclePeer::Schedule::kMultiCycle));
+  }
+  const auto report = world.run();
+  ASSERT_TRUE(report.ok()) << report.to_string();
+  for (sim::PeerId id = 0; id < c.k; ++id) {
+    const auto& peer = dynamic_cast<const MultiCyclePeer&>(world.peer(id));
+    EXPECT_EQ(peer.cycles_run(), 2u);
   }
 }
 

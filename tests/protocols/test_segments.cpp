@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace asyncdr::proto {
@@ -70,18 +72,60 @@ TEST(SegmentLayout, CoarsenOddCount) {
   EXPECT_EQ(coarse.bounds(2), fine.bounds(4));
 }
 
-TEST(SegmentLayout, ChildrenComposeCoarseSegment) {
+TEST(SegmentLayout, SegmentsInComposeCoarseSegment) {
   const SegmentLayout fine(100, 7);
   const SegmentLayout coarse = fine.coarsen();
   for (std::size_t j = 0; j < coarse.count(); ++j) {
-    const auto kids = fine.children_of(j);
-    ASSERT_FALSE(kids.empty());
-    EXPECT_EQ(fine.bounds(kids.front()).lo, coarse.bounds(j).lo);
-    EXPECT_EQ(fine.bounds(kids.back()).hi, coarse.bounds(j).hi);
+    const Interval kids = fine.segments_in(coarse.bounds(j));
+    ASSERT_LT(kids.lo, kids.hi);
+    EXPECT_EQ(fine.bounds(kids.lo).lo, coarse.bounds(j).lo);
+    EXPECT_EQ(fine.bounds(kids.hi - 1).hi, coarse.bounds(j).hi);
     std::size_t len = 0;
-    for (std::size_t kid : kids) len += fine.length(kid);
+    for (std::size_t kid = kids.lo; kid < kids.hi; ++kid) {
+      len += fine.length(kid);
+    }
     EXPECT_EQ(len, coarse.length(j));
   }
+}
+
+TEST(SegmentLayout, SegmentsInIsThePairingRuleOnTheCoarsenChain) {
+  // Every level of the multi-cycle chain, from every cycle-1 count in
+  // 1..65 (odd counts leave a lone last segment): coarse segment j holds
+  // fine segments {2j, 2j+1}, or just {2j} when 2j is the last one.
+  for (const std::size_t n : {65ul, 1000ul}) {
+    for (std::size_t count = 1; count <= 65; ++count) {
+      SegmentLayout fine(n, count);
+      while (fine.count() > 1) {
+        const SegmentLayout coarse = fine.coarsen();
+        for (std::size_t j = 0; j < coarse.count(); ++j) {
+          const Interval pairing{2 * j, std::min(2 * j + 2, fine.count())};
+          EXPECT_EQ(fine.segments_in(coarse.bounds(j)), pairing)
+              << "n=" << n << " count=" << fine.count() << " j=" << j;
+        }
+        fine = coarse;
+      }
+    }
+  }
+}
+
+TEST(SegmentLayout, SegmentsInTheWholeInputIsEverySegment) {
+  // The 2-cycle chain {s segments, 1 segment}, s = 1 included.
+  for (const std::size_t n : {65ul, 1000ul}) {
+    for (std::size_t s = 1; s <= 65; ++s) {
+      const SegmentLayout fine(n, s);
+      const SegmentLayout whole(n, 1);
+      EXPECT_EQ(fine.segments_in(whole.bounds(0)), (Interval{0, s}))
+          << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(SegmentLayout, SegmentsInRejectsRangesOffTheBoundaries) {
+  const SegmentLayout layout(100, 4);  // boundaries 0, 25, 50, 75, 100
+  EXPECT_EQ(layout.segments_in(Interval{25, 75}), (Interval{1, 3}));
+  EXPECT_EQ(layout.segments_in(Interval{50, 50}), (Interval{}));
+  EXPECT_THROW((void)layout.segments_in(Interval{0, 30}), contract_violation);
+  EXPECT_THROW((void)layout.segments_in(Interval{10, 50}), contract_violation);
 }
 
 TEST(SegmentLayout, RepeatedCoarsenReachesOneSegment) {

@@ -42,6 +42,7 @@ std::vector<BitVec> comb_candidates(const BitVec& truth, std::size_t count) {
 }  // namespace
 
 int main() {
+  BenchJson bj("decision_tree");
   banner("F3 — decision-tree resolution cost (Protocol 3)",
          "internal nodes = candidates-1; per-resolution queries <= depth; "
          "the true string always survives");
@@ -70,6 +71,12 @@ int main() {
         all_correct = all_correct && (winner == truth);
       }
       table.add(count, internal, depth, queries.mean(), all_correct);
+      bj.record_values(
+          "random", "candidates=" + std::to_string(count),
+          {{"internal_nodes", static_cast<double>(internal)},
+           {"depth", static_cast<double>(depth)},
+           {"queries_mean", queries.mean()},
+           {"always_correct", all_correct ? 1.0 : 0.0}});
     }
     table.print();
     std::printf("shape: random separators split ~evenly, so queries ~ log\n"
@@ -92,6 +99,12 @@ int main() {
       });
       table.add(count, tree.internal_nodes(), tree.depth(), spent,
                 winner == truth);
+      bj.record_values(
+          "comb", "candidates=" + std::to_string(count),
+          {{"internal_nodes", static_cast<double>(tree.internal_nodes())},
+           {"depth", static_cast<double>(tree.depth())},
+           {"queries", static_cast<double>(spent)},
+           {"correct", winner == truth ? 1.0 : 0.0}});
     }
     table.print();
     std::printf("shape: a coordinated adversary can force depth = count-1\n"

@@ -18,6 +18,7 @@ using namespace asyncdr::bench;
 using namespace asyncdr::proto;
 
 int main() {
+  BenchJson bj("oracle");
   banner("A1 — Oracle Data Collection: naive vs Download-based (§4)",
          "per-node query bits drop by ~(1-2 beta) k; ODD holds in both");
 
@@ -52,6 +53,15 @@ int main() {
                     static_cast<double>(std::max<std::uint64_t>(
                         dl.max_node_query_bits, 1)),
                 naive.odd_satisfied, dl.odd_satisfied, dl.download_failures);
+      bj.record_values(
+          "committee-k", "k=" + std::to_string(k),
+          {{"naive_bits_per_node",
+            static_cast<double>(naive.max_node_query_bits)},
+           {"download_bits_per_node",
+            static_cast<double>(dl.max_node_query_bits)},
+           {"odd_naive", naive.odd_satisfied ? 1.0 : 0.0},
+           {"odd_download", dl.odd_satisfied ? 1.0 : 0.0},
+           {"download_failures", static_cast<double>(dl.download_failures)}});
     }
     table.print();
     std::printf("shape: naive per-node cost is flat in k; Download-based\n"
@@ -89,6 +99,17 @@ int main() {
     table.add("download (Thm 4.2)", dl.max_node_query_bits,
               dl.total_query_bits, dl.odd_satisfied, dl.download_failures);
     table.print();
+    bj.record_values(
+        "randomized", "naive",
+        {{"bits_per_node_max", static_cast<double>(naive.max_node_query_bits)},
+         {"total_bits", static_cast<double>(naive.total_query_bits)},
+         {"odd", naive.odd_satisfied ? 1.0 : 0.0}});
+    bj.record_values(
+        "randomized", "download",
+        {{"bits_per_node_max", static_cast<double>(dl.max_node_query_bits)},
+         {"total_bits", static_cast<double>(dl.total_query_bits)},
+         {"odd", dl.odd_satisfied ? 1.0 : 0.0},
+         {"failures", static_cast<double>(dl.download_failures)}});
   }
 
   section("psi sweep: Byzantine sources cannot move the median "
@@ -115,6 +136,15 @@ int main() {
       table.add(psi, bank.byzantine_count(), naive.max_node_query_bits,
                 dl.max_node_query_bits, naive.odd_satisfied,
                 dl.odd_satisfied);
+      bj.record_values(
+          "psi", "psi=" + Table::to_cell(psi),
+          {{"byz_sources", static_cast<double>(bank.byzantine_count())},
+           {"naive_bits_per_node",
+            static_cast<double>(naive.max_node_query_bits)},
+           {"download_bits_per_node",
+            static_cast<double>(dl.max_node_query_bits)},
+           {"odd_naive", naive.odd_satisfied ? 1.0 : 0.0},
+           {"odd_download", dl.odd_satisfied ? 1.0 : 0.0}});
     }
     table.print();
     std::printf("shape: ODD holds for every psi < 1/2 in both schemes; the\n"
@@ -154,6 +184,13 @@ int main() {
                 std::to_string(results[0][1]) + "/8",
                 std::to_string(results[1][0]) + "/8",
                 std::to_string(results[1][1]) + "/8");
+      bj.record_values(
+          "dynamic", "flips=" + std::to_string(flips),
+          {{"runs", static_cast<double>(kRuns)},
+           {"committee_correct", static_cast<double>(results[0][0])},
+           {"committee_agreement", static_cast<double>(results[0][1])},
+           {"crash_multi_correct", static_cast<double>(results[1][0])},
+           {"crash_multi_agreement", static_cast<double>(results[1][1])}});
     }
     table.print();
     std::printf(

@@ -5,9 +5,9 @@
 
 #include "common/check.hpp"
 
-// popcount/count_and compile twice, with and without the POPCNT instruction,
-// and the loader picks one per CPU; without it std::popcount is a libgcc
-// call per word. The pick is an ifunc resolver, which runs before the
+// popcount compiles twice, with and without the POPCNT instruction, and
+// the loader picks one per CPU; without it std::popcount is a libgcc call
+// per word. The pick is an ifunc resolver, which runs before the
 // ThreadSanitizer runtime is up and crashes in a TSan build, so those
 // builds compile the plain loop.
 #if defined(__has_feature)
@@ -38,16 +38,6 @@ std::size_t popcount_words(const std::uint64_t* a, std::size_t words) {
   return total;
 }
 
-ASYNCDR_POPCNT_CLONES
-std::size_t count_and_words(const std::uint64_t* a, const std::uint64_t* b,
-                            std::size_t words) {
-  std::size_t total = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    total += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
-  }
-  return total;
-}
-
 }  // namespace
 
 BitVec::BitVec(std::size_t n, bool value)
@@ -55,30 +45,10 @@ BitVec::BitVec(std::size_t n, bool value)
   trim_tail();
 }
 
-BitVec BitVec::from_string(const std::string& bits) {
-  BitVec v(bits.size());
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    ASYNCDR_EXPECTS_MSG(bits[i] == '0' || bits[i] == '1',
-                        "BitVec::from_string expects only '0'/'1'");
-    v.set(i, bits[i] == '1');
-  }
-  return v;
-}
-
 void BitVec::push_back(bool value) {
   if (size_ % kWordBits == 0) words_.push_back(0);
   ++size_;
   set(size_ - 1, value);
-}
-
-BitVec BitVec::slice(std::size_t pos, std::size_t len) const {
-  ASYNCDR_EXPECTS(pos + len <= size_);
-  BitVec out(len);
-  for (std::size_t w = 0; w < out.words_.size(); ++w) {
-    out.words_[w] = load_bits(pos + w * kWordBits);
-  }
-  out.trim_tail();
-  return out;
 }
 
 void BitVec::copy_range(std::size_t pos, const BitVec& src,
@@ -141,16 +111,6 @@ BitVec::Assigned BitVec::assign_masked(std::span<const MaskedWord> words,
   return out;
 }
 
-void BitVec::or_with(const BitVec& other) {
-  ASYNCDR_EXPECTS(size_ == other.size_);
-  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
-}
-
-void BitVec::and_with(const BitVec& other) {
-  ASYNCDR_EXPECTS(size_ == other.size_);
-  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= other.words_[w];
-}
-
 void BitVec::andnot_with(const BitVec& other) {
   ASYNCDR_EXPECTS(size_ == other.size_);
   for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= ~other.words_[w];
@@ -162,11 +122,6 @@ bool BitVec::is_subset_of(const BitVec& other) const {
     if ((words_[w] & ~other.words_[w]) != 0) return false;
   }
   return true;
-}
-
-std::size_t BitVec::count_and(const BitVec& other) const {
-  ASYNCDR_EXPECTS(size_ == other.size_);
-  return count_and_words(words_.data(), other.words_.data(), words_.size());
 }
 
 int BitVec::count_trailing(std::uint64_t word) {

@@ -29,9 +29,6 @@ class BitVec {
   /// Constructs `n` bits, all set to `value`.
   explicit BitVec(std::size_t n, bool value = false);
 
-  /// Builds a BitVec from a string of '0'/'1' characters (test convenience).
-  static BitVec from_string(const std::string& bits);
-
   /// Builds an n-bit vector whose bits are drawn from `next_bit()` calls.
   template <typename F>
   static BitVec generate(std::size_t n, F&& next_bit) {
@@ -75,9 +72,6 @@ class BitVec {
 
   /// Appends one bit at the end.
   void push_back(bool value);
-
-  /// Returns the sub-vector [pos, pos+len).
-  [[nodiscard]] BitVec slice(std::size_t pos, std::size_t len) const;
 
   /// Overwrites bits [pos, pos+src.size()) with the contents of `src`.
   void splice(std::size_t pos, const BitVec& src) {
@@ -141,16 +135,10 @@ class BitVec {
 
   // ---- Mask algebra (operands must have equal size). ----
 
-  /// this |= other.
-  void or_with(const BitVec& other);
-  /// this &= other.
-  void and_with(const BitVec& other);
   /// this &= ~other.
   void andnot_with(const BitVec& other);
   /// True if every set bit of *this is also set in other.
   [[nodiscard]] bool is_subset_of(const BitVec& other) const;
-  /// Number of bits set in both.
-  [[nodiscard]] std::size_t count_and(const BitVec& other) const;
 
   /// Calls fn(index) for every set bit, in increasing index order.
   template <typename F>

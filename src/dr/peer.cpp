@@ -34,14 +34,6 @@ void Peer::broadcast(sim::PayloadPtr payload) {
   world_->network().broadcast(id_, std::move(payload));
 }
 
-bool Peer::query(std::size_t index) {
-  return world_->source().query(id_, index);
-}
-
-BitVec Peer::query_range(std::size_t lo, std::size_t len) {
-  return world_->source().query_range(id_, lo, len);
-}
-
 BitVec Peer::query_runs(std::span<const Interval> runs) {
   return world_->source().query_runs(id_, runs);
 }

@@ -69,10 +69,8 @@ class Peer : public sim::Receiver {
   void send(sim::PeerId to, sim::PayloadPtr payload);
   void broadcast(sim::PayloadPtr payload);
 
-  bool query(std::size_t index);
-  BitVec query_range(std::size_t lo, std::size_t len);
   /// One batch of ascending, non-empty, disjoint runs (Source::query_runs):
-  /// the only download path for a set that is not one range.
+  /// the only download path, one bit or one range being a batch of one run.
   BitVec query_runs(std::span<const Interval> runs);
 
   [[nodiscard]] sim::Time now() const;

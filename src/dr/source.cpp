@@ -20,38 +20,12 @@ const BitVec& Source::view_for(sim::PeerId by) const {
 
 namespace {
 
-std::string oob_message(const char* what, std::size_t got, std::size_t n) {
-  return std::string("Source::") + what + ": index " + std::to_string(got) +
+std::string oob_message(std::size_t got, std::size_t n) {
+  return "Source::query_runs: index " + std::to_string(got) +
          " out of bounds for the n=" + std::to_string(n) + "-bit array";
 }
 
 }  // namespace
-
-bool Source::query(sim::PeerId by, std::size_t index) {
-  ASYNCDR_EXPECTS_MSG(by < counts_.size(),
-                      "Source::query: unknown peer id " + std::to_string(by));
-  ASYNCDR_EXPECTS_MSG(index < data_.size(),
-                      oob_message("query", index, data_.size()));
-  record(by, index, index + 1);
-  account(by, 1);
-  return view_for(by).get(index);
-}
-
-BitVec Source::query_range(sim::PeerId by, std::size_t lo, std::size_t len) {
-  ASYNCDR_EXPECTS_MSG(by < counts_.size(),
-                      "Source::query_range: unknown peer id " +
-                          std::to_string(by));
-  // Overflow-safe form of lo + len <= n: `lo + len` can wrap for adversarial
-  // values, silently passing the naive check.
-  ASYNCDR_EXPECTS_MSG(
-      len <= data_.size() && lo <= data_.size() - len,
-      "Source::query_range: range [" + std::to_string(lo) + ", " +
-          std::to_string(lo) + "+" + std::to_string(len) +
-          ") exceeds the n=" + std::to_string(data_.size()) + "-bit array");
-  record(by, lo, lo + len);
-  account(by, len);
-  return view_for(by).slice(lo, len);
-}
 
 BitVec Source::query_runs(sim::PeerId by, std::span<const Interval> runs) {
   ASYNCDR_EXPECTS_MSG(by < counts_.size(),
@@ -65,7 +39,7 @@ BitVec Source::query_runs(sim::PeerId by, std::span<const Interval> runs) {
   std::size_t floor = 0;
   for (const Interval& run : runs) {
     ASYNCDR_EXPECTS_MSG(run.hi <= n,
-                        oob_message("query_runs", std::max(run.lo, n), n));
+                        oob_message(std::max(run.lo, n), n));
     ASYNCDR_EXPECTS_MSG(floor <= run.lo && run.lo < run.hi,
                         "Source::query_runs: runs must be ascending, "
                         "non-empty and disjoint");
@@ -104,12 +78,6 @@ void Source::set_overlay(sim::PeerId peer, BitVec fake) {
   ASYNCDR_EXPECTS(peer < counts_.size());
   ASYNCDR_EXPECTS(fake.size() == data_.size());
   overlays_[peer] = std::move(fake);
-}
-
-void Source::reset_accounting() {
-  for (auto& c : counts_) c = 0;
-  for (auto& s : indices_) s = IntervalSet{};
-  total_bits_served_ = 0;
 }
 
 std::size_t Source::memory_bytes() const {

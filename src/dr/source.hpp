@@ -1,6 +1,6 @@
-// The trusted external data source of the DR model. It answers point and
-// range queries with the true bits of X and accounts every queried bit per
-// peer — the quantity the paper's query complexity measures.
+// The trusted external data source of the DR model. It answers batches of
+// runs with the true bits of X and accounts every queried bit per peer — the
+// quantity the paper's query complexity measures.
 #pragma once
 
 #include <cstdint>
@@ -29,17 +29,13 @@ class Source {
   [[nodiscard]] std::size_t n() const { return data_.size(); }
   [[nodiscard]] std::size_t peers() const { return counts_.size(); }
 
-  /// Queries one bit on behalf of peer `by`; costs 1 bit.
-  bool query(sim::PeerId by, std::size_t index);
-
-  /// Queries the contiguous range [lo, lo+len); costs len bits.
-  BitVec query_range(sim::PeerId by, std::size_t lo, std::size_t len);
-
-  /// Queries a batch of runs, which must be ascending, non-empty and
-  /// disjoint; costs their total length. The result holds the runs' bits
-  /// back to back, in run order. Each run is read and recorded whole, and
-  /// a non-empty batch is one accounted batch (one observer call). A run out
-  /// of bounds throws before any bit of the batch is charged.
+  /// Queries a batch of runs on behalf of peer `by`: the only way to read
+  /// X, one bit or one range being a batch of one run. The runs must be
+  /// ascending, non-empty and disjoint; the batch costs their total length.
+  /// The result holds the runs' bits back to back, in run order. Each run
+  /// is read and recorded whole, and a non-empty batch is one accounted
+  /// batch (one observer call). A run out of bounds throws before any bit
+  /// of the batch is charged.
   BitVec query_runs(sim::PeerId by, std::span<const Interval> runs);
 
   /// Bits queried so far by one peer.
@@ -56,14 +52,14 @@ class Source {
   [[nodiscard]] const IntervalSet& queried_indices(sim::PeerId by) const;
 
   /// Observer invoked once per accounted query batch (peer, bits): once per
-  /// query, query_range or non-empty query_runs call — wired to the
-  /// phase tracker, the execution trace and the world's query listeners.
+  /// non-empty query_runs call — wired to the phase tracker, the execution
+  /// trace and the world's query listeners.
   using QueryObserver = std::function<void(sim::PeerId, std::size_t)>;
   void set_query_observer(QueryObserver observer) {
     query_observer_ = std::move(observer);
   }
 
-  /// Ground truth, for verification only (peers must go through query()).
+  /// Ground truth, for verification only (peers must go through query_runs()).
   [[nodiscard]] const BitVec& data() const { return data_; }
 
   /// Swaps in a different array without resetting counters. Only the
@@ -75,9 +71,6 @@ class Source {
   /// corrupted coalition "acts as if the input were X": they run the honest
   /// code against the other world's source.
   void set_overlay(sim::PeerId peer, BitVec fake);
-
-  /// Zeroes all per-peer accounting (used between attack phases).
-  void reset_accounting();
 
   /// Modeled heap bytes of the source's state (data array, per-peer
   /// accounting, recorded index sets, overlays) — the `dr.source` pool's

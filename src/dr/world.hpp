@@ -142,9 +142,10 @@ struct RunReport {
 
   /// Per-subsystem byte accounting at run end (sorted by pool name) and
   /// the high-water mark of the cross-pool sum. Deliberately *not* part
-  /// of to_string(): the A/B equivalence suite byte-compares rendered
-  /// reports between link modes, and link/engine/fanout bytes genuinely
-  /// differ between them (payload bytes do not — that is its own test).
+  /// of to_string(): test_ab_equiv pins rendered reports by fingerprint,
+  /// and modeled bytes move with container layouts that leave every
+  /// simulated statistic unchanged. That suite pins the payload pool's
+  /// peak on its own, and golden_mem_k512.json pins every pool.
   std::vector<obs::MemPoolStats> mem_pools;
   std::uint64_t mem_total_peak = 0;
 
@@ -209,9 +210,6 @@ class World : private sim::NetworkObserver {
   /// before run().
   void enable_recovery(RestartFactory factory, RecoveryOptions options = {});
   [[nodiscard]] bool recovery_enabled() const { return journal_store_ != nullptr; }
-  [[nodiscard]] const RecoveryOptions& recovery_options() const {
-    return recovery_options_;
-  }
   /// The journal store (recovery must be enabled). Chaos injectors use the
   /// corruption helpers; everything else goes through Peer's journal_*().
   JournalStore& journal_store();

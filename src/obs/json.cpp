@@ -1,7 +1,5 @@
 #include "obs/json.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -61,8 +59,14 @@ std::string Json::escape(std::string_view s) {
 namespace {
 
 std::string number_to_string(double v) {
-  // Shortest representation that round-trips a double.
+  // An integral value that a double holds exactly prints as an integer
+  // (410, not 4.1e+02); any other value prints in the shortest %g form that
+  // round-trips.
   char buf[32];
+  if (std::fabs(v) < 0x1p53 && v == std::trunc(v)) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    return buf;
+  }
   std::snprintf(buf, sizeof buf, "%.17g", v);
   double back = 0;
   for (int prec = 1; prec < 17; ++prec) {
@@ -120,186 +124,6 @@ std::string Json::dump(int indent) const {
   std::string out;
   write(out, indent, 0);
   return out;
-}
-
-namespace {
-
-/// Recursive-descent parser over a string_view. No recursion-depth guard
-/// beyond a fixed cap; observability files are machine-written and shallow.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  std::optional<Json> parse_document() {
-    std::optional<Json> v = parse_value(0);
-    if (!v) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
-    return v;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  std::optional<std::string> parse_string() {
-    if (!consume('"')) return std::nullopt;
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return std::nullopt;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return std::nullopt;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return std::nullopt;
-          }
-          // Encode the code point as UTF-8 (surrogate pairs unsupported;
-          // the emitter never produces them).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default: return std::nullopt;
-      }
-    }
-    return std::nullopt;  // unterminated
-  }
-
-  std::optional<Json> parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool integral = true;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    const std::string_view tok = text_.substr(start, pos_ - start);
-    if (tok.empty()) return std::nullopt;
-    if (integral) {
-      std::int64_t iv = 0;
-      const auto [p, ec] =
-          std::from_chars(tok.data(), tok.data() + tok.size(), iv);
-      if (ec == std::errc{} && p == tok.data() + tok.size()) return Json(iv);
-    }
-    double dv = 0;
-    const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), dv);
-    if (ec != std::errc{} || p != tok.data() + tok.size()) return std::nullopt;
-    return Json(dv);
-  }
-
-  std::optional<Json> parse_value(int depth) {
-    if (depth > kMaxDepth) return std::nullopt;
-    skip_ws();
-    if (pos_ >= text_.size()) return std::nullopt;
-    const char c = text_[pos_];
-    if (c == 'n') return literal("null") ? std::optional<Json>(Json{}) : std::nullopt;
-    if (c == 't') return literal("true") ? std::optional<Json>(Json(true)) : std::nullopt;
-    if (c == 'f') return literal("false") ? std::optional<Json>(Json(false)) : std::nullopt;
-    if (c == '"') {
-      auto s = parse_string();
-      if (!s) return std::nullopt;
-      return Json(std::move(*s));
-    }
-    if (c == '[') {
-      ++pos_;
-      Json arr = Json::array();
-      skip_ws();
-      if (consume(']')) return arr;
-      while (true) {
-        auto v = parse_value(depth + 1);
-        if (!v) return std::nullopt;
-        arr.push_back(std::move(*v));
-        if (consume(']')) return arr;
-        if (!consume(',')) return std::nullopt;
-      }
-    }
-    if (c == '{') {
-      ++pos_;
-      Json obj = Json::object();
-      skip_ws();
-      if (consume('}')) return obj;
-      while (true) {
-        skip_ws();
-        auto key = parse_string();
-        if (!key || !consume(':')) return std::nullopt;
-        auto v = parse_value(depth + 1);
-        if (!v) return std::nullopt;
-        obj[*key] = std::move(*v);
-        if (consume('}')) return obj;
-        if (!consume(',')) return std::nullopt;
-      }
-    }
-    return parse_number();
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::optional<Json> Json::parse(std::string_view text) {
-  return Parser(text).parse_document();
 }
 
 }  // namespace asyncdr::obs

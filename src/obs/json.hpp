@@ -1,12 +1,12 @@
-// Minimal JSON value type used by the observability layer: enough of a
-// writer to emit metrics snapshots, bench baselines, JSONL event streams and
-// Chrome trace-event files, and enough of a parser for tests and the bench
-// comparison tooling to read them back. Deliberately not a general-purpose
-// JSON library (no comments, no NaN/Inf literals, UTF-8 passthrough).
+// Minimal JSON value type used by the observability layer: a writer for
+// metrics snapshots, bench baselines, JSONL event streams and Chrome
+// trace-event files. Nothing here reads JSON back; the Python tools
+// (tools/check_campaign.py, check_perfetto.py, compare_bench.py) validate
+// the written files. Deliberately not a general-purpose JSON library (no
+// NaN/Inf literals, UTF-8 passthrough).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -36,11 +36,6 @@ class Json {
   static Json array() { Json j; j.type_ = Type::kArray; return j; }
   static Json object() { Json j; j.type_ = Type::kObject; return j; }
 
-  [[nodiscard]] Type type() const { return type_; }
-  [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_number() const { return type_ == Type::kNumber; }
-  [[nodiscard]] bool is_string() const { return type_ == Type::kString; }
-  [[nodiscard]] bool is_array() const { return type_ == Type::kArray; }
   [[nodiscard]] bool is_object() const { return type_ == Type::kObject; }
 
   [[nodiscard]] bool as_bool() const { return bool_; }
@@ -67,9 +62,6 @@ class Json {
   /// with that many spaces per level. Numbers that were constructed from
   /// integers print without a decimal point.
   [[nodiscard]] std::string dump(int indent = -1) const;
-
-  /// Parses a complete JSON document (trailing garbage is an error).
-  static std::optional<Json> parse(std::string_view text);
 
   /// Escapes one string as a JSON string literal, quotes included. Exposed
   /// for streaming emitters (JSONL) that bypass the value type.

@@ -66,9 +66,11 @@ void VoteStuffPeer::on_start() {
   while (true) {
     const std::size_t seg = target_ % layout.count();
     const Interval b = layout.bounds(seg);
-    BitVec fake = query_range(b.lo, b.length());
-    for (std::size_t j = 0; j < fake.size(); ++j) fake.flip(j);
-    broadcast(std::make_shared<rnd::Report>(cycle, seg, std::move(fake)));
+    if (b.length() > 0) {
+      BitVec fake = query_runs({&b, 1});
+      for (std::size_t j = 0; j < fake.size(); ++j) fake.flip(j);
+      broadcast(std::make_shared<rnd::Report>(cycle, seg, std::move(fake)));
+    }
     if (layout.count() == 1) break;
     layout = layout.coarsen();
     ++cycle;

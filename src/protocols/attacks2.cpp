@@ -17,7 +17,7 @@ void CombStuffPeer::on_start() {
     const std::size_t seg = target_ % layout.count();
     const Interval b = layout.bounds(seg);
     if (b.length() > 0) {
-      BitVec fake = query_range(b.lo, b.length());
+      BitVec fake = query_runs({&b, 1});
       // Flip one position unique to this attacker: distinct candidates
       // maximize the decision tree.
       fake.flip((b.length() - 1 - id() % b.length()) % b.length());

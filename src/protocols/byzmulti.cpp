@@ -37,7 +37,8 @@ std::string MultiCyclePeer::phase_name(std::size_t j) const {
 void MultiCyclePeer::on_start() {
   if (params_.naive_fallback) {
     begin_phase("bulk-download");
-    finish(query_range(0, n()));
+    const Interval all{0, n()};
+    finish(query_runs({&all, 1}));
     return;
   }
   init_structures();
@@ -47,7 +48,7 @@ void MultiCyclePeer::on_start() {
   cycle_ = 1;
   my_pick_ = static_cast<std::size_t>(rng().below(layouts_[0].count()));
   const Interval b = layouts_[0].bounds(my_pick_);
-  my_value_ = query_range(b.lo, b.length());
+  my_value_ = query_runs({&b, 1});
   banks_[0].record(my_pick_, id(), my_value_);
   reporters_[0].insert(id(), k());
   broadcast(std::make_shared<rnd::Report>(1, my_pick_, my_value_));
@@ -128,13 +129,14 @@ BitVec MultiCyclePeer::determine_segment(std::size_t j, std::size_t seg) {
   const std::vector<BitVec> candidates = banks_[j - 1].frequent(seg, tau);
   if (candidates.empty()) {
     ++fallback_segments_;
-    return query_range(b.lo, b.length());
+    return query_runs({&b, 1});
   }
   const DecisionTree tree(candidates);
   const BitVec& winner = tree.determine(
       [&](std::size_t index) {
         ++tree_queries_;
-        return query(index);
+        const Interval bit{index, index + 1};
+        return query_runs({&bit, 1}).get(0);
       },
       b.lo);
   return winner;

@@ -68,14 +68,6 @@ bool MaskChunk::is_subset_of(const BitVec& known_mask) const {
   return true;
 }
 
-bool MaskChunk::agrees_with(const BitVec& src) const {
-  ASYNCDR_EXPECTS(size_ == src.size());
-  for (const Word& w : words_) {
-    if ((src.word(w.index) & w.mask) != w.values) return false;
-  }
-  return true;
-}
-
 // check, a per-message kernel, checks sizes once per call: every word index
 // of a chunk lies below ceil(size_ / 64) by construction, so each chunk word
 // then costs one direct word operation per array.

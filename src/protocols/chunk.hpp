@@ -79,10 +79,8 @@ class MaskChunk {
   /// True if every index of the chunk is set in `known_mask` (same size).
   [[nodiscard]] bool is_subset_of(const BitVec& known_mask) const;
 
-  /// True if `src` (same size) holds the chunk's value at every index.
-  [[nodiscard]] bool agrees_with(const BitVec& src) const;
-
-  /// agrees_with(src) and is_subset_of(known_mask), in one pass.
+  /// In one pass: whether `src` (same size) holds the chunk's value at
+  /// every index, and is_subset_of(known_mask).
   struct Checks {
     bool agrees;
     bool held;

@@ -24,11 +24,6 @@ CommitteeAssignment::CommitteeAssignment(std::size_t n, std::size_t k,
                       "committee protocol needs beta < 1/2 (2t+1 <= k)");
 }
 
-bool CommitteeAssignment::is_member(sim::PeerId p, std::size_t bit) const {
-  ASYNCDR_EXPECTS(p < k_ && bit < n_);
-  return ((p + k_ - (bit * c_) % k_) % k_) < c_;
-}
-
 std::size_t CommitteeAssignment::load_of(sim::PeerId p) const {
   std::size_t load = (n_ / period_) * (c_ / gcd_);
   for_each_member_residue(p, n_ % period_, [&](std::size_t) { ++load; });
@@ -47,14 +42,6 @@ std::vector<Interval> CommitteeAssignment::runs_of(sim::PeerId p) const {
     runs[j] = Interval{bit, bit + 1};
   });
   return runs;
-}
-
-std::vector<sim::PeerId> CommitteeAssignment::members_of(std::size_t bit) const {
-  ASYNCDR_EXPECTS(bit < n_);
-  std::vector<sim::PeerId> members;
-  members.reserve(c_);
-  for (std::size_t i = 0; i < c_; ++i) members.push_back((bit * c_ + i) % k_);
-  return members;
 }
 
 namespace committee {

@@ -41,7 +41,6 @@ class CommitteeAssignment {
   /// stride of its vote vector from one period to the next.
   [[nodiscard]] std::size_t residues_per_period() const { return c_ / gcd_; }
 
-  [[nodiscard]] bool is_member(sim::PeerId p, std::size_t bit) const;
   /// |bits_of(p)|: c/gcd(c, k) bits per whole period, plus the member
   /// residues below n mod P.
   [[nodiscard]] std::size_t load_of(sim::PeerId p) const;
@@ -67,8 +66,6 @@ class CommitteeAssignment {
   /// bits_of(p) as unit runs [bit, bit + 1): the source batch p queries,
   /// whose answer bit j is the value of bits_of(p)[j].
   [[nodiscard]] std::vector<Interval> runs_of(sim::PeerId p) const;
-  /// The committee of a bit, in position order.
-  [[nodiscard]] std::vector<sim::PeerId> members_of(std::size_t bit) const;
 
   /// Calls fn(s) for every residue s < limit (<= P) whose committee
   /// contains p, in increasing order.

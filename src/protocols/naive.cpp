@@ -4,7 +4,8 @@ namespace asyncdr::proto {
 
 void NaivePeer::on_start() {
   begin_phase("bulk-download");
-  finish(query_range(0, n()));
+  const Interval all{0, n()};
+  finish(query_runs({&all, 1}));
 }
 
 void NaivePeer::on_message(sim::PeerId, const sim::Payload&) {

@@ -127,7 +127,6 @@ class Network {
   /// Default: none. Installing one takes the run outside the paper's model;
   /// see DeliveryStressor.
   void set_delivery_stressor(std::unique_ptr<DeliveryStressor> stressor);
-  [[nodiscard]] bool has_delivery_stressor() const { return stressor_ != nullptr; }
 
   /// Adversary hook invoked before each send is processed; it may call
   /// crash(from) to model a peer dying mid-broadcast.

@@ -172,50 +172,65 @@ TEST(Campaign, EventStreamIsContiguousAndComplete) {
   CampaignOptions o = base_options(12, 4);
   o.telemetry.events_path = events_path;
   o.telemetry.summary_path = summary_path;
-  {
-    Campaign camp(std::move(o));
-    camp.run([](std::size_t i, std::uint64_t s) {
-      return synthetic_outcome(i, s);
-    });
-    camp.finish();
-  }
+  Campaign camp(std::move(o));
+  camp.run([](std::size_t i, std::uint64_t s) {
+    return synthetic_outcome(i, s);
+  });
+  camp.finish();
 
+  // Every line opens with the emitter's own fields, in the order it writes
+  // them: {"ev":"<kind>","seq":<n>,"ts_ms":<ms>, then the event's fields.
+  // tools/check_campaign.py validates whole streams in ctest
+  // (cli_chaos_campaign_valid).
+  struct Head {
+    std::string ev;
+    std::uint64_t seq;
+    double ts_ms;
+  };
+  std::vector<Head> events;
   std::ifstream in(events_path);
   ASSERT_TRUE(in.good());
-  std::vector<Json> events;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto ev = Json::parse(line);
-    ASSERT_TRUE(ev.has_value()) << line;
-    events.push_back(std::move(*ev));
+    const std::string open = "{\"ev\":\"";
+    const std::size_t seq_at = line.find("\",\"seq\":");
+    const std::size_t ts_at = line.find(",\"ts_ms\":");
+    ASSERT_EQ(line.rfind(open, 0), 0u) << line;
+    ASSERT_NE(seq_at, std::string::npos) << line;
+    ASSERT_NE(ts_at, std::string::npos) << line;
+    ASSERT_EQ(line.back(), '}') << line;
+    Head head;
+    head.ev = line.substr(open.size(), seq_at - open.size());
+    head.seq = std::stoull(line.substr(seq_at + 8, ts_at - seq_at - 8));
+    head.ts_ms = std::stod(line.substr(ts_at + 9));
+    events.push_back(head);
   }
 
   // started + finished + (run_started + terminal) per run.
   ASSERT_EQ(events.size(), 2u + 2u * 12u);
-  EXPECT_EQ(events.front().find("ev")->as_string(), "campaign_started");
-  EXPECT_EQ(events.back().find("ev")->as_string(), "campaign_finished");
+  EXPECT_EQ(events.front().ev, "campaign_started");
+  EXPECT_EQ(events.back().ev, "campaign_finished");
   double prev_ts = -1;
   std::size_t terminal = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(static_cast<std::size_t>(events[i].find("seq")->as_int()), i);
-    const double ts = events[i].find("ts_ms")->as_number();
-    EXPECT_GE(ts, prev_ts);
-    prev_ts = ts;
-    const std::string kind = events[i].find("ev")->as_string();
-    if (kind == "run_finished" || kind == "run_failed") ++terminal;
+    EXPECT_EQ(events[i].seq, i);
+    EXPECT_GE(events[i].ts_ms, prev_ts);
+    prev_ts = events[i].ts_ms;
+    if (events[i].ev == "run_finished" || events[i].ev == "run_failed") {
+      ++terminal;
+    }
   }
   EXPECT_EQ(terminal, 12u);
 
-  // The summary file mirrors summary_string().
+  // The summary file is summary_string(), byte for byte.
   std::ifstream sin(summary_path, std::ios::binary);
   ASSERT_TRUE(sin.good());
   std::ostringstream written;
   written << sin.rdbuf();
-  auto parsed = Json::parse(written.str());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->find("schema")->as_string(), "asyncdr-campaign-v1");
-  EXPECT_EQ(parsed->find("runs")->find("total")->as_int(), 12);
+  EXPECT_EQ(written.str(), camp.summary_string());
+  const Json summary = camp.summary();
+  EXPECT_EQ(summary.find("schema")->as_string(), "asyncdr-campaign-v1");
+  EXPECT_EQ(summary.find("runs")->find("total")->as_int(), 12);
 }
 
 TEST(Campaign, FinishIsIdempotentAndDestructorSafe) {

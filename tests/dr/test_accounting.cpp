@@ -87,21 +87,15 @@ TEST(Accounting, ByzantineScenarioTotalsReconcile) {
   EXPECT_GE(served, report.total_queries);
 }
 
-TEST(Accounting, SourceCounterResetsWithAccounting) {
-  Source source(BitVec(64), /*k=*/2);
-  EXPECT_EQ(source.total_bits_served(), 0u);
-  (void)source.query_range(0, 0, 64);
-  EXPECT_EQ(source.total_bits_served(), 64u);
-  source.reset_accounting();
-  EXPECT_EQ(source.total_bits_served(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // StallReport goldens. These scenarios exchange no messages, so every field
 // of the rendering — times included — is deterministic.
 
 struct QueryAllPeer final : Peer {
-  void on_start() override { finish(query_range(0, n())); }
+  void on_start() override {
+    const Interval all{0, n()};
+    finish(query_runs({&all, 1}));
+  }
   void on_message(sim::PeerId, const sim::Payload&) override {}
 };
 

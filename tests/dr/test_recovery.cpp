@@ -4,6 +4,7 @@
 // for every crash-point sentinel, and under journal loss/corruption.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -274,7 +275,8 @@ struct RunBatchPeer final : dr::Peer {
     const std::vector<Interval> runs = batch();
     const BitVec values = query_runs(runs);
     if (!journal_runs(runs, values)) return;  // killed inside the batch
-    finish(query_range(0, n()));
+    const Interval all{0, n()};
+    finish(query_runs({&all, 1}));
   }
   void on_message(sim::PeerId, const sim::Payload&) override {}
 };
@@ -329,6 +331,136 @@ TEST(Recovery, KillInsideRunBatchLeavesReplayablePrefix) {
         for (std::size_t i = iv.lo; i < iv.hi; ++i) {
           ASSERT_EQ(replay.bits.get(i), input.get(i)) << at << " bit " << i;
         }
+      }
+    }
+  }
+}
+
+// ---- Exhaustive crash-point oracle over the restart paths ----
+
+constexpr dr::CrashPoint kCrashPoints[] = {
+    dr::CrashPoint::kAppendStart, dr::CrashPoint::kMidRecord,
+    dr::CrashPoint::kAppendCommit, dr::CrashPoint::kCheckpoint};
+
+/// One restart path: a protocol whose `victim` crashes at `crash_at` and
+/// is revived at `restart_at` (a restart lands after its backoff), so it
+/// runs at least two incarnations.
+struct RestartPath {
+  const char* name;
+  dr::Config cfg;
+  proto::PeerFactory factory;
+  sim::PeerId victim;
+  sim::Time crash_at;
+  sim::Time restart_at;
+};
+
+struct PathRun {
+  dr::RunReport report;
+  /// The victim's hits of each crash point across its incarnations
+  /// (counted only when no kill is armed).
+  std::vector<std::size_t> hits;
+};
+
+/// Runs a restart path, warm or cold, optionally killing the victim at a
+/// crash point as well. Checks that the victim's journal claims only bits
+/// it has queried so far, as each incarnation is revived (the world
+/// replays the log just before it builds the new peer) and at the end.
+PathRun run_restart_path(const RestartPath& path, bool cold,
+                         const RecoveryPlan::CrashPointKill* kill,
+                         const std::string& at) {
+  PathRun out;
+  out.hits.assign(std::size(kCrashPoints), 0);
+  Scenario s;
+  s.cfg = path.cfg;
+  s.honest = path.factory;
+  s.recovery.options.cold_restart = cold;
+  s.crashes.add_at_time(path.victim, path.crash_at);
+  s.crashes.add_restart_after(path.victim, path.restart_at);
+  if (kill != nullptr) s.recovery.kills.push_back(*kill);
+  dr::World* world = nullptr;
+  const auto check = [&](const char* when) {
+    IntervalSet claimed =
+        dr::Journal::replay(world->journal_store().log(path.victim),
+                            world->config().n)
+            .intervals;
+    claimed.subtract(world->source().queried_indices(path.victim));
+    EXPECT_TRUE(claimed.empty()) << at << " " << when << ": over-claim "
+                                 << claimed.to_string();
+  };
+  s.recovery.factory = [&](const dr::Config& c, sim::PeerId id) {
+    if (id == path.victim) check("at a restart");
+    return path.factory(c, id);
+  };
+  s.instrument = [&](dr::World& w) {
+    world = &w;
+    // asyncdr-lint: allow(DR003) test harness checking query accounting
+    w.source().enable_index_recording(true);
+    if (kill != nullptr) return;
+    w.journal_store().set_crash_point_hook(
+        [&](sim::PeerId id, dr::CrashPoint point) {
+          if (id == path.victim) ++out.hits[static_cast<std::size_t>(point)];
+          return false;
+        });
+  };
+  s.post_run = [&](dr::World&, const dr::RunReport&) { check("at the end"); };
+  out.report = proto::run_scenario(s);
+  EXPECT_TRUE(out.report.ok()) << at << ": " << out.report.to_string();
+  EXPECT_GE(out.report.recovery.restarts, 1u) << at;
+  return out;
+}
+
+// Kills the victim at every (crash point, nth) it reaches in the unkilled
+// run — its first incarnation's appends, and the revived incarnation's
+// recovery appends — and revives it after each kill. Every run, killed or
+// not, must finish correctly, and the victim's journal must never claim a
+// bit it has not queried. Replaying the journal (warm) must not cost more
+// queries than the same schedule restarted cold: the same incarnations
+// killed at the same sentinel. The first incarnation runs identically on
+// both sides, but a cold revival downloads all of X as one record where a
+// warm one writes one record per missing run, so a kill at a later record
+// of the revived incarnation pairs with a kill at the last record the cold
+// revival writes.
+TEST(Recovery, EveryCrashPointOnTheRestartPathsIsSafe) {
+  // Each protocol crashes once before the victim has heard any peer and
+  // once after (crash_one's phase-1 chunks land from t = 3; crash_multi's
+  // round 1 runs to t = 10), so the revived incarnation starts from either
+  // kind of state.
+  const RestartPath paths[] = {
+      {"crash_one early", cfg_one(11), proto::make_crash_one(), 3, 2.5, 3.0},
+      {"crash_one late", cfg_one(11), proto::make_crash_one(), 3, 3.5, 4.0},
+      {"crash_multi early", cfg_multi(12), proto::make_crash_multi(), 5, 1.5,
+       2.0},
+      {"crash_multi late", cfg_multi(12), proto::make_crash_multi(), 5, 6.0,
+       7.0}};
+  for (const RestartPath& path : paths) {
+    const std::string name = path.name;
+    const std::vector<std::size_t> hits =
+        run_restart_path(path, false, nullptr, name + " unkilled").hits;
+    const std::vector<std::size_t> cold_hits =
+        run_restart_path(path, true, nullptr, name + " unkilled cold").hits;
+    for (const dr::CrashPoint point : kCrashPoints) {
+      const std::size_t total = hits[static_cast<std::size_t>(point)];
+      const std::size_t cold_total =
+          cold_hits[static_cast<std::size_t>(point)];
+      EXPECT_GT(total, 0u) << name << " " << dr::to_string(point);
+      for (std::size_t nth = 1; nth <= total; ++nth) {
+        const std::string at =
+            name + " " + dr::to_string(point) + " #" + std::to_string(nth);
+        RecoveryPlan::CrashPointKill kill;
+        kill.peer = path.victim;
+        kill.point = point;
+        kill.nth = nth;
+        kill.restart_delay = 1.0;
+        const dr::RunReport warm =
+            run_restart_path(path, false, &kill, at).report;
+        kill.nth = std::min(nth, cold_total);
+        const dr::RunReport cold =
+            run_restart_path(path, true, &kill, at + " cold").report;
+        EXPECT_EQ(warm.recovery.restarts, cold.recovery.restarts) << at;
+        EXPECT_LE(warm.query_complexity, cold.query_complexity) << at;
+        EXPECT_LE(warm.per_peer_queries[path.victim],
+                  cold.per_peer_queries[path.victim])
+            << at;
       }
     }
   }

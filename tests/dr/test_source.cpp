@@ -10,44 +10,51 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "support/bits.hpp"
 
 namespace asyncdr::dr {
 namespace {
 
+using support::from_string;
+using Runs = std::vector<Interval>;
+
+/// Bit i of X as peer `by` reads it: a batch of one unit run.
+bool query_bit(Source& src, sim::PeerId by, std::size_t i) {
+  return src.query_runs(by, Runs{{i, i + 1}}).get(0);
+}
+
 TEST(Source, AnswersTruthfully) {
-  Source src(BitVec::from_string("10110"), 3);
-  EXPECT_TRUE(src.query(0, 0));
-  EXPECT_FALSE(src.query(0, 1));
-  EXPECT_EQ(src.query_range(1, 1, 3).to_string(), "011");
-  using Runs = std::vector<Interval>;
+  Source src(from_string("10110"), 3);
+  EXPECT_TRUE(query_bit(src, 0, 0));
+  EXPECT_FALSE(query_bit(src, 0, 1));
+  EXPECT_EQ(src.query_runs(1, Runs{{1, 4}}).to_string(), "011");
   EXPECT_EQ(src.query_runs(2, Runs{{0, 1}, {4, 5}}).to_string(), "10");
   EXPECT_EQ(src.query_runs(2, Runs{{0, 2}, {3, 5}}).to_string(), "1010");
 }
 
 TEST(Source, AccountsPerPeerBits) {
   Source src(BitVec(100), 2);
-  src.query(0, 5);
-  src.query_range(0, 10, 20);
-  src.query_runs(1, std::vector<Interval>{{1, 4}});
+  (void)query_bit(src, 0, 5);
+  src.query_runs(0, Runs{{10, 30}});
+  src.query_runs(1, Runs{{1, 4}});
   EXPECT_EQ(src.bits_queried(0), 21u);
   EXPECT_EQ(src.bits_queried(1), 3u);
-  src.reset_accounting();
-  EXPECT_EQ(src.bits_queried(0), 0u);
+  EXPECT_EQ(src.total_bits_served(), 24u);
 }
 
 TEST(Source, RepeatQueriesBilledAgain) {
   // Query complexity counts queries, not distinct bits learned.
   Source src(BitVec(10), 1);
-  src.query(0, 3);
-  src.query(0, 3);
+  (void)query_bit(src, 0, 3);
+  (void)query_bit(src, 0, 3);
   EXPECT_EQ(src.bits_queried(0), 2u);
 }
 
 TEST(Source, IndexRecording) {
   Source src(BitVec(50), 2);
   src.enable_index_recording(true);
-  src.query(0, 7);
-  src.query_range(0, 10, 5);
+  (void)query_bit(src, 0, 7);
+  src.query_runs(0, Runs{{10, 15}});
   const IntervalSet& q = src.queried_indices(0);
   EXPECT_TRUE(q.contains(7));
   EXPECT_TRUE(q.contains(12));
@@ -61,10 +68,10 @@ TEST(Source, RecordingDisabledThrows) {
 }
 
 TEST(Source, OverlayRedirectsOnePeerOnly) {
-  Source src(BitVec::from_string("0000"), 2);
-  src.set_overlay(1, BitVec::from_string("1111"));
-  EXPECT_FALSE(src.query(0, 2));
-  EXPECT_TRUE(src.query(1, 2));
+  Source src(from_string("0000"), 2);
+  src.set_overlay(1, from_string("1111"));
+  EXPECT_FALSE(query_bit(src, 0, 2));
+  EXPECT_TRUE(query_bit(src, 1, 2));
   // Accounting still applies to overlay queries.
   EXPECT_EQ(src.bits_queried(1), 1u);
   // Ground truth unchanged.
@@ -72,26 +79,26 @@ TEST(Source, OverlayRedirectsOnePeerOnly) {
 }
 
 TEST(Source, SetDataKeepsCounters) {
-  Source src(BitVec::from_string("00"), 1);
-  src.query(0, 0);
-  src.set_data(BitVec::from_string("11"));
-  EXPECT_TRUE(src.query(0, 0));
+  Source src(from_string("00"), 1);
+  (void)query_bit(src, 0, 0);
+  src.set_data(from_string("11"));
+  EXPECT_TRUE(query_bit(src, 0, 0));
   EXPECT_EQ(src.bits_queried(0), 2u);
   EXPECT_THROW(src.set_data(BitVec(3)), contract_violation);
 }
 
 TEST(Source, BoundsChecked) {
   Source src(BitVec(8), 2);
-  EXPECT_THROW(src.query(0, 8), contract_violation);
-  EXPECT_THROW(src.query(2, 0), contract_violation);
-  EXPECT_THROW(src.query_range(0, 5, 4), contract_violation);
+  EXPECT_THROW((void)query_bit(src, 0, 8), contract_violation);
+  EXPECT_THROW((void)query_bit(src, 2, 0), contract_violation);
+  EXPECT_THROW(src.query_runs(0, Runs{{5, 9}}), contract_violation);
   EXPECT_THROW(src.set_overlay(0, BitVec(9)), contract_violation);
 }
 
 TEST(Source, OutOfBoundsMessageNamesIndexAndArraySize) {
   Source src(BitVec(8), 2);
   try {
-    src.query(0, 12);
+    (void)query_bit(src, 0, 12);
     FAIL() << "expected contract_violation";
   } catch (const contract_violation& e) {
     const std::string what = e.what();
@@ -101,23 +108,11 @@ TEST(Source, OutOfBoundsMessageNamesIndexAndArraySize) {
   }
 }
 
-TEST(Source, QueryRangeRejectsOverflowingRanges) {
-  Source src(BitVec(8), 1);
-  const std::size_t huge = std::numeric_limits<std::size_t>::max();
-  // lo + len wraps around; the naive `lo + len <= n` check would pass.
-  EXPECT_THROW(src.query_range(0, 2, huge), contract_violation);
-  EXPECT_THROW(src.query_range(0, huge, 2), contract_violation);
-  EXPECT_THROW(src.query_range(0, 8, 1), contract_violation);
-  // The full range is still fine.
-  EXPECT_EQ(src.query_range(0, 0, 8).size(), 8u);
-}
-
 TEST(Source, QueryRunsRejectsAnyOutOfRangeRun) {
   Source src(BitVec(8), 1);
-  EXPECT_THROW(src.query_runs(0, std::vector<Interval>{{0, 1}, {3, 9}}),
-               contract_violation);
+  EXPECT_THROW(src.query_runs(0, Runs{{0, 1}, {3, 9}}), contract_violation);
   try {
-    src.query_runs(0, std::vector<Interval>{{0, 1}, {3, 4}, {9, 10}});
+    src.query_runs(0, Runs{{0, 1}, {3, 4}, {9, 10}});
     FAIL() << "expected contract_violation";
   } catch (const contract_violation& e) {
     EXPECT_NE(std::string(e.what()).find("index 9"), std::string::npos)
@@ -128,12 +123,14 @@ TEST(Source, QueryRunsRejectsAnyOutOfRangeRun) {
 TEST(Source, QueryRunsRejectsMalformedBatches) {
   // Runs must be non-empty, ascending and disjoint (adjacent is fine).
   Source src(BitVec(8), 1);
-  using Runs = std::vector<Interval>;
+  // The full range is one run.
+  EXPECT_EQ(src.query_runs(0, Runs{{0, 8}}).size(), 8u);
+  EXPECT_EQ(src.bits_queried(0), 8u);
   for (const Runs& runs : {Runs{{2, 2}}, Runs{{3, 2}}, Runs{{4, 6}, {0, 1}},
                            Runs{{0, 3}, {2, 5}}}) {
     EXPECT_THROW(src.query_runs(0, runs), contract_violation);
   }
-  EXPECT_EQ(src.bits_queried(0), 0u);
+  EXPECT_EQ(src.bits_queried(0), 8u);
   EXPECT_EQ(src.query_runs(0, Runs{{0, 3}, {3, 5}}).size(), 5u);
 }
 
@@ -154,7 +151,7 @@ std::vector<Interval> random_runs(Rng& rng, std::size_t n) {
 }
 
 TEST(Source, QueryRunsMatchesPerIndexReference) {
-  // One query_runs call against the same runs queried an index at a time:
+  // One query_runs call against the same runs queried a unit run at a time:
   // same answers, counts and recorded indices, and one observer call
   // carrying the whole batch (an empty batch is no batch).
   constexpr std::size_t kN = 700;
@@ -174,7 +171,7 @@ TEST(Source, QueryRunsMatchesPerIndexReference) {
     for (const Interval& run : runs) {
       for (std::size_t i = run.lo; i < run.hi; ++i, ++j) {
         ASSERT_LT(j, got.size());
-        ASSERT_EQ(got.get(j), single.query(1, i)) << "seed " << seed;
+        ASSERT_EQ(got.get(j), query_bit(single, 1, i)) << "seed " << seed;
       }
     }
     ASSERT_EQ(got.size(), j);

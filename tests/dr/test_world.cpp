@@ -12,7 +12,10 @@ namespace {
 
 /// Trivial correct peer: queries everything and finishes.
 struct QueryAllPeer final : Peer {
-  void on_start() override { finish(query_range(0, n())); }
+  void on_start() override {
+    const Interval all{0, n()};
+    finish(query_runs({&all, 1}));
+  }
   void on_message(sim::PeerId, const sim::Payload&) override {}
 };
 
@@ -226,7 +229,8 @@ TEST(World, BudgetExhaustionProducesAStallReportWithBusyLinks) {
 struct PingThenQueryAllPeer final : Peer {
   void on_start() override {
     broadcast(std::make_shared<Ping>());
-    finish(query_range(0, n()));
+    const Interval all{0, n()};
+    finish(query_runs({&all, 1}));
   }
   void on_message(sim::PeerId, const sim::Payload&) override {}
 };

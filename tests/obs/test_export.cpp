@@ -1,8 +1,9 @@
-// The structured exporters: JSONL event streams (every line a valid JSON
-// object, overflow surfaced in a meta line) and the Chrome trace-event
-// (Perfetto) document, validated against the schema the viewers require —
-// name/ph/pid on every event, ts/tid on slices and instants, dur on
-// complete slices.
+// The structured exporters: JSONL event streams (every line the dump of one
+// event's JSON object, overflow surfaced in a meta line) and the Chrome
+// trace-event (Perfetto) document, validated against the schema the viewers
+// require — name/ph/pid on every event, ts/tid on slices and instants, dur
+// on complete slices. tools/check_perfetto.py validates a written file in
+// ctest (cli_trace_perfetto_valid).
 #include "obs/export.hpp"
 
 #include <gtest/gtest.h>
@@ -55,13 +56,14 @@ TEST(Jsonl, EveryLineIsAValidObjectWithKindAndTime) {
     const std::string out = to_jsonl(trace);
     const auto lines = split_lines(out);
     ASSERT_EQ(lines.size(), trace.events().size());  // no overflow here
-    for (const std::string& line : lines) {
-      const auto doc = Json::parse(line);
-      ASSERT_TRUE(doc.has_value()) << line;
-      const Json* kind = doc->find("kind");
-      ASSERT_NE(kind, nullptr) << line;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const Json doc = trace_event_json(trace.events()[i]);
+      EXPECT_EQ(lines[i], doc.dump());
+      ASSERT_TRUE(doc.is_object()) << lines[i];
+      const Json* kind = doc.find("kind");
+      ASSERT_NE(kind, nullptr) << lines[i];
       EXPECT_FALSE(kind->as_string().empty());
-      ASSERT_NE(doc->find("t"), nullptr) << line;
+      ASSERT_NE(doc.find("t"), nullptr) << lines[i];
     }
   });
 }
@@ -75,7 +77,7 @@ TEST(Jsonl, OverflowAppendsAMetaLineWithTheCutoff) {
   sim::Trace* trace = nullptr;
   // The Trace dies with the World inside run_scenario, so everything the
   // assertions need is copied out in post_run.
-  std::size_t kept_events = 0;
+  std::vector<std::string> kept_lines;
   std::size_t dropped_events = 0;
   double first_dropped_at = 0.0;
   s.instrument = [&](dr::World& world) {
@@ -83,36 +85,34 @@ TEST(Jsonl, OverflowAppendsAMetaLineWithTheCutoff) {
   };
   s.post_run = [&](dr::World&, const dr::RunReport&) {
     out = to_jsonl(*trace);
-    kept_events = trace->events().size();
+    for (const sim::TraceEvent& ev : trace->events()) {
+      kept_lines.push_back(trace_event_json(ev).dump());
+    }
     dropped_events = trace->dropped_events();
     first_dropped_at = trace->first_dropped_at();
   };
   ASSERT_TRUE(proto::run_scenario(s).ok());
   ASSERT_GT(dropped_events, 0u);
 
-  const auto lines = split_lines(out);
-  ASSERT_EQ(lines.size(), kept_events + 1);
-  const auto meta = Json::parse(lines.back());
-  ASSERT_TRUE(meta.has_value()) << lines.back();
-  EXPECT_EQ(meta->find("kind")->as_string(), "meta");
-  EXPECT_EQ(meta->find("dropped_events")->as_int(),
-            static_cast<std::int64_t>(dropped_events));
-  EXPECT_DOUBLE_EQ(meta->find("first_dropped_at")->as_number(),
-                   first_dropped_at);
+  auto lines = split_lines(out);
+  ASSERT_EQ(lines.size(), kept_lines.size() + 1);
+  EXPECT_EQ(lines.back(), "{\"kind\":\"meta\",\"dropped_events\":" +
+                              std::to_string(dropped_events) +
+                              ",\"first_dropped_at\":" +
+                              Json(first_dropped_at).dump() + "}");
+  lines.pop_back();
+  EXPECT_EQ(lines, kept_lines);
 }
 
-// The acceptance gate for the Perfetto exporter: dump the document, parse
-// it back, and check the trace-event schema field by field.
+// The acceptance gate for the Perfetto exporter: check the document's
+// trace-event schema field by field.
 TEST(Perfetto, DocumentSatisfiesTheTraceEventSchema) {
   with_traced_committee_run(23, [](const sim::Trace& trace,
                                    const dr::RunReport& report) {
     const Json doc =
         to_perfetto(trace, report.phase_spans, /*k=*/8, PerfettoOptions{});
-    const auto parsed = Json::parse(doc.dump(1));
-    ASSERT_TRUE(parsed.has_value());
-
-    EXPECT_EQ(parsed->find("displayTimeUnit")->as_string(), "ms");
-    const Json* events = parsed->find("traceEvents");
+    EXPECT_EQ(doc.find("displayTimeUnit")->as_string(), "ms");
+    const Json* events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_GT(events->size(), 0u);
 

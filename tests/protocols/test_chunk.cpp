@@ -5,12 +5,16 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "sim/message.hpp"
+#include "support/bits.hpp"
+#include "support/chunk.hpp"
 
 namespace asyncdr::proto {
 namespace {
 
+using support::from_string;
+
 TEST(BitChunk, ExtractApplyRoundTrip) {
-  const BitVec src = BitVec::from_string("1011001110");
+  const BitVec src = from_string("1011001110");
   IntervalSet idx;
   idx.insert(1, 4);
   idx.insert(7, 9);
@@ -99,7 +103,7 @@ TEST(BitChunk, ExtractApplyMatchPerBitReference) {
 }
 
 TEST(MaskChunk, ExtractApplyRoundTrip) {
-  const BitVec src = BitVec::from_string("1011001110");
+  const BitVec src = from_string("1011001110");
   BitVec mask(10);
   mask.set(0, true);
   mask.set(2, true);
@@ -124,7 +128,7 @@ TEST(MaskChunk, MismatchedThrow) {
   BitVec out(6), known(6);
   EXPECT_THROW(c.apply_to(out, known), contract_violation);
   EXPECT_THROW((void)c.is_subset_of(known), contract_violation);
-  EXPECT_THROW((void)c.agrees_with(out), contract_violation);
+  EXPECT_THROW((void)c.check(out, known), contract_violation);
 }
 
 TEST(MaskChunk, WireSizeChargesValuesOnly) {
@@ -179,7 +183,7 @@ TEST(MaskChunk, RandomRoundTripProperty) {
 }
 
 TEST(MaskChunk, ChecksMatchPerBitReference) {
-  // is_subset_of (Claim 1) and agrees_with (value agreement) against their
+  // is_subset_of (Claim 1) and check's value agreement against their
   // per-bit definitions, with n % 64 != 0 and masks of every density.
   Rng rng(91);
   for (int trial = 0; trial < 60; ++trial) {
@@ -202,15 +206,16 @@ TEST(MaskChunk, ChecksMatchPerBitReference) {
       agrees = agrees && other.get(i) == src.get(i);
     }
     EXPECT_EQ(chunk.is_subset_of(known), subset);
-    EXPECT_EQ(chunk.agrees_with(other), agrees);
+    EXPECT_EQ(chunk.check(other, known).agrees, agrees);
     EXPECT_TRUE(chunk.is_subset_of(mask));
-    EXPECT_TRUE(chunk.agrees_with(src));
+    EXPECT_TRUE(chunk.check(src, mask).agrees);
   }
 }
 
 TEST(MaskChunk, FusedCheckIsBothChecks) {
-  // check() against agrees_with && is_subset_of on random chunks, value
-  // arrays and known masks; 0 to 3 flips each, so every outcome occurs.
+  // check() against is_subset_of and the apply_to-based reference
+  // support::agrees_with on random chunks, value arrays and known masks; 0
+  // to 3 flips each, so every outcome occurs.
   Rng rng(93);
   std::size_t outcomes[2][2] = {};
   for (int trial = 0; trial < 400; ++trial) {
@@ -228,7 +233,8 @@ TEST(MaskChunk, FusedCheckIsBothChecks) {
       other.flip(static_cast<std::size_t>(rng.below(n)));
     }
     const MaskChunk::Checks checks = chunk.check(other, known);
-    EXPECT_EQ(checks.agrees, chunk.agrees_with(other)) << "trial " << trial;
+    EXPECT_EQ(checks.agrees, support::agrees_with(chunk, other))
+        << "trial " << trial;
     EXPECT_EQ(checks.held, chunk.is_subset_of(known)) << "trial " << trial;
     ++outcomes[checks.agrees][checks.held];
   }

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "harness.hpp"
 #include "protocols/bounds.hpp"
+#include "support/committee.hpp"
 
 namespace asyncdr::proto {
 namespace {
@@ -22,10 +23,10 @@ TEST(CommitteeAssignment, RoundRobinStructure) {
   EXPECT_EQ(a.committee_size(), 5u);
   EXPECT_EQ(a.threshold(), 3u);
   for (std::size_t bit = 0; bit < 10; ++bit) {
-    const auto members = a.members_of(bit);
+    const auto members = support::members_of(a, bit);
     ASSERT_EQ(members.size(), 5u);
     for (std::size_t pos = 0; pos < members.size(); ++pos) {
-      EXPECT_TRUE(a.is_member(members[pos], bit));
+      EXPECT_TRUE(support::is_member(a, members[pos], bit));
       EXPECT_EQ(members[pos], (bit * 5 + pos) % 7);
     }
   }
@@ -34,7 +35,9 @@ TEST(CommitteeAssignment, RoundRobinStructure) {
 TEST(CommitteeAssignment, BitsOfMatchesMembership) {
   const CommitteeAssignment a(64, 9, 3);
   for (sim::PeerId p = 0; p < 9; ++p) {
-    for (std::size_t bit : a.bits_of(p)) EXPECT_TRUE(a.is_member(p, bit));
+    for (std::size_t bit : a.bits_of(p)) {
+      EXPECT_TRUE(support::is_member(a, p, bit));
+    }
   }
   // Every committee slot is covered by exactly one peer position.
   std::size_t total = 0;
@@ -58,7 +61,7 @@ TEST(CommitteeAssignment, BitsOfMatchesBruteForce) {
     for (sim::PeerId p = 0; p < sh.k; ++p) {
       std::vector<std::size_t> want;
       for (std::size_t j = 0; j < sh.n; ++j) {
-        if (a.is_member(p, j)) want.push_back(j);
+        if (support::is_member(a, p, j)) want.push_back(j);
       }
       EXPECT_EQ(a.bits_of(p), want)
           << "n=" << sh.n << " k=" << sh.k << " t=" << sh.t << " p=" << p;
@@ -258,8 +261,8 @@ TEST(CommitteeDedup, SecondDifferentVectorIsIgnored) {
 
 // ---- The tally against a per-bit reference. ----
 
-/// The counting rule spelt out per bit from is_member: a sender's first
-/// vector of the right length counts on every undecided bit of its
+/// The counting rule spelt out per bit from support::is_member: a sender's
+/// first vector of the right length counts on every undecided bit of its
 /// committees, and a bit decides on the first value to reach the threshold.
 struct ReferenceTally {
   ReferenceTally(const CommitteeAssignment& a, std::size_t n, std::size_t k,
@@ -271,7 +274,7 @@ struct ReferenceTally {
     if (from >= heard.size() || heard[from]) return false;
     std::vector<std::size_t> bits;
     for (std::size_t b = 0; b < n; ++b) {
-      if (a.is_member(from, b)) bits.push_back(b);
+      if (support::is_member(a, from, b)) bits.push_back(b);
     }
     if (values.size() != bits.size()) return false;
     heard[from] = true;

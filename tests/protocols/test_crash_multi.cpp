@@ -18,6 +18,7 @@
 #include "protocols/segments.hpp"
 #include "sim/message.hpp"
 #include "sim/payload_bank.hpp"
+#include "support/chunk.hpp"
 
 namespace asyncdr::proto {
 namespace {
@@ -300,13 +301,13 @@ TEST(CrashMultiOwnerLayout, DisagreeingResponderGetsItsOwnValues) {
   mine.flip(bit);
   const crashm::ChunkPtr own = layout.chunk(snap, 2, 5, mine, known, "c1");
   EXPECT_NE(own, kept);
-  EXPECT_TRUE(own->agrees_with(mine));
-  EXPECT_FALSE(own->agrees_with(out));
+  EXPECT_TRUE(support::agrees_with(*own, mine));
+  EXPECT_FALSE(support::agrees_with(*own, out));
   EXPECT_EQ(applied(*own).first, applied(*kept).first);
   EXPECT_EQ(layout.chunks_built(), 2u);
   // The first chunk stays kept; its own values still find it.
   EXPECT_EQ(layout.chunk(snap, 2, 5, out, known, "c1"), kept);
-  EXPECT_TRUE(kept->agrees_with(out));
+  EXPECT_TRUE(support::agrees_with(*kept, out));
 }
 
 TEST(CrashMultiOwnerLayout, Claim1BreachThrows) {

@@ -7,9 +7,12 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "support/bits.hpp"
 
 namespace asyncdr::proto {
 namespace {
+
+using support::from_string;
 
 /// Oracle that answers from a fixed truth string and counts queries.
 struct CountingOracle {
@@ -23,28 +26,28 @@ struct CountingOracle {
 };
 
 TEST(DecisionTree, SingleCandidateNeedsNoQueries) {
-  const DecisionTree tree({BitVec::from_string("1010")});
+  const DecisionTree tree({from_string("1010")});
   EXPECT_EQ(tree.leaf_count(), 1u);
   EXPECT_EQ(tree.internal_nodes(), 0u);
-  CountingOracle oracle(BitVec::from_string("1010"));
+  CountingOracle oracle(from_string("1010"));
   EXPECT_EQ(tree.determine(std::ref(oracle)).to_string(), "1010");
   EXPECT_EQ(oracle.queries, 0u);
 }
 
 TEST(DecisionTree, TwoCandidatesOneQuery) {
   const DecisionTree tree(
-      {BitVec::from_string("0000"), BitVec::from_string("0010")});
+      {from_string("0000"), from_string("0010")});
   EXPECT_EQ(tree.internal_nodes(), 1u);
-  CountingOracle oracle(BitVec::from_string("0010"));
+  CountingOracle oracle(from_string("0010"));
   EXPECT_EQ(tree.determine(std::ref(oracle)).to_string(), "0010");
   EXPECT_EQ(oracle.queries, 1u);
 }
 
 TEST(DecisionTree, PicksTrueCandidateAmongMany) {
   std::vector<BitVec> cands{
-      BitVec::from_string("00000000"), BitVec::from_string("11111111"),
-      BitVec::from_string("10101010"), BitVec::from_string("00001111"),
-      BitVec::from_string("11110000")};
+      from_string("00000000"), from_string("11111111"),
+      from_string("10101010"), from_string("00001111"),
+      from_string("11110000")};
   const DecisionTree tree(cands);
   EXPECT_EQ(tree.internal_nodes(), 4u);  // leaves - 1
   for (const BitVec& truth : cands) {
@@ -56,7 +59,7 @@ TEST(DecisionTree, PicksTrueCandidateAmongMany) {
 
 TEST(DecisionTree, IndexOffsetShiftsQueries) {
   const DecisionTree tree(
-      {BitVec::from_string("01"), BitVec::from_string("11")});
+      {from_string("01"), from_string("11")});
   std::vector<std::size_t> asked;
   const BitVec& winner = tree.determine(
       [&](std::size_t i) {

@@ -9,14 +9,17 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "support/bits.hpp"
 
 namespace asyncdr::proto {
 namespace {
 
+using support::from_string;
+
 TEST(StringBank, CountsDistinctSupporters) {
   StringBank bank(2);
-  const BitVec a = BitVec::from_string("101");
-  const BitVec b = BitVec::from_string("111");
+  const BitVec a = from_string("101");
+  const BitVec b = from_string("111");
   EXPECT_TRUE(bank.record(0, 1, a));
   EXPECT_TRUE(bank.record(0, 2, a));
   EXPECT_TRUE(bank.record(0, 3, b));
@@ -24,14 +27,14 @@ TEST(StringBank, CountsDistinctSupporters) {
   EXPECT_EQ(bank.distinct(0), 2u);
   EXPECT_EQ(bank.support(0, a), 2u);
   EXPECT_EQ(bank.support(0, b), 1u);
-  EXPECT_EQ(bank.support(0, BitVec::from_string("000")), 0u);
+  EXPECT_EQ(bank.support(0, from_string("000")), 0u);
   EXPECT_EQ(bank.votes(1), 0u);
 }
 
 TEST(StringBank, OneVotePerPeerPerSegment) {
   StringBank bank(1);
-  const BitVec a = BitVec::from_string("0");
-  const BitVec b = BitVec::from_string("1");
+  const BitVec a = from_string("0");
+  const BitVec b = from_string("1");
   EXPECT_TRUE(bank.record(0, 7, a));
   // Re-votes (even with a different value) are ignored — vote stacking by a
   // single Byzantine peer is impossible.
@@ -44,8 +47,8 @@ TEST(StringBank, OneVotePerPeerPerSegment) {
 
 TEST(StringBank, FrequentThreshold) {
   StringBank bank(1);
-  const BitVec a = BitVec::from_string("00");
-  const BitVec b = BitVec::from_string("01");
+  const BitVec a = from_string("00");
+  const BitVec b = from_string("01");
   for (sim::PeerId p = 0; p < 5; ++p) bank.record(0, p, a);
   for (sim::PeerId p = 5; p < 7; ++p) bank.record(0, p, b);
 
@@ -59,8 +62,8 @@ TEST(StringBank, FrequentThreshold) {
 
 TEST(StringBank, FrequentOrderIsDeterministic) {
   StringBank bank(1);
-  bank.record(0, 0, BitVec::from_string("10"));
-  bank.record(0, 1, BitVec::from_string("01"));
+  bank.record(0, 0, from_string("10"));
+  bank.record(0, 1, from_string("01"));
   const auto f = bank.frequent(0, 1);
   ASSERT_EQ(f.size(), 2u);
   EXPECT_EQ(f[0].to_string(), "01");
@@ -69,8 +72,8 @@ TEST(StringBank, FrequentOrderIsDeterministic) {
 
 TEST(StringBank, SegmentsIndependent) {
   StringBank bank(3);
-  bank.record(0, 1, BitVec::from_string("1"));
-  bank.record(2, 1, BitVec::from_string("0"));
+  bank.record(0, 1, from_string("1"));
+  bank.record(2, 1, from_string("0"));
   EXPECT_EQ(bank.votes(0), 1u);
   EXPECT_EQ(bank.votes(1), 0u);
   EXPECT_EQ(bank.votes(2), 1u);
@@ -98,7 +101,7 @@ TEST(StringBank, CountsMatchReferenceMultiset) {
       EXPECT_EQ(bank.distinct(seg), support.size());
       for (const char* value : {"00", "01", "10", "11"}) {
         const auto it = support.find(value);
-        EXPECT_EQ(bank.support(seg, BitVec::from_string(value)),
+        EXPECT_EQ(bank.support(seg, from_string(value)),
                   it == support.end() ? 0u : it->second);
       }
       for (std::size_t tau = 1; tau <= 12; ++tau) {
@@ -128,9 +131,12 @@ TEST(StringBank, FrequentOrderIsRenderedStringOrder) {
     std::vector<BitVec> values{base};
     for (int v = 0; v < 24; ++v) {
       switch (rng.below(3)) {
-        case 0:
-          values.push_back(base.slice(0, rng.below(base_len + 1)));
+        case 0: {
+          BitVec prefix(rng.below(base_len + 1));
+          prefix.copy_range(0, base, 0, prefix.size());
+          values.push_back(std::move(prefix));
           break;
+        }
         case 1:
           if (base_len > 0) {
             BitVec flipped = base;
@@ -162,8 +168,8 @@ TEST(StringBank, FrequentOrderIsRenderedStringOrder) {
 
 TEST(StringBank, RecordWithCarriedHashMatchesRecord) {
   StringBank carried(1), plain(1);
-  const BitVec a = BitVec::from_string("1011");
-  const BitVec b = BitVec::from_string("0011");
+  const BitVec a = from_string("1011");
+  const BitVec b = from_string("0011");
   EXPECT_TRUE(carried.record(0, 1, a, a.hash()));
   EXPECT_TRUE(carried.record(0, 2, a, a.hash()));
   EXPECT_FALSE(carried.record(0, 2, b, b.hash()));

@@ -5,9 +5,12 @@
 #include <set>
 
 #include "common/check.hpp"
+#include "support/bits.hpp"
 
 namespace asyncdr::proto {
 namespace {
+
+using support::from_string;
 
 TEST(RandomInput, DeterministicAndSeedSensitive) {
   const BitVec a = random_input(256, 7);
@@ -47,7 +50,7 @@ TEST(RunScenario, RequiresByzFactoryWhenIdsGiven) {
 TEST(RunScenario, ExplicitInputIsUsed) {
   Scenario s;
   s.cfg = dr::Config{.n = 8, .k = 2, .beta = 0.0, .message_bits = 8, .seed = 1};
-  s.input = BitVec::from_string("10100101");
+  s.input = from_string("10100101");
   s.honest = make_naive();
   const auto report = run_scenario(s);
   ASSERT_TRUE(report.ok());

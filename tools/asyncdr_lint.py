@@ -85,6 +85,8 @@ MUTATOR_METHODS = (
 MUTATION_RE = re.compile(
     r"\b([a-z]\w*_)\s*(?:\.|->)\s*(?:" + MUTATOR_METHODS + r")\s*\("
     r"|\b([a-z]\w*_)\s*(?:\[[^\]]*\]\s*)?(=(?!=)|\+=|-=|\|=|&=|\^=)")
+# journal_runs and journal_checkpoint are the live appends; the pattern
+# still matches the retired journal_bits spelling.
 JOURNAL_RE = re.compile(r"\bjournal_(bits|runs|checkpoint)\s*\(")
 # A member passed as a whole argument, and a parameter that can write
 # through it: a non-const lvalue reference (`BitVec& out`, not
@@ -93,8 +95,9 @@ MEMBER_ARG_RE = re.compile(r"^\s*([a-z]\w*_)\s*$")
 MUTABLE_REF_PARAM_RE = re.compile(
     r"^\s*(?!.*\bconst\b)[A-Za-z_][\w:]*(?:\s*<[^()]*>)?\s*&(?!&)\s*"
     r"(?:[A-Za-z_]\w*)?\s*(?:=.*)?$")
-# A source query a peer makes itself; the bits it returns are a download
-# until a journal_bits/journal_runs append persists them.
+# A source query a peer makes itself (query_runs; the pattern still matches
+# the retired query, query_range and query_indices spellings); the bits it
+# returns are a download until a journal_runs append persists them.
 QUERY_RE = re.compile(r"\bquery(?:_range|_runs|_indices)?\s*\(")
 
 CXX_KEYWORDS = frozenset(
@@ -1153,8 +1156,8 @@ def check_wal_ordering(program):
             continue  # constructor: no incarnation to lose yet
         # Two orders are wrong. Outside on_restart (which rebuilds recovered
         # state from the journal itself), a mutation with no append before
-        # it. Anywhere, a mutation between a source query and the
-        # journal_bits/journal_runs append that persists it: the download is
+        # it. Anywhere, a mutation between a source query (query_runs) and
+        # the journal_runs append that persists it: the download is
         # applied before it is journaled. Only the first finding per member
         # is reported, so one justified allow() covers a function's later
         # writes to that member.
@@ -1173,8 +1176,8 @@ def check_wal_ordering(program):
                 continue
             if downloading:
                 message = (f"{fn.qualname} applies a download to recovered "
-                           f"state '{name}' before the journal_bits/"
-                           "journal_runs append that persists it; append "
+                           f"state '{name}' before the journal_runs "
+                           "append that persists it; append "
                            "first, so the journal never lags the state it "
                            "protects")
             elif not journaled:

@@ -166,7 +166,7 @@ class RuleDetection(TreeCase):
                    "void f(W& w) { w.source().set_data(BitVec{}); }\n}\n")
         self.write("src/dr/source.cpp",
                    "namespace asyncdr {\n"
-                   "void Source::reset_accounting() {}\n}\n")
+                   "void f(Source& s) { s.set_overlay(0, BitVec{}); }\n}\n")
         status, out = self.lint()
         self.assertEqual(status, 0, out)
 
@@ -263,7 +263,7 @@ class RuleDetection(TreeCase):
                    "auto f = std::make_unique<FooPeer>();\n}\n")
         self.write("src/protocols/foo.cpp",
                    "namespace asyncdr {\n"
-                   "void FooPeer::on_start() { query(0); }\n}\n")
+                   "void FooPeer::on_start() { query_runs(runs); }\n}\n")
         status, out = self.lint()
         self.assertEqual(status, 1)
         self.assertIn("DR009", out)

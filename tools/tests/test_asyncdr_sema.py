@@ -212,7 +212,7 @@ CHUNK_DECLS = """\
 namespace asyncdr::proto {
 struct Chunk {
   void apply_to(BitVec& out, IntervalSet& known) const;
-  bool agrees_with(const BitVec& out, IntervalSet const& known) const;
+  Checks check(const BitVec& src, BitVec const& known_mask) const;
 };
 }  // namespace asyncdr::proto
 """
@@ -262,7 +262,7 @@ class WalOrdering(TreeCase):
     def test_dr014_member_passed_by_const_ref_ok(self):
         self.write("src/proto/chunk.hpp", CHUNK_DECLS)
         self.write("src/proto/peer.cpp",
-                   JOURNAL_CLIENT % "(void)got.agrees_with(out_, known_);")
+                   JOURNAL_CLIENT % "(void)got.check(out_, known_);")
         self.assertEqual(self.check("DR014"), "")
 
     def test_dr014_download_applied_before_its_append(self):
@@ -276,7 +276,7 @@ class WalOrdering(TreeCase):
                    "  if (!journal_runs(runs, values)) return;")
         out = self.check("DR014")
         self.assertIn("peer.cpp:8: DR014", out)
-        self.assertIn("before the journal_bits/journal_runs append", out)
+        self.assertIn("before the journal_runs append", out)
 
     def test_dr014_download_applied_before_its_append_in_on_restart(self):
         self.write("src/proto/chunk.hpp", CHUNK_DECLS)

@@ -3,11 +3,13 @@
 // aligned tables of paper-bound vs measured values.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,7 +46,25 @@ struct RepeatStats {
   /// residual local-sequencing share, per successful run.
   Summary cp_len, cp_link, cp_local;
   std::size_t cp_reconciled = 0;
+  /// FNV-1a over every run's RunReport::to_string() in run order, failed
+  /// runs included, as perfbench fingerprints a workload: equal
+  /// fingerprints mean every simulated statistic of the series is
+  /// unchanged. Set by repeat_runs and repeat_runs_critpath only.
+  std::optional<std::uint64_t> fingerprint;
 };
+
+/// Folds one run's report into stats.fingerprint.
+inline void fold_fingerprint(RepeatStats& stats, const dr::RunReport& report) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  std::uint64_t h = stats.fingerprint.value_or(0xcbf29ce484222325ull);
+  for (const char c : report.to_string()) {
+    h ^= static_cast<unsigned char>(c);
+    h *= kPrime;
+  }
+  h ^= '\n';
+  h *= kPrime;
+  stats.fingerprint = h;
+}
 
 template <typename ScenarioBuilder>
 RepeatStats repeat_runs(std::size_t repeats, ScenarioBuilder&& build) {
@@ -53,6 +73,7 @@ RepeatStats repeat_runs(std::size_t repeats, ScenarioBuilder&& build) {
     proto::Scenario s = build(rep);
     const dr::RunReport report = proto::run_scenario(s);
     ++stats.runs;
+    fold_fingerprint(stats, report);
     if (!report.ok()) {
       ++stats.failures;
       continue;
@@ -79,6 +100,7 @@ RepeatStats repeat_runs_critpath(std::size_t repeats, ScenarioBuilder&& build) {
     };
     const dr::RunReport report = proto::run_scenario(s);
     ++stats.runs;
+    fold_fingerprint(stats, report);
     if (!report.ok()) {
       ++stats.failures;
       continue;
@@ -205,6 +227,12 @@ class BenchJson {
     e["label"] = label;
     e["runs"] = static_cast<std::uint64_t>(stats.runs);
     e["failures"] = static_cast<std::uint64_t>(stats.failures);
+    if (stats.fingerprint.has_value()) {
+      char hex[17];
+      std::snprintf(hex, sizeof(hex), "%016llx",
+                    static_cast<unsigned long long>(*stats.fingerprint));
+      e["fingerprint"] = std::string(hex);
+    }
     // Mean/min/max plus exact (linear-interpolated) distribution
     // percentiles, so the committed baselines pin tail behaviour, not just
     // the centre. compare_bench.py diffs the p50/p90/p99 fields with wider
@@ -230,8 +258,6 @@ class BenchJson {
       e["m_p99"] = stats.m.percentile(99);
     }
     // Optional critical-path fields (repeat_runs_critpath callers only).
-    // compare_bench.py diffs q/t/m means and ignores extra fields, so these
-    // ride along without perturbing baseline comparisons.
     if (!stats.cp_len.empty()) {
       e["critpath_len_mean"] = stats.cp_len.mean();
       e["critpath_link_mean"] = stats.cp_link.mean();
@@ -263,7 +289,8 @@ class BenchJson {
   /// record_values for metric sets computed at run time (e.g. the per-pool
   /// memory breakdown, one field per pool), with optional string-valued
   /// tags alongside (e.g. the RSS mechanism — the comparator skips
-  /// non-numeric fields but humans and CI logs want them recorded).
+  /// non-numeric fields other than `fingerprint`, but humans and CI logs
+  /// want them recorded).
   void record_mixed(
       const std::string& section, const std::string& label,
       const std::vector<std::pair<std::string, double>>& metrics,

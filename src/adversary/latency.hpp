@@ -34,8 +34,6 @@ class SenderDelayLatency final : public sim::LatencyPolicy {
                      sim::Time slow, sim::Time fast = 0.01);
   sim::Time propagation(const sim::Message& msg) override;
 
-  void set_slow(sim::Time slow) { slow_ = slow; }
-
  private:
   std::unordered_set<sim::PeerId> slow_senders_;
   sim::Time slow_, fast_;

@@ -83,13 +83,12 @@ std::size_t BitVec::popcount() const {
   return popcount_words(words_.data(), words_.size());
 }
 
-BitVec::Assigned BitVec::assign_masked(std::span<const MaskedWord> words,
-                                       BitVec& known) {
+std::size_t BitVec::assign_masked(std::span<const MaskedWord> words,
+                                  BitVec& known) {
   ASYNCDR_EXPECTS(known.size_ == size_);
   // Words below `whole` lie inside size(); only a later one needs checking.
   const std::size_t whole = size_ / kWordBits;
-  Assigned out;
-  std::uint64_t changed = 0;
+  std::size_t learned = 0;
   for (const MaskedWord& w : words) {
     if (w.index >= whole) {
       ASYNCDR_EXPECTS(w.index < words_.size() &&
@@ -100,15 +99,11 @@ BitVec::Assigned BitVec::assign_masked(std::span<const MaskedWord> words,
     // for them.
     const std::uint64_t held = known.words_[w.index];
     const std::uint64_t fresh = w.mask & ~held;
-    if (fresh != 0) {
-      out.learned += static_cast<std::size_t>(std::popcount(fresh));
-    }
-    changed |= (words_[w.index] ^ w.values) & w.mask & held;
+    if (fresh != 0) learned += static_cast<std::size_t>(std::popcount(fresh));
     words_[w.index] = (words_[w.index] & ~w.mask) | (w.values & w.mask);
     known.words_[w.index] = held | w.mask;
   }
-  out.rewrote = changed != 0;
-  return out;
+  return learned;
 }
 
 void BitVec::andnot_with(const BitVec& other) {

@@ -108,16 +108,10 @@ class BitVec {
     std::uint64_t values;
     bool operator==(const MaskedWord&) const = default;
   };
-  /// What one assign_masked pass did.
-  struct Assigned {
-    std::size_t learned = 0;  ///< selected bits `known` lacked before
-    bool rewrote = false;     ///< some bit `known` held changed its value
-    bool operator==(const Assigned&) const = default;
-  };
   /// For each word: overwrites the bits it selects with its values here and
   /// sets them in `known` (same size). No mask may select a bit at or past
-  /// size().
-  Assigned assign_masked(std::span<const MaskedWord> words, BitVec& known);
+  /// size(). Returns how many selected bits `known` lacked before.
+  std::size_t assign_masked(std::span<const MaskedWord> words, BitVec& known);
 
   /// The 64 bits starting at `pos` < size(); bits past size() read as zero.
   [[nodiscard]] std::uint64_t load_bits(std::size_t pos) const {

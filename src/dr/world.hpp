@@ -213,10 +213,6 @@ class World : private sim::NetworkObserver {
   /// The journal store (recovery must be enabled). Chaos injectors use the
   /// corruption helpers; everything else goes through Peer's journal_*().
   JournalStore& journal_store();
-  /// Per-run recovery counters.
-  [[nodiscard]] const RecoveryStats& recovery_stats() const {
-    return recovery_stats_;
-  }
 
   /// Revives a crashed peer at absolute time t (exact; callers wanting the
   /// anti-storm backoff use restart_after_delay). A restart of a peer that

@@ -73,7 +73,6 @@ class MultiCyclePeer final : public dr::Peer {
   /// Segments that had no tau-frequent candidate and were re-queried in
   /// full (the w.h.p. failure path; benches report its frequency).
   [[nodiscard]] std::size_t fallback_segments() const { return fallback_segments_; }
-  [[nodiscard]] std::size_t cycles_run() const { return cycle_; }
 
  protected:
   void on_message(sim::PeerId from, const sim::Payload& payload) override;

@@ -55,7 +55,7 @@ MaskChunk MaskChunk::extract(const BitVec& src, const SparseMask& mask) {
   return MaskChunk(mask.size(), std::move(words));
 }
 
-BitVec::Assigned MaskChunk::apply_to(BitVec& out, BitVec& known_mask) const {
+std::size_t MaskChunk::apply_to(BitVec& out, BitVec& known_mask) const {
   ASYNCDR_EXPECTS(size_ == out.size());
   return out.assign_masked(words_, known_mask);
 }

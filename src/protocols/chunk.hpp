@@ -72,9 +72,8 @@ class MaskChunk {
   [[nodiscard]] std::size_t size_bits() const { return count_ + 64; }
 
   /// Writes values into `out` and sets the corresponding bits of
-  /// `known_mask`; reports how many of those bits were not set before, and
-  /// whether a bit that was set changed its value in `out`.
-  BitVec::Assigned apply_to(BitVec& out, BitVec& known_mask) const;
+  /// `known_mask`; returns how many of those bits were not set before.
+  std::size_t apply_to(BitVec& out, BitVec& known_mask) const;
 
   /// True if every index of the chunk is set in `known_mask` (same size).
   [[nodiscard]] bool is_subset_of(const BitVec& known_mask) const;

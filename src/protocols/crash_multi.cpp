@@ -80,8 +80,7 @@ SparseMask OwnerLayout::share(const BitVec& unknown, std::size_t r,
 
 ChunkPtr OwnerLayout::chunk(const Snapshot& unknown, std::size_t r,
                             sim::PeerId owner, const BitVec& out,
-                            const BitVec& known, const char* claim1,
-                            bool* is_kept) {
+                            const BitVec& known, const char* claim1) {
   if (unknown.get() != last_snapshot_) {
     const auto it = chunks_.find(unknown.get());
     ASYNCDR_EXPECTS_MSG(it != chunks_.end(),
@@ -96,10 +95,7 @@ ChunkPtr OwnerLayout::chunk(const Snapshot& unknown, std::size_t r,
   if (kept != nullptr) {
     const MaskChunk::Checks checks = kept->check(out, known);
     ASYNCDR_INVARIANT_MSG(checks.held, claim1);
-    if (checks.agrees) {
-      if (is_kept != nullptr) *is_kept = true;
-      return kept;
-    }
+    if (checks.agrees) return kept;
   }
   // The first call for this (snapshot, owner), or a responder whose values
   // differ from the kept chunk's (a mutating source): it answers with its
@@ -108,7 +104,6 @@ ChunkPtr OwnerLayout::chunk(const Snapshot& unknown, std::size_t r,
       MaskChunk::extract(out, share(*unknown, r, owner)));
   ++chunks_built_;
   ASYNCDR_INVARIANT_MSG(chunk->is_subset_of(known), claim1);
-  if (is_kept != nullptr) *is_kept = kept == nullptr;
   if (kept == nullptr) kept = chunk;
   return chunk;
 }
@@ -147,7 +142,7 @@ bool Resp2::content_equals(const sim::Payload& other) const {
 
 std::shared_ptr<const Resp2> answer(OwnerLayout& layout, const Req2& req,
                                     const PeerSet* heard, const BitVec& out,
-                                    const BitVec& known, bool* all_kept) {
+                                    const BitVec& known) {
   const std::size_t k = layout.k();
   MissingPtr list = req.missing;
   const auto& ids = list->ids;
@@ -162,33 +157,19 @@ std::shared_ptr<const Resp2> answer(OwnerLayout& layout, const Req2& req,
   }
   BitVec heard_bits(list->ids.size());
   std::vector<ChunkPtr> chunks;
-  bool kept = true;
   if (heard != nullptr) {
     for (std::size_t j = 0; j < list->ids.size(); ++j) {
       const sim::PeerId absent = list->ids[j];
       if (!heard->contains(absent)) continue;  // "me neither"
       if (chunks.empty()) chunks.reserve(list->ids.size() - j);
       heard_bits.set(j, true);
-      bool is_kept = false;
       chunks.push_back(layout.chunk(req.unknown, req.phase, absent, out,
-                                    known, kClaim1Req2, &is_kept));
-      kept = kept && is_kept;
+                                    known, kClaim1Req2));
     }
   }
-  if (all_kept != nullptr) *all_kept = kept;
   return std::make_shared<const Resp2>(req.phase, std::move(list),
                                        std::move(heard_bits),
                                        std::move(chunks));
-}
-
-bool still_answers(const Resp2& resp, const BitVec& out, const BitVec& known) {
-  bool agrees = true;
-  for (const ChunkPtr& chunk : resp.chunks) {
-    const MaskChunk::Checks checks = chunk->check(out, known);
-    ASYNCDR_INVARIANT_MSG(checks.held, kClaim1Req2);
-    agrees = agrees && checks.agrees;
-  }
-  return agrees;
 }
 
 }  // namespace crashm
@@ -206,7 +187,6 @@ std::size_t CrashMultiPeer::direct_threshold() const {
 }
 
 std::size_t CrashMultiPeer::max_phases() const {
-  if (opts_.max_phases > 0) return opts_.max_phases;
   const std::size_t t = world().config().max_faulty();
   if (t == 0) return 1;
   // Unknown bits shrink by ~t/k per phase; log_{k/t}(n) phases reach the
@@ -300,7 +280,7 @@ std::string CrashMultiPeer::status() const {
       break;
     }
     case Progress::kWait2:
-      os << "stage 3: waiting for RESP2 quorum (" << resp2_count_ << "/"
+      os << "stage 3: waiting for RESP2 quorum (" << resp2s_counted_ << "/"
          << quorum() << ", " << missing_.size() << " peers missing)";
       break;
     case Progress::kDone: os << "done stage reached"; break;
@@ -342,7 +322,7 @@ void CrashMultiPeer::start_phase(std::size_t r) {
   if (heard_.size() < r) heard_.resize(r);
   heard_[r - 1].insert(id(), k());
   missing_.clear();
-  resp2_count_ = 0;
+  resp2s_counted_ = 0;
   progress_ = Progress::kWait1;
   broadcast(std::make_shared<Req1>(r, phase_unknown_));
   process_deferred();
@@ -366,31 +346,11 @@ bool CrashMultiPeer::download(const std::vector<Interval>& runs) {
   return true;
 }
 
-void CrashMultiPeer::learn(std::size_t phase, sim::PeerId owner,
-                           const ChunkPtr& chunk) {
-  // A chunk pointer names one content for the world's lifetime, so a chunk
-  // this peer applied before lies in known_ with its values in out_, and
-  // applying it again changes nothing: unless some apply since rewrote a
-  // known bit (a mutating source), after which every chunk is applied
-  // again so the last write still wins. Repeats are the missing peers'
-  // chunks, which every RESP2 to a phase's REQ2 carries, the late ones
-  // after this peer has moved on to the next phase.
-  Applied& seen = applied_[phase % 2];
-  if (seen.phase == phase && seen.missing != nullptr) {
-    const std::vector<sim::PeerId>& ids = seen.missing->ids;  // ascending
-    const auto it = std::lower_bound(ids.begin(), ids.end(), owner);
-    if (it != ids.end() && *it == owner) {
-      ChunkPtr& last = seen.chunks[static_cast<std::size_t>(it - ids.begin())];
-      if (!rewrote_ && last == chunk) return;
-      last = chunk;
-    }
-  }
+void CrashMultiPeer::learn(const MaskChunk& chunk) {
   // asyncdr-lint: allow(DR014) bits heard from other peers are not
   //   downloads: the journal logs only what this peer queried, and a
   //   revived incarnation re-queries what it had only heard, by design.
-  const BitVec::Assigned done = chunk->apply_to(out_, known_);
-  known_count_ += done.learned;  // asyncdr-lint: allow(DR014) same rationale.
-  rewrote_ = rewrote_ || done.rewrote;
+  known_count_ += chunk.apply_to(out_, known_);
 }
 
 void CrashMultiPeer::on_message(sim::PeerId from, const sim::Payload& payload) {
@@ -413,7 +373,7 @@ void CrashMultiPeer::on_message(sim::PeerId from, const sim::Payload& payload) {
   if (const auto* resp1 = sim::payload_as<Resp1>(payload)) {
     if (resp1->chunk->size() == n()) {
       // A responder answers with its own share.
-      learn(resp1->phase, from, resp1->chunk);
+      learn(*resp1->chunk);
       if (heard_.size() < resp1->phase) heard_.resize(resp1->phase);
       heard_[resp1->phase - 1].insert(from, k());
     }
@@ -421,15 +381,12 @@ void CrashMultiPeer::on_message(sim::PeerId from, const sim::Payload& payload) {
     return;
   }
   if (const auto* resp2 = sim::payload_as<Resp2>(payload)) {
-    std::size_t j = 0;
-    resp2->heard.for_each_set([&](std::size_t pos) {
-      const ChunkPtr& chunk = resp2->chunks[j++];
-      if (chunk->size() == n()) {
-        learn(resp2->phase, resp2->missing->ids[pos], chunk);
-      }
-    });
+    // One chunk per heard entry, in list order.
+    for (const ChunkPtr& chunk : resp2->chunks) {
+      if (chunk->size() == n()) learn(*chunk);
+    }
     if (resp2->phase == phase_ && progress_ == Progress::kWait2) {
-      ++resp2_count_;
+      ++resp2s_counted_;
     }
     try_advance();
     return;
@@ -473,44 +430,13 @@ void CrashMultiPeer::handle_req1(sim::PeerId from, const Req1& req) {
   ChunkPtr mine =
       layout().chunk(req.unknown, req.phase, id(), out_, known_,
                      "Claim 1 violated: asked for a bit I don't know");
-  // A RESP1 is its phase and chunk: the same chunk object in the same
-  // phase is the same body, which resp1_ holds alive, so its pointer
-  // cannot name another chunk.
-  if (resp1_ == nullptr || resp1_->phase != req.phase ||
-      resp1_->chunk != mine) {
-    resp1_ = std::make_shared<const Resp1>(req.phase, std::move(mine));
-  }
-  send(from, resp1_);
-}
-
-bool CrashMultiPeer::can_resend(const Req2& req,
-                                std::size_t heard_size) const {
-  // A fresh answer is a function of the phase, the list, the heard set and
-  // each heard peer's chunk. The layout returns the kept chunk of a
-  // (snapshot, owner) while it agrees with out_, which holds unless some
-  // apply rewrote a known bit; a rescue's rewrite ends the peer.
-  return resp2_.body != nullptr && resp2_.body->phase == req.phase &&
-         resp2_.unknown == req.unknown && resp2_.heard == heard_size &&
-         !rewrote_ &&
-         (resp2_.asked == req.missing || *resp2_.asked == *req.missing);
+  send(from, std::make_shared<Resp1>(req.phase, std::move(mine)));
 }
 
 void CrashMultiPeer::handle_req2(sim::PeerId from, const Req2& req) {
   const PeerSet* heard =
       heard_.size() >= req.phase ? &heard_[req.phase - 1] : nullptr;
-  const std::size_t heard_size = heard != nullptr ? heard->size() : 0;
-  // Every check a fresh answer makes still runs on a resend: Claim 1 and
-  // the values of each carried chunk.
-  if (can_resend(req, heard_size) &&
-      crashm::still_answers(*resp2_.body, out_, known_)) {
-    send(from, resp2_.body);
-    return;
-  }
-  bool all_kept = false;
-  auto body = crashm::answer(layout(), req, heard, out_, known_, &all_kept);
-  resp2_ = all_kept ? KeptResp2{body, req.missing, req.unknown, heard_size}
-                    : KeptResp2{};
-  send(from, std::move(body));
+  send(from, crashm::answer(layout(), req, heard, out_, known_));
 }
 
 void CrashMultiPeer::try_advance() {
@@ -532,13 +458,11 @@ void CrashMultiPeer::try_advance() {
       //   design: recovery never resumes mid-round (on_restart completes
       //   directly from journaled bits), so no append orders this.
       progress_ = Progress::kWait2;
-      resp2_count_ = 1;  // my own implicit all-"me neither" response
+      resp2s_counted_ = 1;  // my own implicit all-"me neither" response
       if (!missing_.empty()) {
-        auto list = std::make_shared<const MissingList>(missing_);
-        applied_[phase_ % 2] =
-            Applied{phase_, list, std::vector<ChunkPtr>(missing_.size())};
-        broadcast(std::make_shared<Req2>(phase_, std::move(list),
-                                         phase_unknown_));
+        broadcast(std::make_shared<Req2>(
+            phase_, std::make_shared<const MissingList>(missing_),
+            phase_unknown_));
       }
       process_deferred();
       try_advance();
@@ -554,7 +478,7 @@ void CrashMultiPeer::try_advance() {
       complete_now();
       return;
     }
-    if (missing_.empty() || resp2_count_ >= quorum()) advance_phase();
+    if (missing_.empty() || resp2s_counted_ >= quorum()) advance_phase();
     return;
   }
 }

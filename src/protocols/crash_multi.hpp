@@ -33,20 +33,19 @@
 // min(n/64, n/k) for a hashed phase. Peers that start a phase with equal
 // unknown sets hold one snapshot, so a chunk is built once per (snapshot,
 // owner) and every response carrying it shares it by pointer. A responder
-// checks Claim 1 and its own values against the kept chunk in one fused
-// pass, one word operation per chunk word, and builds its own chunk if the
-// values differ. A REQ2's missing list is built and hashed once and shared
-// by every RESP2 to it; a RESP2 carries a heard bit per listed peer and a
-// chunk per heard one, so a "me neither" costs one bit and no work, and the
-// layout looks a request's snapshot up once for all its heard peers (it
-// keeps the last one found). A requester keeps its count of known bits as
-// it learns them, so the stage checks after every message read a counter
-// instead of an n-bit popcount, and skips a missing peer's chunk it already
-// applied for that phase (most RESP2 entries repeat one kept chunk). It
-// queries, journals and stores downloaded bits a run of consecutive
-// indices at a time. A responder resends its last RESP1 or RESP2 body, not
-// a rebuilt one, while a fresh answer could not differ (DESIGN.md,
-// "Resent response bodies").
+// answers every request afresh: it checks Claim 1 and its own values
+// against the kept chunk in one fused pass, one word operation per chunk
+// word, builds its own chunk if the values differ, and wraps the chunks in
+// a new body that the world's payload bank interns. A REQ2's missing list
+// is built and hashed once and shared by every RESP2 to it; a RESP2
+// carries a heard bit per listed peer and a chunk per heard one, so a "me
+// neither" costs one bit and no work, and the layout looks a request's
+// snapshot up once for all its heard peers (it keeps the last one found).
+// A requester applies every chunk it hears, so the last write wins, and
+// keeps its count of known bits as it learns them: the stage checks after
+// every message read a counter instead of an n-bit popcount. It queries,
+// journals and stores downloaded bits a run of consecutive indices at a
+// time.
 //
 // Termination: once the unknown set is at most max(ceil(n/k), 2k) bits (or
 // a phase cap is hit), the peer queries the remainder directly, pushes its
@@ -59,7 +58,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -116,12 +114,9 @@ class OwnerLayout {
   /// Either way the chunk must lie within `known` (Claim 1), else an
   /// invariant violation with message `claim1` is thrown. A kept chunk runs
   /// both checks in one pass.
-  /// If `is_kept` is given, sets it to whether the chunk returned is the
-  /// kept one.
   [[nodiscard]] ChunkPtr chunk(const Snapshot& unknown, std::size_t r,
                                sim::PeerId owner, const BitVec& out,
-                               const BitVec& known, const char* claim1,
-                               bool* is_kept = nullptr);
+                               const BitVec& known, const char* claim1);
 
   /// Chunks built so far, kept or not.
   [[nodiscard]] std::size_t chunks_built() const { return chunks_built_; }
@@ -274,20 +269,10 @@ inline constexpr const char* kClaim1Req2 =
 /// The answer to `req` from a responder holding `out`/`known` that heard
 /// `heard` in the request's phase (null: it heard nobody then): per listed
 /// peer below k, that peer's chunk if heard (with the layout's checks),
-/// else "me neither". Listed ids >= k get no entry and no charge. If
-/// `all_kept` is given, sets it to whether every chunk carried is the
-/// layout's kept chunk for its (snapshot, owner).
+/// else "me neither". Listed ids >= k get no entry and no charge.
 std::shared_ptr<const Resp2> answer(OwnerLayout& layout, const Req2& req,
                                     const PeerSet* heard, const BitVec& out,
-                                    const BitVec& known,
-                                    bool* all_kept = nullptr);
-
-/// Whether `resp` is still the answer of a responder holding `out`/`known`
-/// that built it over the layout's kept chunks: runs on every chunk it
-/// carries the checks a fresh answer would run, throwing an invariant
-/// violation with kClaim1Req2 if a chunk is not within `known`, and returns
-/// whether every chunk agrees with `out`.
-bool still_answers(const Resp2& resp, const BitVec& out, const BitVec& known);
+                                    const BitVec& known);
 
 /// Terminating push of the full output array (Claim 2's rescue).
 struct Full final : sim::Payload {
@@ -321,8 +306,6 @@ class CrashMultiPeer final : public dr::Peer {
     /// Thm 2.13 optimization: release the stage-3 wait as soon as late
     /// RESP1s cover every pending peer. Ablated in bench_crash.
     bool fast_cancel = true;
-    /// Hard cap on phases. 0 = auto from beta.
-    std::size_t max_phases = 0;
   };
 
   CrashMultiPeer();
@@ -374,16 +357,8 @@ class CrashMultiPeer final : public dr::Peer {
   /// must stop immediately.
   bool download(const std::vector<Interval>& runs);
 
-  /// Whether the RESP2 kept in resp2_ answers `req` exactly as a fresh
-  /// answer would, given a heard set of `heard_size` peers in its phase.
-  [[nodiscard]] bool can_resend(const crashm::Req2& req,
-                                std::size_t heard_size) const;
-
-  /// Applies `owner`'s chunk from a phase-`phase` response, unless the
-  /// owner was missing in that phase, the chunk is the one last applied for
-  /// it, and no apply has yet rewritten a known bit with a different value.
-  void learn(std::size_t phase, sim::PeerId owner,
-             const crashm::ChunkPtr& chunk);
+  /// Applies a chunk heard in a response: its values overwrite out_.
+  void learn(const MaskChunk& chunk);
 
   /// The world's owner layout, bound on first use.
   [[nodiscard]] crashm::OwnerLayout& layout();
@@ -395,21 +370,10 @@ class CrashMultiPeer final : public dr::Peer {
   BitVec out_;
   BitVec known_;  // mask
   std::size_t known_count_ = 0;  // known_.popcount(), kept as bits arrive
-  bool rewrote_ = false;  // some apply changed a known bit's value
 
   crashm::Snapshot phase_unknown_;  // unknown mask at current phase start
   std::vector<sim::PeerId> missing_;  // D of the current phase
-  /// Per phase that sent a REQ2: its missing list and, per listed peer, the
-  /// chunk last applied for it (learn). The list is the REQ2's own and the
-  /// chunks are charged where they are built, so memory_bytes leaves these
-  /// pointers out.
-  struct Applied {
-    std::size_t phase = 0;
-    crashm::MissingPtr missing;
-    std::vector<crashm::ChunkPtr> chunks;
-  };
-  std::array<Applied, 2> applied_;  // [r % 2]: phase r, the last two kept
-  std::size_t resp2_count_ = 0;
+  std::size_t resp2s_counted_ = 0;  // toward the stage-3 quorum
 
   bool full_sent_ = false;
 
@@ -421,23 +385,6 @@ class CrashMultiPeer final : public dr::Peer {
   };
   std::vector<PeerSet> heard_;      // C_r per phase (index r-1)
   std::vector<Deferred> deferred_;  // requests parked until eligible
-
-  /// The last RESP1 and RESP2 bodies this peer built, resent as they are
-  /// while a fresh answer could not differ (handle_req1, handle_req2). A
-  /// RESP2 is kept only if every chunk it carries is the layout's kept
-  /// chunk, with what it answered: the request's own missing list and
-  /// snapshot, and the size of the heard set it answered from (a heard set
-  /// only grows, so an equal size is an equal set). Both are bodies built
-  /// for sending anyway, so memory_bytes leaves them out; the payload pool
-  /// charges them while they are in flight.
-  std::shared_ptr<const crashm::Resp1> resp1_;
-  struct KeptResp2 {
-    std::shared_ptr<const crashm::Resp2> body;  ///< null: nothing kept
-    crashm::MissingPtr asked;
-    crashm::Snapshot unknown;
-    std::size_t heard = 0;
-  };
-  KeptResp2 resp2_;
 
   crashm::OwnerLayout* layout_ = nullptr;
 };

@@ -174,7 +174,6 @@ void Network::finish_delivery(const Message& msg) {
     if (observer_) observer_->on_drop(msg);
     return;
   }
-  ++total_deliveries_;
   last_delivery_at_[msg.to] = engine_.now();
   if (observer_) observer_->on_deliver(msg);
   receivers_[msg.to]->deliver(msg);

@@ -169,7 +169,6 @@ class Network {
   [[nodiscard]] std::uint64_t sent_units(PeerId id) const;
   /// Raw payload-level sends by `id` (each send() call that went through).
   [[nodiscard]] std::uint64_t sent_payloads(PeerId id) const;
-  [[nodiscard]] std::uint64_t total_deliveries() const { return total_deliveries_; }
 
   // ---- Stall diagnostics (always on; used by dr::World's stall report) ----
 
@@ -332,7 +331,6 @@ class Network {
   std::vector<Time> last_delivery_at_;
   std::uint64_t total_in_flight_ = 0;
   std::size_t pending_events_ = 0;  ///< see pending_events()
-  std::uint64_t total_deliveries_ = 0;
   std::uint64_t next_message_id_ = 0;
   std::unique_ptr<LatencyPolicy> latency_;
   NetworkObserver* observer_ = nullptr;

@@ -39,10 +39,10 @@ TEST(SenderDelayLatency, DelaysOnlyTheNamedSenders) {
   EXPECT_DOUBLE_EQ(policy.propagation(msg(2, 0)), 0.1);
 }
 
-TEST(SenderDelayLatency, SlowAdjustable) {
-  SenderDelayLatency policy({0}, 2.0, 0.5);
-  policy.set_slow(9.0);
+TEST(SenderDelayLatency, SlowIsTheConfiguredDelay) {
+  SenderDelayLatency policy({0}, 9.0, 0.5);
   EXPECT_DOUBLE_EQ(policy.propagation(msg(0, 1)), 9.0);
+  EXPECT_DOUBLE_EQ(policy.propagation(msg(1, 0)), 0.5);
   EXPECT_THROW(SenderDelayLatency({0}, 0.1, 0.5), contract_violation);
 }
 

@@ -260,22 +260,19 @@ TEST_P(BitVecKernels, WordAccessMatchesPerBitReference) {
     EXPECT_EQ(src.words().size(), words);
     BitVec written = src;
     BitVec known = known_before;
-    const BitVec::Assigned assigned = written.assign_masked(complement, known);
+    const std::size_t learned = written.assign_masked(complement, known);
     BitVec want = src;
     BitVec want_known = known_before;
     std::size_t want_learned = 0;
-    bool want_rewrote = false;  // every masked bit flips
     for (std::size_t i = 0; i < n; ++i) {
       if (!mask.get(i)) continue;
       want.flip(i);
       if (!known_before.get(i)) ++want_learned;
-      want_rewrote = want_rewrote || known_before.get(i);
       want_known.set(i, true);
     }
     EXPECT_EQ(written, want);
     EXPECT_EQ(known, want_known);
-    EXPECT_EQ(assigned.learned, want_learned);
-    EXPECT_EQ(assigned.rewrote, want_rewrote);
+    EXPECT_EQ(learned, want_learned);
     EXPECT_TRUE(zero_tail(written));
     EXPECT_TRUE(zero_tail(known));
 
@@ -529,22 +526,19 @@ TEST(BitVec, WordAccessPreconditions) {
   BitVec short_known(69);
   EXPECT_THROW((void)v.assign_masked(Words{{0, 1, 1}}, short_known),
                contract_violation);
-  EXPECT_EQ(v.assign_masked(Words{{0, 1, 0}, {1, 0x3f, kOnes}}, known),
-            (BitVec::Assigned{7, false}));
+  EXPECT_EQ(v.assign_masked(Words{{0, 1, 0}, {1, 0x3f, kOnes}}, known), 7u);
   EXPECT_EQ(v.popcount(), 6u);
   EXPECT_EQ(known.popcount(), 7u);
-  // Known bits written again: the same values rewrite nothing, a changed
-  // one does.
-  EXPECT_EQ(v.assign_masked(Words{{1, 0x3f, kOnes}}, known),
-            (BitVec::Assigned{0, false}));
+  // Known bits written again learn nothing; a new value still overwrites.
+  EXPECT_EQ(v.assign_masked(Words{{1, 0x3f, kOnes}}, known), 0u);
   EXPECT_EQ(v.assign_masked(Words{{0, 3, 2}}, known),
-            (BitVec::Assigned{1, false}));  // bit 1 new, bit 0 stays 0
-  EXPECT_EQ(v.assign_masked(Words{{1, 0x30, 0x10}}, known),
-            (BitVec::Assigned{0, true}));
+            1u);  // bit 1 new, bit 0 stays 0
+  EXPECT_EQ(v.assign_masked(Words{{1, 0x30, 0x10}}, known), 0u);
+  EXPECT_FALSE(v.get(69));  // rewritten from 1 to 0
+  EXPECT_EQ(v.popcount(), 6u);  // bits 1 and 64..68
   BitVec full(128);
   BitVec full_known(128);
-  EXPECT_EQ(full.assign_masked(Words{{1, kOnes, kOnes}}, full_known).learned,
-            64u);
+  EXPECT_EQ(full.assign_masked(Words{{1, kOnes, kOnes}}, full_known), 64u);
   EXPECT_EQ(full.popcount(), 64u);
 }
 

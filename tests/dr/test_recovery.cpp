@@ -70,39 +70,59 @@ TEST(Recovery, CrashMultiWarmRestartRecovers) {
 // The acceptance invariant: killed at ANY journal sentinel, the revived
 // peer's replayed claim is a subset of what it actually queried from the
 // source — no over-claim, at the exact granularity the theorems count.
+// Three other peers crash at the start, so the victim runs a second phase:
+// each sentinel is hit in phase 1 and, the second time, in phase 2, after
+// the victim has heard other peers' bits that it must not journal. The
+// claim is checked as the victim is revived (the world replays the log just
+// before it builds the new peer) and again at the end.
 TEST(Recovery, NoOverClaimAtAnyCrashPoint) {
   const dr::CrashPoint points[] = {
       dr::CrashPoint::kAppendStart, dr::CrashPoint::kMidRecord,
       dr::CrashPoint::kAppendCommit, dr::CrashPoint::kCheckpoint};
+  constexpr sim::PeerId kVictim = 2;
   for (const dr::CrashPoint point : points) {
-    Scenario s;
-    s.cfg = cfg_multi(13);
-    s.honest = proto::make_crash_multi();
-    s.recovery.factory = proto::make_crash_multi();
-    RecoveryPlan::CrashPointKill kill;
-    kill.peer = 2;
-    kill.point = point;
-    kill.restart_delay = 1.0;
-    s.recovery.kills.push_back(kill);
-    s.instrument = [](dr::World& w) {
-      // asyncdr-lint: allow(DR003) test harness checking query accounting
-      w.source().enable_index_recording(true);
-    };
-    bool checked = false;
-    s.post_run = [&](dr::World& w, const dr::RunReport& r) {
-      const dr::JournalReplay replay =
-          dr::Journal::replay(w.journal_store().log(2), w.config().n);
-      IntervalSet claimed = replay.intervals;
-      claimed.subtract(w.source().queried_indices(2));
-      EXPECT_TRUE(claimed.empty())
-          << "over-claim at " << dr::to_string(point) << ": "
-          << claimed.to_string();
-      checked = true;
-      EXPECT_TRUE(r.ok()) << dr::to_string(point) << ": " << r.to_string();
-    };
-    const dr::RunReport r = proto::run_scenario(s);
-    EXPECT_TRUE(checked);
-    EXPECT_EQ(r.recovery.restarts, 1u) << dr::to_string(point);
+    for (const std::size_t nth : {1, 2}) {
+      const std::string at =
+          std::string(dr::to_string(point)) + " #" + std::to_string(nth);
+      Scenario s;
+      s.cfg = cfg_multi(13);
+      s.honest = proto::make_crash_multi();
+      RecoveryPlan::CrashPointKill kill;
+      kill.peer = kVictim;
+      kill.point = point;
+      kill.nth = nth;
+      kill.restart_delay = 1.0;
+      s.recovery.kills.push_back(kill);
+      for (const sim::PeerId id : {5, 6, 7}) s.crashes.add_at_time(id, 0.0);
+      dr::World* world = nullptr;
+      std::size_t checked = 0;
+      const auto check = [&](const char* when) {
+        IntervalSet claimed =
+            dr::Journal::replay(world->journal_store().log(kVictim),
+                                world->config().n)
+                .intervals;
+        claimed.subtract(world->source().queried_indices(kVictim));
+        EXPECT_TRUE(claimed.empty()) << "over-claim at " << at << " " << when
+                                     << ": " << claimed.to_string();
+        ++checked;
+      };
+      s.recovery.factory = [&](const dr::Config& c, sim::PeerId id) {
+        if (id == kVictim) check("at the revival");
+        return proto::make_crash_multi()(c, id);
+      };
+      s.instrument = [&](dr::World& w) {
+        world = &w;
+        // asyncdr-lint: allow(DR003) test harness checking query accounting
+        w.source().enable_index_recording(true);
+      };
+      s.post_run = [&](dr::World&, const dr::RunReport& r) {
+        check("at the end");
+        EXPECT_TRUE(r.ok()) << at << ": " << r.to_string();
+      };
+      const dr::RunReport r = proto::run_scenario(s);
+      EXPECT_EQ(checked, 2u) << at;
+      EXPECT_EQ(r.recovery.restarts, 1u) << at;
+    }
   }
 }
 

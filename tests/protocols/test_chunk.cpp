@@ -260,9 +260,9 @@ TEST(MaskChunk, ApplyCountsNewlyKnownBits) {
     fresh.andnot_with(known);
     const std::size_t before = known.popcount();
     BitVec out(n);
-    EXPECT_EQ(chunk.apply_to(out, known).learned, fresh.popcount());
+    EXPECT_EQ(chunk.apply_to(out, known), fresh.popcount());
     EXPECT_EQ(known.popcount(), before + fresh.popcount());
-    EXPECT_EQ(chunk.apply_to(out, known).learned, 0u);  // nothing new the second time
+    EXPECT_EQ(chunk.apply_to(out, known), 0u);  // nothing new the second time
   }
 }
 

@@ -133,36 +133,15 @@ TEST(CrashMulti, StragglerStartTimes) {
 
 TEST(CrashMulti, OptionsControlPhaseStructure) {
   // n <= 2k puts every bit under the direct threshold max(ceil(n/k), 2k),
-  // so each peer takes the one-shot naive path; max_phases = 1 forces the
-  // direct tail right after phase 1.
-  {
-    const dr::Config c = cfg(16, 8, 0.25, 4);
-    dr::World world(c, random_input(c.n, c.seed));
-    for (sim::PeerId id = 0; id < c.k; ++id) {
-      world.set_peer(id, std::make_unique<CrashMultiPeer>());
-    }
-    const auto report = world.run();
-    ASSERT_TRUE(report.ok());
-    EXPECT_EQ(report.query_complexity, c.n);  // everyone queried everything
+  // so each peer takes the one-shot naive path.
+  const dr::Config c = cfg(16, 8, 0.25, 4);
+  dr::World world(c, random_input(c.n, c.seed));
+  for (sim::PeerId id = 0; id < c.k; ++id) {
+    world.set_peer(id, std::make_unique<CrashMultiPeer>());
   }
-  dr::Config c = cfg(1 << 12, 8, 0.25, 4);
-  {
-    dr::World world(c, random_input(c.n, c.seed));
-    std::vector<CrashMultiPeer*> peers;
-    for (sim::PeerId id = 0; id < c.k; ++id) {
-      auto p = std::make_unique<CrashMultiPeer>(
-          CrashMultiPeer::Options{.max_phases = 1});
-      peers.push_back(p.get());
-      world.set_peer(id, std::move(p));
-    }
-    world.schedule_crash_at(0, 0.0);
-    world.schedule_crash_at(1, 0.0);
-    const auto report = world.run();
-    ASSERT_TRUE(report.ok());
-    for (const auto* p : peers) EXPECT_LE(p->phases_run(), 2u);
-    // Phase 1 share + the two dead blocks queried directly.
-    EXPECT_LE(report.query_complexity, c.n / 8 + 2 * (c.n / 8) + 16);
-  }
+  const auto report = world.run();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.query_complexity, c.n);  // everyone queried everything
 }
 
 TEST(CrashMulti, PhaseDiagnosticsShrinkWithCrashes) {
@@ -754,13 +733,11 @@ TEST(CrashMultiKnownCount, MatchesMaskOverAMutatingSource) {
   EXPECT_GT(torn_worlds, 0u);
 }
 
-// ---- Skipping chunks already applied. ----
+// ---- Every heard chunk is applied: the last write wins. ----
 
 TEST(CrashMultiLearn, MutatingSourceOutputsMatchApplyingEveryChunk) {
-  // Every output of these mutating worlds, digested. The digests were taken
-  // from the protocol as it was before it skipped re-applied chunks (every
-  // chunk of every response applied in arrival order), so they pin that the
-  // skip keeps each peer's last write.
+  // Every output of these mutating worlds, digested: every chunk of every
+  // response applied in arrival order, so each peer keeps its last write.
   const std::uint64_t want[] = {2970073851449347512ull, 9249808216666493814ull,
                                 16114170064809679934ull,
                                 10584710799917458813ull};
@@ -779,9 +756,7 @@ TEST(CrashMultiLearn, ReappliedChunkWinsAfterAKnownBitChanged) {
   // Two chunks over a missing peer's bits with different values, as a
   // mutating source can produce: C1 for that peer in a RESP2, then C2 from
   // another owner over the same bits, then C1 again in another RESP2. The
-  // second C1 is still the chunk last applied for the missing peer, but C2
-  // has rewritten known bits since, so it must be applied again: the last
-  // write wins.
+  // second C1 is applied again over C2's values: the last write wins.
   constexpr std::size_t n = 4096;  // k = 4: blocks of 1024 bits, quorum 3
   dr::World world(dr::Config{.n = n, .k = 4, .beta = 0.25,
                              .message_bits = 1024, .seed = 1},
@@ -831,242 +806,6 @@ TEST(CrashMultiLearn, ReappliedChunkWinsAfterAKnownBitChanged) {
   BitVec want(n);
   want.fill(3072, 3584, true);
   EXPECT_EQ(peer.output(), want);
-}
-
-// ---- Resending unchanged response bodies. ----
-
-/// A k = 4 world in which only peer 0 runs before t = 100 (the others start
-/// then), and the test plays the other peers' requests and answers to it.
-/// Records every RESP1/RESP2 body peer 0 sends before t = 100, holding the
-/// bodies so that no address is reused.
-class ResponderWorld final : public sim::NetworkObserver {
- public:
-  static constexpr std::size_t n = 4096;  // blocks of 1024 bits, quorum 3
-
-  ResponderWorld()
-      : world_(dr::Config{.n = n, .k = 4, .beta = 0.25,
-                          .message_bits = n, .seed = 1},
-               BitVec(n)) {
-    for (sim::PeerId id = 0; id < 4; ++id) {
-      // Without fast cancel, peer 0 stays in a stage until its quorum.
-      world_.set_peer(id, std::make_unique<CrashMultiPeer>(
-                              CrashMultiPeer::Options{.fast_cancel = false}));
-      world_.set_start_time(id, id == 0 ? 0.0 : 100.0);
-    }
-    world_.add_observer(this);
-    snap_ = layout().snapshot(BitVec(n, true), 1);
-  }
-
-  void on_send(const sim::Message& msg, std::size_t) override {
-    if (msg.from != 0 || msg.sent_at >= 100.0) return;
-    if (sim::payload_as<crashm::Resp1>(*msg.payload) != nullptr ||
-        sim::payload_as<crashm::Resp2>(*msg.payload) != nullptr) {
-      sent.push_back(msg.payload);
-    }
-  }
-
-  crashm::OwnerLayout& layout() {
-    return world_.shared<crashm::OwnerLayout>(
-        crashm::OwnerLayout::kSharedName,
-        [] { return crashm::OwnerLayout(n, 4); });
-  }
-  const crashm::Snapshot& snapshot() const { return snap_; }
-
-  /// Peer q's phase-1 block, every value `value`.
-  static crashm::ChunkPtr block(sim::PeerId q, bool value) {
-    return std::make_shared<const MaskChunk>(MaskChunk::extract(
-        BitVec(n, value), SparseMask::range(n, 1024 * q, 1024 * (q + 1))));
-  }
-  std::shared_ptr<const crashm::Req2> req2(std::vector<sim::PeerId> ids) const {
-    return std::make_shared<const crashm::Req2>(
-        1, std::make_shared<const crashm::MissingList>(std::move(ids)), snap_);
-  }
-
-  /// Delivers `payload` from `from` to peer 0 at time `at`.
-  void deliver_at(sim::Time at, sim::PeerId from, sim::PayloadPtr payload) {
-    world_.engine().schedule_at(at, [this, from, payload] {
-      world_.peer(0).deliver(
-          sim::Message{.from = from, .to = 0, .payload = payload});
-    });
-  }
-  /// Peers 1 and 2 answer peer 0's REQ1: with peer 0, a quorum, so peer 0
-  /// sends a REQ2 naming peer 3 and answers phase-1 REQ2s from then on.
-  void reach_stage3(sim::Time at) {
-    deliver_at(at, 1, std::make_shared<crashm::Resp1>(1, block(1, false)));
-    deliver_at(at, 2, std::make_shared<crashm::Resp1>(1, block(2, false)));
-  }
-
-  void run() { (void)world_.run(); }
-
-  std::vector<sim::PayloadPtr> sent;
-
- private:
-  dr::World world_;
-  crashm::Snapshot snap_;
-};
-
-TEST(CrashMultiResend, Resp1IsResentWhileTheChunkIsTheKeptOne) {
-  ResponderWorld w;
-  const auto req1 = std::make_shared<crashm::Req1>(1, w.snapshot());
-  for (sim::PeerId from = 1; from < 4; ++from) {
-    w.deliver_at(3.0 * from, from, req1);
-  }
-  w.run();
-  ASSERT_EQ(w.sent.size(), 3u);
-  EXPECT_EQ(w.sent[1], w.sent[0]);
-  EXPECT_EQ(w.sent[2], w.sent[0]);
-  // The body a fresh answer would build: the layout's kept chunk of peer
-  // 0's block, in phase 1.
-  BitVec known(ResponderWorld::n);
-  known.fill(0, 1024, true);
-  const crashm::Resp1 fresh(
-      1, w.layout().chunk(w.snapshot(), 1, 0, BitVec(ResponderWorld::n),
-                          known, "c1"));
-  EXPECT_TRUE(fresh.content_equals(*w.sent[0]));
-  EXPECT_EQ(sim::payload_as<crashm::Resp1>(*w.sent[0])->chunk, fresh.chunk);
-}
-
-TEST(CrashMultiResend, Resp2IsResentUntilItsInputsChange) {
-  // Requests come 3 apart, so every earlier response (one unit message,
-  // latency 1) has settled: an equal pointer is a resend, not the bank
-  // interning a fresh body onto one still in flight.
-  ResponderWorld w;
-  w.reach_stage3(0.5);
-  // Three requests with equal lists (different objects): the same body
-  // three times. Peer 0 heard peer 1, so each carries peer 1's chunk.
-  w.deliver_at(2.0, 2, w.req2({1, 3}));
-  w.deliver_at(5.0, 3, w.req2({1, 3}));
-  w.deliver_at(8.0, 1, w.req2({1, 3}));
-  // The heard set grows (peer 3's late RESP1): a new body for the same
-  // list, then resent.
-  w.deliver_at(9.0, 3, std::make_shared<crashm::Resp1>(
-                          1, ResponderWorld::block(3, false)));
-  w.deliver_at(11.0, 2, w.req2({1, 3}));
-  w.deliver_at(14.0, 1, w.req2({1, 3}));
-  // A different list: a new body.
-  w.deliver_at(17.0, 3, w.req2({2, 3}));
-  // A RESP1 rewrites peer 1's known bits with other values: from then on
-  // every answer is built afresh.
-  w.deliver_at(18.0, 1, std::make_shared<crashm::Resp1>(
-                            1, ResponderWorld::block(1, true)));
-  w.deliver_at(20.0, 2, w.req2({1, 3}));
-  w.deliver_at(23.0, 3, w.req2({1, 3}));
-  w.run();
-  ASSERT_EQ(w.sent.size(), 8u);
-  const auto& s = w.sent;
-  EXPECT_EQ(s[1], s[0]);
-  EXPECT_EQ(s[2], s[0]);
-  EXPECT_NE(s[3], s[0]);  // the heard set grew
-  EXPECT_EQ(s[4], s[3]);
-  EXPECT_NE(s[5], s[3]);  // the other list
-  EXPECT_NE(s[6], s[3]);  // rewritten
-  EXPECT_NE(s[7], s[6]);
-
-  // Each resent body equals a fresh answer, chunk pointers included.
-  PeerSet heard;
-  for (const sim::PeerId q : {0u, 1u, 2u}) heard.insert(q, 4);
-  const BitVec zeros(ResponderWorld::n);
-  BitVec known(ResponderWorld::n);
-  known.fill(0, 3072, true);
-  const auto first = crashm::answer(w.layout(), *w.req2({1, 3}), &heard,
-                                    zeros, known);
-  const auto& sent0 = *sim::payload_as<crashm::Resp2>(*s[0]);
-  EXPECT_TRUE(first->content_equals(sent0));
-  EXPECT_EQ(first->chunks, sent0.chunks);
-  heard.insert(3, 4);
-  known.fill(3072, 4096, true);
-  const auto grown = crashm::answer(w.layout(), *w.req2({1, 3}), &heard,
-                                    zeros, known);
-  const auto& sent4 = *sim::payload_as<crashm::Resp2>(*s[4]);
-  EXPECT_TRUE(grown->content_equals(sent4));
-  EXPECT_EQ(grown->chunks, sent4.chunks);
-  EXPECT_EQ(sent4.chunks.size(), 2u);
-  // The rewrite is a mutating source's doing: each fresh body carries a
-  // chunk of its own, equal in content but not the kept one.
-  const auto& sent6 = *sim::payload_as<crashm::Resp2>(*s[6]);
-  const auto& sent7 = *sim::payload_as<crashm::Resp2>(*s[7]);
-  EXPECT_TRUE(sent6.content_equals(sent7));
-  EXPECT_NE(sent6.chunks[0], sent7.chunks[0]);
-}
-
-TEST(CrashMultiResend, RecheckThrowsOnAClaim1BreachAndSeesOtherValues) {
-  const std::size_t n = 1000, k = 7, r = 1;
-  crashm::OwnerLayout layout(n, k);
-  const crashm::Snapshot snap = layout.snapshot(BitVec(n, true), r);
-  const crashm::Req2 req(r,
-                         std::make_shared<const crashm::MissingList>(
-                             std::vector<sim::PeerId>{0, 3}),
-                         snap);
-  PeerSet heard;
-  heard.insert(0, k);
-  heard.insert(3, k);
-  const BitVec out(n);
-  const BitVec all(n, true);
-  bool kept = false;
-  const auto resp = crashm::answer(layout, req, &heard, out, all, &kept);
-  EXPECT_TRUE(kept);
-  EXPECT_TRUE(crashm::still_answers(*resp, out, all));
-  BitVec lacking = all;
-  lacking.set(0, false);  // bit 0 lies in peer 0's phase-1 block
-  try {
-    (void)crashm::still_answers(*resp, out, lacking);
-    ADD_FAILURE() << "expected a Claim 1 violation";
-  } catch (const contract_violation& e) {
-    EXPECT_NE(std::string(e.what()).find(crashm::kClaim1Req2),
-              std::string::npos);
-  }
-  BitVec other = out;
-  other.flip(0);
-  EXPECT_FALSE(crashm::still_answers(*resp, other, all));
-  // Values that differ from the kept chunk give a chunk of their own,
-  // which is not the kept one.
-  (void)crashm::answer(layout, req, &heard, other, all, &kept);
-  EXPECT_FALSE(kept);
-}
-
-TEST(CrashMultiResend, ARevivedIncarnationResendsNothingOfTheOld) {
-  // Recovery worlds with crashes mid-run: no response body a peer sent in
-  // one incarnation is sent by a later one.
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Scenario s;
-    s.cfg = dr::Config{
-        .n = 1024, .k = 8, .beta = 0.5, .message_bits = 64, .seed = seed};
-    s.honest = make_crash_multi();
-    s.recovery.factory = make_crash_multi();
-    for (const sim::PeerId id : {2u, 5u}) {
-      s.crashes.add_at_time(id, 1.5);
-      s.crashes.add_restart_after(id, 2.0);
-    }
-    struct Log final : sim::NetworkObserver {
-      dr::World* world = nullptr;
-      std::vector<std::pair<sim::PayloadPtr, std::size_t>> sent[8];
-      void on_send(const sim::Message& msg, std::size_t) override {
-        if (sim::payload_as<crashm::Resp1>(*msg.payload) != nullptr ||
-            sim::payload_as<crashm::Resp2>(*msg.payload) != nullptr) {
-          sent[msg.from].emplace_back(msg.payload,
-                                      world->restart_count(msg.from));
-        }
-      }
-    } log;
-    s.instrument = [&](dr::World& world) {
-      log.world = &world;
-      world.add_observer(&log);
-    };
-    const dr::RunReport report = run_scenario(s);
-    EXPECT_TRUE(report.ok()) << report.to_string();
-    EXPECT_GT(report.recovery.restarts, 0u);
-    std::size_t resent = 0;
-    for (const auto& bodies : log.sent) {
-      for (std::size_t i = 0; i < bodies.size(); ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-          if (bodies[j].first != bodies[i].first) continue;
-          ++resent;
-          EXPECT_EQ(bodies[j].second, bodies[i].second) << "seed " << seed;
-        }
-      }
-    }
-    EXPECT_GT(resent, 0u);
-  }
 }
 
 // Full sweep: (n, k, beta) x adversary style x seed.

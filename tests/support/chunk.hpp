@@ -9,12 +9,13 @@
 namespace asyncdr::support {
 
 /// True iff `src` (the chunk's size) holds the chunk's value at every
-/// index: applying the chunk over a copy of `src`, every bit already known,
-/// rewrites none of them.
+/// index: applying the chunk over a copy of `src` leaves the copy equal to
+/// `src`.
 inline bool agrees_with(const proto::MaskChunk& chunk, const BitVec& src) {
   BitVec copy = src;
-  BitVec known(src.size(), true);
-  return !chunk.apply_to(copy, known).rewrote;
+  BitVec known(src.size());
+  (void)chunk.apply_to(copy, known);
+  return copy == src;
 }
 
 }  // namespace asyncdr::support

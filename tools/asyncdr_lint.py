@@ -1231,13 +1231,12 @@ RULES = [
         "path (src/dr/source.*, src/oracle/*).",
         "Every bit a peer learns from the external source must be accounted "
         "by Query — that is the quantity Theorems 1-6 bound. Code that swaps "
-        "arrays, installs overlays, or resets counters from elsewhere can "
-        "leak unaccounted bits; the two-world adversary constructions that "
-        "legitimately need it carry explicit allow() annotations.",
+        "arrays or installs overlays from elsewhere can leak unaccounted "
+        "bits; the two-world adversary constructions that legitimately need "
+        "it carry explicit allow() annotations.",
         regex_rule(
             "DR003",
-            r"\.\s*(set_data|set_overlay|reset_accounting"
-            r"|enable_index_recording)\s*\("
+            r"\.\s*(set_data|set_overlay|enable_index_recording)\s*\("
             r"|\bsource\(\)\s*\.\s*data\s*\(\)",
             "source-internals access '{match}' outside the accounting path",
             exempt_globs=("src/dr/source.*", "src/oracle/*")),

@@ -8,8 +8,10 @@ Entries are matched by (section, label). Every simulated statistic is a pure
 function of (config, seed), so every numeric field present in both entries
 must match EXACTLY: Q/T/M means, extremes and percentiles, the recovery
 counters, events, active_links, the modeled mem_* byte peaks, run counts and
-any other deterministic field. The only exceptions are the values measured
-on the machine that ran the bench:
+any other deterministic field. So must the `fingerprint` string, a hash over
+every run's full report (bench::RepeatStats), which sees a move in any
+simulated statistic, not just the ones the entry summarizes. The only
+exceptions are the values measured on the machine that ran the bench:
 
   * mem_unattributed_frac is gated as an ABSOLUTE difference within
     --tolerance (the fraction sits near 0 on healthy runs, where a relative
@@ -22,8 +24,8 @@ on the machine that ran the bench:
 deterministic fields on purpose declares each one with --changed FIELD: its
 differences are then listed as declared changes instead of regressions. A
 declared field that moved nowhere is noted, so stale declarations show.
-Non-numeric fields (e.g. the rss_mechanism tag) are skipped, and a field
-present on one side only is skipped too, so baselines written before a
+Other non-numeric fields (e.g. the rss_mechanism tag) are skipped, and a
+field present on one side only is skipped too, so baselines written before a
 field existed keep working.
 
 Entries present only in the baseline are errors (a silently dropped series is
@@ -44,6 +46,8 @@ import sys
 MEASURED_FIELDS = ("wall_ms", "rss_mb")
 # Measured, but machine-independent in meaning: absolute bound.
 MEM_FRAC_METRIC = "mem_unattributed_frac"
+# The one string field gated exactly: a hash over every run's report.
+FINGERPRINT = "fingerprint"
 
 
 def is_number(value):
@@ -115,6 +119,20 @@ def main():
                     f"{key}: present in baseline, missing in fresh run")
             continue
         for field in sorted(set(be) & set(fe)):
+            if field == FINGERPRINT:
+                checked += 1
+                b, f = be[field], fe[field]
+                if b == f:
+                    continue
+                if field in declared:
+                    moved.add(field)
+                    changes.append(f"{key}: {field} {b} -> {f}")
+                else:
+                    problems.append(
+                        f"{key}: {field} {b} -> {f} (a simulated statistic "
+                        f"moved; declare a deliberate move with --changed "
+                        f"{field})")
+                continue
             if not (is_number(be[field]) and is_number(fe[field])):
                 continue
             b, f = float(be[field]), float(fe[field])

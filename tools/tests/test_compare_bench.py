@@ -304,6 +304,33 @@ class CompareBenchTest(unittest.TestCase):
         code, out, _ = self.run_tool(base, fresh_bad, "--tolerance", "0.5")
         self.assertEqual(code, 0, out)
 
+    def test_fingerprint_is_gated_exactly_unless_declared(self):
+        # The one string field compared: it moves with any statistic of any
+        # run, including those the entry's numbers do not summarize.
+        def e(fingerprint):
+            d = entry(q=100.0)
+            d["fingerprint"] = fingerprint
+            return d
+        base = self.path("base.json", bench_doc([e("e6e6346d30c6393e")]))
+        same = self.path("same.json", bench_doc([e("e6e6346d30c6393e")]))
+        code, out, _ = self.run_tool(base, same)
+        self.assertEqual(code, 0, out)
+        # q/t/m means, failures and the fingerprint.
+        self.assertIn("compared 5 metric(s)", out)
+        moved = self.path("moved.json", bench_doc([e("0a1ed111cbd1239c")]))
+        code, out, _ = self.run_tool(base, moved)
+        self.assertEqual(code, 1)
+        self.assertIn("REGRESSION ('s', 'l'): fingerprint e6e6346d30c6393e -> "
+                      "0a1ed111cbd1239c", out)
+        self.assertIn("--changed fingerprint", out)
+        code, out, _ = self.run_tool(base, moved, "--changed", "fingerprint")
+        self.assertEqual(code, 0, out)
+        self.assertIn("CHANGED ('s', 'l'): fingerprint", out)
+        # A baseline written before the field existed keeps working.
+        old = self.path("old.json", bench_doc([entry(q=100.0)]))
+        code, out, _ = self.run_tool(old, moved)
+        self.assertEqual(code, 0, out)
+
     def test_non_numeric_mem_adjacent_fields_are_skipped(self):
         # The rss_mechanism tag is a string and must not be diffed; a
         # mechanism change between machines is not a regression.
